@@ -7,8 +7,6 @@ a manifest (command, resolved config, input digests, seed, outputs). Only the
 manifest carries a timestamp.
 
 Exit codes: 0 success, 2 usage error, 3 data/input error, 4 internal error.
-The NASFLAT_THREADS environment variable caps internal parallelism; all
-numeric results are independent of it.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -60,27 +57,10 @@ from .sampler import METHODS, run_sampler
 from .synthbench import gen_dataset, mixed_family
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
 CONFIG_VERSION = 1
-
-
-class UsageError(Exception):
-    pass
-
-
-def thread_cap() -> int:
-    """Parallelism cap from NASFLAT_THREADS (>= 1); results never depend on it."""
-    raw = os.environ.get("NASFLAT_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"NASFLAT_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise UsageError(f"NASFLAT_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 def _sha256(path: Path) -> str:
@@ -106,7 +86,6 @@ def _write_manifest(
         "inputs": {str(p): _sha256(p) for p in sorted(set(inputs))},
         "master_seed": seed,
         "version": __version__,
-        "threads": thread_cap(),
         "outputs": sorted(str(p) for p in outputs),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
@@ -298,19 +277,18 @@ def cmd_transfer(args) -> int:
     targets = [args.target] if args.target else list(split.target)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    base = load_checkpoint(args.checkpoint)
+    reference = table.subset(device_ids=split.source)
     outputs = []
     for device in targets:
-        state = load_checkpoint(args.checkpoint)
         pool = [a for a in archs if table.has(a.arch_id, device)]
         picked = run_sampler(
             args.sampler, pool, args.samples,
             seed=stable_seed("sample", args.seed, device, args.sampler),
-            space=space, encoding=sampler_encoding,
-            reference_latencies=table.subset(device_ids=split.source),
+            space=space, encoding=sampler_encoding, reference_latencies=reference,
         )
-        few_shot = table.subset(device_ids=list(split.source) + [device], arch_ids=picked)
-        state = transfer(
-            state, device, few_shot, list(split.source), archmap,
+        state, warm_start = transfer(
+            base, device, table, picked, list(split.source), archmap,
             TrainConfig(**{**asdict(train_cfg), "seed": stable_seed("transfer", args.seed, device)}),
             encodings=encodings,
         )
@@ -324,6 +302,7 @@ def cmd_transfer(args) -> int:
                 "sampler": args.sampler,
                 "samples": args.samples,
                 "sampled_ids": sorted(picked),
+                "warm_start_source": warm_start,
             },
         )
         outputs += [ckpt, Path(str(ckpt) + ".meta.json")]
@@ -360,15 +339,12 @@ def cmd_eval(args) -> int:
         device = args.device or extra.get("target_device")
         if device is None:
             raise NasflatError(f"{ckpt}: no target device recorded; pass --device")
-        sampled = set(extra.get("sampled_ids", [])) if not args.include_sampled else set()
-        heldout_ids = [a for a in table.archs_for(device) if a not in sampled]
-        heldout = table.subset(device_ids=[device], arch_ids=heldout_ids)
         entry = evaluate(
-            state, device, heldout, archmap, encodings=encodings,
+            state, device, table, archmap, encodings=encodings,
             trial=args.trial, n_target_samples=int(extra.get("samples", 0)),
+            exclude=() if args.include_sampled else extra.get("sampled_ids", []),
         )
-        ids = sorted(heldout.archs_for(device))
-        for arch_id, pred, truth in zip(ids, entry.preds, entry.truths):
+        for arch_id, pred, truth in zip(entry.arch_ids, entry.preds, entry.truths):
             scatter_lines.append(f"{device},{arch_id},{repr(float(pred))},{repr(float(truth))}")
         entries.append(entry)
     report = EvalReport.from_entries(entries)
@@ -544,11 +520,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        thread_cap()
         return args.func(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except NasflatError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -11,6 +11,7 @@ cross-side correlation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -21,6 +22,7 @@ from .errors import (
     ConstantInput,
     InsufficientOverlap,
     LengthMismatch,
+    NonFiniteValue,
     ParseError,
     SideTooSmall,
     TooFewDevices,
@@ -35,8 +37,10 @@ class LatencyTable:
         self._by_device: dict[str, dict[str, float]] = {}
 
     def add(self, arch_id: str, device_id: str, latency_ms: float) -> None:
-        if latency_ms <= 0:
-            raise ValueError(f"latency must be positive, got {latency_ms} for {arch_id}/{device_id}")
+        if not (math.isfinite(latency_ms) and latency_ms > 0):
+            raise ValueError(
+                f"latency must be finite and positive, got {latency_ms} for {arch_id}/{device_id}"
+            )
         rows = self._by_device.setdefault(device_id, {})
         if arch_id in rows:
             raise ValueError(f"duplicate measurement for ({arch_id}, {device_id})")
@@ -80,14 +84,6 @@ class LatencyTable:
                 if arch_set is not None and arch not in arch_set:
                     continue
                 out.add(arch, device, lat)
-        return out
-
-    def merged_with(self, other: "LatencyTable") -> "LatencyTable":
-        out = LatencyTable()
-        for table in (self, other):
-            for device, rows in table._by_device.items():
-                for arch, lat in rows.items():
-                    out.add(arch, device, lat)
         return out
 
     def save_csv(self, path) -> None:
@@ -145,6 +141,8 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
         raise LengthMismatch(f"{x.shape} vs {y.shape}")
     if len(x) < 2:
         raise LengthMismatch("need at least 2 observations")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFiniteValue("rank correlation undefined for non-finite input")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ConstantInput("rank correlation undefined for constant input")
     rx = _fractional_ranks(x)

@@ -15,7 +15,7 @@ latencies by a positive constant leaves training trajectories bit-identical.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -31,15 +31,13 @@ from .errors import (
     TooFewSamples,
 )
 from .predictor import (
-    PredictorConfig,
     PredictorState,
     _forward,
-    init_predictor,
     init_target_hw_embedding,
+    predict_batch,
     register_device,
 )
-from .rng import rng_for, stable_seed
-from .sampler import run_sampler
+from .rng import rng_for
 
 
 @dataclass(frozen=True)
@@ -193,26 +191,39 @@ def pretrain(
 
 
 def transfer(
-    state: PredictorState,
+    base: PredictorState,
     target_device: str,
-    target_samples: LatencyTable,
+    table: LatencyTable,
+    picked: Sequence[str],
     source_devices: Sequence[str],
     archs: Mapping[str, Architecture],
     config: TrainConfig,
     encodings: EncodingTable | None = None,
-) -> PredictorState:
-    """Adapt a pretrained predictor to one target device from few samples.
+) -> tuple[PredictorState, str]:
+    """Adapt a copy of a pretrained predictor to one target device from few samples.
 
-    target_samples must hold the target rows plus source rows on the same
-    architectures (used for the hardware-embedding warm start). The optimizer
-    is re-initialized and all parameters are fine-tuned at transfer_lr.
+    The few-shot data is `table` restricted to the sources plus the target
+    and to the `picked` archs: the target rows are fine-tuned on, the source
+    rows pick the hardware-embedding warm start. The optimizer is
+    re-initialized and all parameters are fine-tuned at transfer_lr. `base`
+    is left unchanged. Returns the adapted state, without its optimizer
+    moments (which would double its memory while callers also hold `base`),
+    and the warm-start source.
     """
-    sampled = sorted(target_samples.archs_for(target_device))
+    few_shot = table.subset(device_ids=list(source_devices) + [target_device], arch_ids=picked)
+    sampled = sorted(few_shot.archs_for(target_device))
     if len(sampled) < 2:
         raise InsufficientData(f"need >= 2 target samples, got {len(sampled)}")
-    space = state.spaces[archs[sampled[0]].space_id]
+    space = base.spaces[archs[sampled[0]].space_id]
+    state = PredictorState(
+        base.config,
+        dict(base.spaces),
+        {name: ad.param(t.data.copy()) for name, t in base.params.items()},
+        dict(base.device_index),
+        base.null_op_index,
+    )
     register_device(state, target_device)
-    init_target_hw_embedding(state, target_samples, source_devices)
+    warm_start = init_target_hw_embedding(state, few_shot, source_devices)
 
     state.adam = AdamState.for_params(state.params)
     rng = rng_for("transfer", config.seed, target_device)
@@ -220,10 +231,11 @@ def transfer(
     for _ in range(config.transfer_epochs):
         for device, chunk in _epoch_batches(rng, [target_device], {target_device: sampled}, batch):
             _train_batch(
-                state, space, device, chunk, archs, target_samples, encodings,
+                state, space, device, chunk, archs, few_shot, encodings,
                 config.transfer_lr, config.weight_decay, config.hinge_margin,
             )
-    return state
+    state.adam = None
+    return state, warm_start
 
 
 @dataclass
@@ -235,6 +247,7 @@ class EvalEntry:
     n_target_samples: int
     preds: np.ndarray = field(repr=False, default=None)
     truths: np.ndarray = field(repr=False, default=None)
+    arch_ids: list[str] = field(repr=False, default=None)  # order of preds/truths
 
 
 @dataclass
@@ -276,26 +289,25 @@ class EvalReport:
 def evaluate(
     state: PredictorState,
     target_device: str,
-    heldout: LatencyTable,
+    table: LatencyTable,
     archs: Mapping[str, Architecture],
     encodings: EncodingTable | None = None,
     trial: int = 0,
     n_target_samples: int = 0,
-    chunk_size: int = 64,
+    exclude: Sequence[str] = (),
 ) -> EvalEntry:
-    """Spearman of predicted vs measured latency on the held-out archs."""
-    ids = sorted(heldout.archs_for(target_device))
+    """Spearman of predicted vs measured latency on the held-out archs.
+
+    Held out: the archs in `archs` that `table` measures on the target
+    device, minus `exclude` (typically the transfer samples).
+    """
+    skip = set(exclude)
+    ids = sorted(a for a in table.archs_for(target_device) if a in archs and a not in skip)
     if not ids:
         raise InsufficientData(f"no held-out rows for device {target_device!r}")
-    space = state.spaces[archs[ids[0]].space_id]
-    row = state.device_row(target_device)
-    preds = np.empty(len(ids))
-    for start in range(0, len(ids), chunk_size):
-        chunk = ids[start : start + chunk_size]
-        ops_rows = np.array([archs[a].ops for a in chunk], dtype=np.intp)
-        supp = _supplementary_rows(encodings, chunk, state)
-        preds[start : start + len(chunk)] = _forward(state, space, ops_rows, row, supp).data[:, 0]
-    truths = np.array([heldout.latency(a, target_device) for a in ids])
+    supp = _supplementary_rows(encodings, ids, state)
+    preds = predict_batch(state, [archs[a] for a in ids], target_device, supp)
+    truths = np.array([table.latency(a, target_device) for a in ids])
     rho = spearman(preds, truths)
     return EvalEntry(
         device_id=target_device,
@@ -305,6 +317,7 @@ def evaluate(
         n_target_samples=n_target_samples,
         preds=preds,
         truths=truths,
+        arch_ids=ids,
     )
 
 
@@ -350,7 +363,6 @@ def latency_constrained_search(
     encodings: EncodingTable | None = None,
     calibration: LatencyTable | None = None,
     archs_by_id: Mapping[str, Architecture] | None = None,
-    chunk_size: int = 64,
 ) -> SearchResult:
     """Keep candidates predicted under the constraint and rank by accuracy.
 
@@ -360,44 +372,24 @@ def latency_constrained_search(
     is accounted separately from total search time.
     """
     t_start = time.perf_counter()
-    predictor_time = 0.0
-    predicted: dict[str, float] = {}
-    space = None
-    if candidate_archs:
-        space = state.spaces[candidate_archs[0].space_id]
-        row = state.device_row(device_id)
-        for start in range(0, len(candidate_archs), chunk_size):
-            chunk = candidate_archs[start : start + chunk_size]
-            ops_rows = np.array([a.ops for a in chunk], dtype=np.intp)
-            supp = _supplementary_rows(encodings, [a.arch_id for a in chunk], state)
-            t0 = time.perf_counter()
-            scores = _forward(state, space, ops_rows, row, supp).data[:, 0]
-            predictor_time += time.perf_counter() - t0
-            for arch, score in zip(chunk, scores):
-                predicted[arch.arch_id] = float(score)
-    if calibration is not None and space is not None:
-        cal_ids = [
-            a for a in sorted(calibration.archs_for(device_id))
-            if archs_by_id is None or a in archs_by_id
-        ]
+    if not candidate_archs:
+        raise EmptyFeasibleSet("no candidate architectures")
+    ids = [a.arch_id for a in candidate_archs]
+    supp = _supplementary_rows(encodings, ids, state)
+    t0 = time.perf_counter()
+    scores = predict_batch(state, candidate_archs, device_id, supp)
+    predictor_time = time.perf_counter() - t0
+    if calibration is not None:
+        lookup = archs_by_id if archs_by_id is not None else dict(zip(ids, candidate_archs))
+        cal_ids = [a for a in sorted(calibration.archs_for(device_id)) if a in lookup]
         if cal_ids:
-            lookup = archs_by_id or {a.arch_id: a for a in candidate_archs}
-            cal_archs = [lookup[a] for a in cal_ids if a in lookup]
-            if cal_archs:
-                row = state.device_row(device_id)
-                ops_rows = np.array([a.ops for a in cal_archs], dtype=np.intp)
-                supp = _supplementary_rows(encodings, [a.arch_id for a in cal_archs], state)
-                t0 = time.perf_counter()
-                cal_scores = _forward(state, space, ops_rows, row, supp).data[:, 0]
-                predictor_time += time.perf_counter() - t0
-                measured = np.array(
-                    [calibration.latency(a.arch_id, device_id) for a in cal_archs]
-                )
-                keys = list(predicted)
-                mapped = calibrate_scores(
-                    np.array([predicted[k] for k in keys]), cal_scores, measured
-                )
-                predicted = dict(zip(keys, mapped.tolist()))
+            cal_supp = _supplementary_rows(encodings, cal_ids, state)
+            t0 = time.perf_counter()
+            cal_scores = predict_batch(state, [lookup[a] for a in cal_ids], device_id, cal_supp)
+            predictor_time += time.perf_counter() - t0
+            measured = np.array([calibration.latency(a, device_id) for a in cal_ids])
+            scores = calibrate_scores(scores, cal_scores, measured)
+    predicted = dict(zip(ids, scores.tolist()))
     feasible = [a for a in candidate_archs if predicted[a.arch_id] <= constraint_ms]
     if not feasible:
         raise EmptyFeasibleSet(
@@ -413,88 +405,4 @@ def latency_constrained_search(
         accuracy={a: accuracy[a] for a in top},
         predictor_time_s=predictor_time,
         total_time_s=total_time,
-    )
-
-
-def clone_state(state: PredictorState) -> PredictorState:
-    """Deep copy of parameters and registry; optimizer state is not carried."""
-    params = {name: ad.param(t.data.copy()) for name, t in state.params.items()}
-    return PredictorState(
-        state.config,
-        dict(state.spaces),
-        params,
-        dict(state.device_index),
-        state.null_op_index,
-    )
-
-
-@dataclass
-class ExperimentResult:
-    report: EvalReport
-    pretrain_log: list[float]
-    sampled_ids: dict[tuple[str, int], list[str]]  # (device, trial) -> arch_ids
-
-
-def run_transfer_experiment(
-    space: SearchSpace,
-    table: LatencyTable,
-    archs: Mapping[str, Architecture],
-    source_devices: Sequence[str],
-    target_devices: Sequence[str],
-    sampler_method: str,
-    n_target_samples: int,
-    train_config: TrainConfig,
-    predictor_config: PredictorConfig,
-    master_seed: int,
-    encoding: EncodingTable | None = None,
-    supplementary: EncodingTable | None = None,
-    trials: int | None = None,
-) -> ExperimentResult:
-    """Pretrain on the sources, then per trial and target device: sample the
-    measurement budget, transfer, and evaluate on the unsampled remainder."""
-    trials = train_config.trials if trials is None else trials
-    pool = [archs[a] for a in sorted(archs) if table.has(a, target_devices[0])]
-    entries: list[EvalEntry] = []
-    sampled_ids: dict[tuple[str, int], list[str]] = {}
-    pretrain_log: list[float] = []
-    for trial in range(trials):
-        trial_seed = stable_seed("trial", master_seed, trial)
-        base = init_predictor(predictor_config, [space], list(source_devices), seed=trial_seed)
-        base, log = pretrain(
-            base, table, source_devices, archs,
-            replace(train_config, seed=trial_seed), encodings=supplementary,
-        )
-        pretrain_log = log
-        for device in target_devices:
-            device_pool = [a for a in pool if table.has(a.arch_id, device)]
-            picked = run_sampler(
-                sampler_method,
-                device_pool,
-                n_target_samples,
-                seed=stable_seed("sample", master_seed, trial, device, sampler_method),
-                space=space,
-                encoding=encoding,
-                reference_latencies=table.subset(device_ids=source_devices),
-            )
-            sampled_ids[(device, trial)] = picked
-            few_shot = table.subset(
-                device_ids=list(source_devices) + [device], arch_ids=picked
-            )
-            adapted = transfer(
-                clone_state(base), device, few_shot, source_devices, archs,
-                replace(train_config, seed=stable_seed("transfer", master_seed, trial, device)),
-                encodings=supplementary,
-            )
-            heldout_ids = [a.arch_id for a in device_pool if a.arch_id not in set(picked)]
-            heldout = table.subset(device_ids=[device], arch_ids=heldout_ids)
-            entries.append(
-                evaluate(
-                    adapted, device, heldout, archs, encodings=supplementary,
-                    trial=trial, n_target_samples=len(picked),
-                )
-            )
-    return ExperimentResult(
-        report=EvalReport.from_entries(entries),
-        pretrain_log=pretrain_log,
-        sampled_ids=sampled_ids,
     )

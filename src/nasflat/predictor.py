@@ -47,6 +47,8 @@ from .errors import (
 
 CHECKPOINT_VERSION = 1
 
+PREDICT_CHUNK = 64  # archs per inference forward in predict_batch
+
 GNN_KINDS = ("dgf", "gat", "ensemble")
 
 
@@ -384,14 +386,26 @@ def predict_batch(
     device_id: str,
     supplementary: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Latency scores for architectures from one space on one device."""
+    """Latency scores for architectures from one space on one device.
+
+    Scores in chunks of PREDICT_CHUNK (64) archs; `supplementary` holds one
+    row per arch.
+    """
     if not archs:
         return np.zeros(0)
+    if supplementary is not None and len(supplementary) != len(archs):
+        raise BadSupplementaryDim(
+            f"{len(supplementary)} supplementary rows for {len(archs)} archs"
+        )
     space = state.spaces[archs[0].space_id]
     row = state.device_row(device_id)
-    ops_rows = np.array([a.ops for a in archs], dtype=np.intp)
-    out = _forward(state, space, ops_rows, row, supplementary)
-    return out.data[:, 0].copy()
+    out = np.empty(len(archs))
+    for start in range(0, len(archs), PREDICT_CHUNK):
+        stop = start + PREDICT_CHUNK
+        ops_rows = np.array([a.ops for a in archs[start:stop]], dtype=np.intp)
+        supp = None if supplementary is None else supplementary[start:stop]
+        out[start:stop] = _forward(state, space, ops_rows, row, supp).data[:, 0]
+    return out
 
 
 def predict(

@@ -2,15 +2,18 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 The end-to-end experiment (criteria 7-9) runs once in a module fixture and is
-shared; reproducibility (criterion 8) re-runs a one-trial pipeline end to end
-under different NASFLAT_THREADS settings.
+shared; reproducibility (criterion 8) re-runs a one-trial pipeline end to end,
+once more in a child process with BLAS pinned to one thread.
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,15 +320,13 @@ def _build_world():
 
 
 def _transfer_and_eval(base_state, table, archmap, sources, target, picked, trial, cfg):
-    few_shot = table.subset(device_ids=list(sources) + [target], arch_ids=picked)
-    adapted = pl.transfer(
-        pl.clone_state(base_state), target, few_shot, sources, archmap,
+    adapted, _ = pl.transfer(
+        base_state, target, table, picked, sources, archmap,
         replace(cfg, seed=stable_seed("t", E2E_SEED, trial, target)),
     )
-    heldout_ids = [a for a in archmap if table.has(a, target) and a not in set(picked)]
-    heldout = table.subset(device_ids=[target], arch_ids=heldout_ids)
     entry = pl.evaluate(
-        adapted, target, heldout, archmap, trial=trial, n_target_samples=len(picked)
+        adapted, target, table, archmap,
+        trial=trial, n_target_samples=len(picked), exclude=picked,
     )
     return adapted, entry
 
@@ -385,16 +386,16 @@ def test_criterion_7_end_to_end_transfer(e2e):
     )
 
 
-def _single_trial_pipeline(tmp_path, tag):
-    """One-trial instance of the criterion-7 pipeline, checkpoints + report."""
+def _single_trial_pipeline(out_dir):
+    """One-trial instance of the criterion-7 pipeline; writes checkpoints + report."""
     table, archmap, sources, targets, encoding = _build_world()
     pool = [archmap[a] for a in sorted(archmap)]
     cfg = replace(E2E_TRAIN, epochs=4, trials=1)
     trial_seed = stable_seed("repro", E2E_SEED)
     state = pred.init_predictor(pred.PredictorConfig(seed=trial_seed), [NB201], sources)
     pl.pretrain(state, table, sources, archmap, replace(cfg, seed=trial_seed))
+    out_dir.mkdir()
     entries = []
-    ckpt_bytes = []
     for target in targets:
         picked = smp.run_sampler(
             "cosine", pool, 20, seed=stable_seed("rs", E2E_SEED, target), encoding=encoding
@@ -403,31 +404,44 @@ def _single_trial_pipeline(tmp_path, tag):
             state, table, archmap, sources, target, picked, 0, cfg
         )
         entries.append(entry)
-        path = tmp_path / f"{tag}_{target}.json"
-        pred.save_checkpoint(adapted, path, extra={"target_device": target})
-        ckpt_bytes.append(path.read_bytes())
+        pred.save_checkpoint(adapted, out_dir / f"{target}.json", extra={"target_device": target})
     report = pl.EvalReport.from_entries(entries)
-    return ckpt_bytes, report.csv_text()
+    (out_dir / "report.csv").write_text(report.csv_text(), encoding="utf-8")
+
+
+def _outputs(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def _single_trial_pipeline_one_blas_thread(out_dir):
+    """Run _single_trial_pipeline in a child process with BLAS on one thread.
+
+    BLAS reads its thread count when numpy loads, so the setting only takes
+    effect in a new process.
+    """
+    import nasflat
+
+    paths = [str(Path(nasflat.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(paths + [env.get("PYTHONPATH", "")])
+    code = (
+        "import sys; from pathlib import Path; import test_acceptance as t; "
+        "t._single_trial_pipeline(Path(sys.argv[1]))"
+    )
+    subprocess.run([sys.executable, "-c", code, str(out_dir)], env=env, check=True, timeout=600)
 
 
 def test_criterion_8_reproducibility(tmp_path):
-    old = os.environ.get("NASFLAT_THREADS")
-    try:
-        os.environ["NASFLAT_THREADS"] = "1"
-        ckpts_a, report_a = _single_trial_pipeline(tmp_path, "a")
-        ckpts_b, report_b = _single_trial_pipeline(tmp_path, "b")
-        os.environ["NASFLAT_THREADS"] = "4"
-        ckpts_c, report_c = _single_trial_pipeline(tmp_path, "c")
-    finally:
-        if old is None:
-            os.environ.pop("NASFLAT_THREADS", None)
-        else:
-            os.environ["NASFLAT_THREADS"] = old
-    same_runs = ckpts_a == ckpts_b and report_a == report_b
-    same_threads = ckpts_a == ckpts_c and report_a == report_c
+    _single_trial_pipeline(tmp_path / "a")
+    _single_trial_pipeline(tmp_path / "b")
+    _single_trial_pipeline_one_blas_thread(tmp_path / "c")
+    a, b, c = (_outputs(tmp_path / tag) for tag in "abc")
+    same_runs = "report.csv" in a and a == b
+    same_threads = a == c
     _report(
         8, "reproducibility", same_runs and same_threads,
-        f"byte-identical across runs: {same_runs}; across thread settings: {same_threads}",
+        f"checkpoints + report byte-identical across runs: {same_runs}; "
+        f"in a child with OPENBLAS_NUM_THREADS=1: {same_threads}",
     )
 
 

@@ -125,7 +125,9 @@ def test_sample_command_and_unknown_method(workspace, tmp_path):
     assert exc.value.code == 2
 
 
-def test_transfer_eval_flow_records_sample_count(workspace, tmp_path):
+@pytest.fixture(scope="module")
+def transfers(workspace):
+    """Cosine-sampled transfer of the workspace checkpoint to both targets."""
     root, data, split, config, ckpt = workspace
     tdir = root / "transfers"
     assert run([
@@ -135,9 +137,17 @@ def test_transfer_eval_flow_records_sample_count(workspace, tmp_path):
         "--sampler-encoding", str(data / "zcp.csv"),
         "--samples", "20", "--seed", "3", "--out-dir", str(tdir),
     ]) == 0
+    return tdir
+
+
+def test_transfer_eval_flow_records_sample_count(workspace, transfers):
+    root, data, _, _, _ = workspace
+    tdir = transfers
     ckpts = sorted(tdir.glob("transfer_*.json"))
     ckpts = [c for c in ckpts if not c.name.endswith(".meta.json")]
     assert len(ckpts) == 2  # both split targets
+    manifest = json.loads((tdir / "manifest.json").read_text())
+    assert "threads" not in manifest
 
     prefix = root / "report"
     assert run([
@@ -156,9 +166,9 @@ def test_transfer_eval_flow_records_sample_count(workspace, tmp_path):
     assert len(scatter) == 1 + 2 * 60
 
 
-def test_eval_idempotent(workspace):
+def test_eval_idempotent(workspace, transfers):
     root, data, _, _, _ = workspace
-    tdir = root / "transfers"
+    tdir = transfers
     for tag in ("r1", "r2"):
         assert run([
             "eval", "--latency", str(data / "latency.csv"),
@@ -169,9 +179,9 @@ def test_eval_idempotent(workspace):
     assert (root / "rep_r1.json").read_bytes() == (root / "rep_r2.json").read_bytes()
 
 
-def test_search_flow_and_timing(workspace):
+def test_search_flow_and_timing(workspace, transfers):
     root, data, _, _, _ = workspace
-    ckpts = sorted((root / "transfers").glob("transfer_*.json"))
+    ckpts = sorted(transfers.glob("transfer_*.json"))
     ckpt = [c for c in ckpts if not c.name.endswith(".meta.json")][0]
     out = root / "results.csv"
     assert run([
@@ -197,17 +207,71 @@ def test_search_flow_and_timing(workspace):
     assert code == 3  # EmptyFeasibleSet is a data error
 
 
-def test_thread_env_var_validation(workspace, monkeypatch):
-    root, data, _, _, _ = workspace
-    monkeypatch.setenv("NASFLAT_THREADS", "banana")
-    code = run(["sample", "--method", "random", "--archs", str(data / "archs.jsonl"),
-                "--n", "3", "--out", str(root / "s.json")])
-    assert code == 2
-    monkeypatch.setenv("NASFLAT_THREADS", "4")
-    assert run(["sample", "--method", "random", "--archs", str(data / "archs.jsonl"),
-                "--n", "3", "--out", str(root / "s.json")]) == 0
-    manifest = json.loads((root / "s.json.manifest.json").read_text())
-    assert manifest["threads"] == 4
+def _transfer_argv(workspace, out_dir, *extra):
+    _, data, split, config, ckpt = workspace
+    return [
+        "transfer", "--config", str(config), "--latency", str(data / "latency.csv"),
+        "--archs", str(data / "archs.jsonl"), "--split", str(split),
+        "--checkpoint", str(ckpt), "--samples", "8", "--seed", "4",
+        "--out-dir", str(out_dir), *extra,
+    ]
+
+
+def test_transfer_records_warm_start_source(workspace, tmp_path):
+    split = DeviceSplit.from_json(workspace[2].read_text())
+    assert run(_transfer_argv(workspace, tmp_path)) == 0
+    for device in split.target:
+        meta = json.loads((tmp_path / f"transfer_{device}.json.meta.json").read_text())
+        assert meta["extra"]["warm_start_source"] in split.source
+
+
+def test_transfer_one_call_matches_per_target_calls(workspace, tmp_path):
+    """Loading the checkpoint once for all targets changes no output byte."""
+    split = DeviceSplit.from_json(workspace[2].read_text())
+    assert run(_transfer_argv(workspace, tmp_path / "all")) == 0
+    for device in split.target:
+        assert run(_transfer_argv(workspace, tmp_path / device, "--target", device)) == 0
+        for suffix in (".json", ".json.meta.json"):
+            name = f"transfer_{device}{suffix}"
+            assert (tmp_path / "all" / name).read_bytes() == (tmp_path / device / name).read_bytes()
+
+
+def test_eval_ignores_rows_for_archs_not_in_file(workspace, transfers, tmp_path):
+    _, data, _, _, _ = workspace
+    tdir = transfers
+    subset = tmp_path / "archs30.jsonl"
+    lines = (data / "archs.jsonl").read_text().splitlines()[:30]
+    subset.write_text("\n".join(lines) + "\n")
+    prefix = tmp_path / "report"
+    assert run([
+        "eval", "--latency", str(data / "latency.csv"), "--archs", str(subset),
+        "--checkpoint", str(tdir), "--seed", "3", "--out-prefix", str(prefix),
+    ]) == 0
+    known = {a.arch_id for a in asp.read_architectures(subset)}
+    table = LatencyTable.load_csv(data / "latency.csv")
+    summary = json.loads(Path(str(prefix) + ".json").read_text())
+    for row in summary["per_device"]:
+        meta = json.loads((tdir / f"transfer_{row['device_id']}.json.meta.json").read_text())
+        sampled = set(meta["extra"]["sampled_ids"])
+        want = [a for a in table.archs_for(row["device_id"]) if a in known and a not in sampled]
+        assert row["n_heldout"] == len(want) < 30
+
+
+def test_non_finite_latency_is_data_error(workspace, tmp_path, capsys):
+    _, data, split, config, _ = workspace
+    lines = (data / "latency.csv").read_text().splitlines()
+    arch, device, _ = lines[5].split(",")
+    lines[5] = f"{arch},{device},nan"
+    bad = tmp_path / "latency.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    code = run([
+        "pretrain", "--config", str(config), "--latency", str(bad),
+        "--archs", str(data / "archs.jsonl"), "--split", str(split),
+        "--out", str(tmp_path / "c.json"),
+    ])
+    assert code == 3
+    assert f"{bad}:6:" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_config_sampler_section_used_when_flags_absent(workspace, tmp_path):

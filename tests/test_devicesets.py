@@ -13,6 +13,7 @@ from nasflat.errors import (
     ConstantInput,
     InsufficientOverlap,
     LengthMismatch,
+    NonFiniteValue,
     ParseError,
     SideTooSmall,
     TooFewDevices,
@@ -39,6 +40,14 @@ def test_spearman_errors():
         ds.spearman([2, 2, 2], [1, 2, 3])
     with pytest.raises(ConstantInput):
         ds.spearman([1, 2, 3], [5, 5, 5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spearman_rejects_non_finite(bad):
+    with pytest.raises(NonFiniteValue):
+        ds.spearman([1, 2, bad, 4], [1, 2, 3, 4])
+    with pytest.raises(NonFiniteValue):
+        ds.spearman([1, 2, 3, 4], [1, bad, 3, 4])
 
 
 def test_spearman_matches_oracle_with_ties():
@@ -87,6 +96,16 @@ def test_latency_table_rejects_duplicates_and_nonpositive():
         table.add("a", "d", 2.0)
     with pytest.raises(ValueError):
         table.add("b", "d", 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_latency_table_rejects_non_finite(tmp_path, bad):
+    with pytest.raises(ValueError, match="finite"):
+        ds.LatencyTable().add("a", "d", bad)
+    path = tmp_path / "lat.csv"
+    path.write_text(f"arch_id,device_id,latency_ms\na,d,1.5\nb,d,{bad}\n")
+    with pytest.raises(ParseError, match=r"lat\.csv:3:"):
+        ds.LatencyTable.load_csv(path)
 
 
 def test_latency_table_bad_header(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -94,7 +96,7 @@ def test_pretrain_loss_decreases_and_ranks_train_device(nb201, small_world):
     assert len(log) == 10
     assert log[-1] < log[0]
     # scores must rank the oracle latencies on a device it trained on
-    train_eval = pl.evaluate(st, sources[0], table.subset(device_ids=[sources[0]]), archs)
+    train_eval = pl.evaluate(st, sources[0], table, archs)
     assert train_eval.spearman > 0.9
 
 
@@ -146,33 +148,22 @@ def test_training_trajectory_scale_invariant(nb201, small_world):
 
 # --- transfer ---------------------------------------------------------------------
 
-def _few_shot(table, sources, target, arch_ids):
-    return table.subset(device_ids=list(sources) + [target], arch_ids=arch_ids)
-
-
 def test_transfer_improves_on_clone(nb201, small_world):
     table, archs, sources, target = small_world
     st = _fresh_state(nb201, sources, seed=3)
     cfg = pl.TrainConfig(epochs=8, source_samples=60, transfer_epochs=20, seed=2)
     pl.pretrain(st, table, sources, archs, cfg)
+    sampled = sorted(archs)[:20]
 
-    ids = sorted(archs)
-    sampled, heldout_ids = ids[:20], ids[20:]
-    heldout = table.subset(device_ids=[target], arch_ids=heldout_ids)
-
-    before_state = pl.clone_state(st)
-    pred.register_device(before_state, target)
     # warm-started but not fine-tuned baseline
-    pred.init_target_hw_embedding(
-        before_state, _few_shot(table, sources, target, sampled), sources
+    before_state, _ = pl.transfer(
+        st, target, table, sampled, sources, archs, replace(cfg, transfer_epochs=0)
     )
-    before = pl.evaluate(before_state, target, heldout, archs).spearman
+    before = pl.evaluate(before_state, target, table, archs, exclude=sampled).spearman
 
-    adapted = pl.transfer(
-        pl.clone_state(st), target, _few_shot(table, sources, target, sampled),
-        sources, archs, cfg,
-    )
-    after = pl.evaluate(adapted, target, heldout, archs).spearman
+    adapted, source = pl.transfer(st, target, table, sampled, sources, archs, cfg)
+    after = pl.evaluate(adapted, target, table, archs, exclude=sampled).spearman
+    assert source in sources
     assert after >= before - 0.02
     assert after > 0.6
 
@@ -182,23 +173,37 @@ def test_transfer_zero_epochs_only_touches_hw_row(nb201, small_world):
     st = _fresh_state(nb201, sources, seed=3)
     cfg = pl.TrainConfig(epochs=1, source_samples=40, transfer_epochs=0, seed=2)
     pl.pretrain(st, table, sources, archs, cfg)
-    before = {k: t.data.copy() for k, t in st.params.items()}
     sampled = sorted(archs)[:6]
-    pl.transfer(st, target, _few_shot(table, sources, target, sampled), sources, archs, cfg)
-    for k, old in before.items():
+    adapted, source = pl.transfer(st, target, table, sampled, sources, archs, cfg)
+    for k, old in st.params.items():
         if k == "hw_embed":
-            assert st.params[k].data.shape[0] == old.shape[0] + 1
-            assert np.array_equal(st.params[k].data[: old.shape[0]], old)
+            new = adapted.params[k].data
+            assert new.shape[0] == old.data.shape[0] + 1
+            assert np.array_equal(new[: old.data.shape[0]], old.data)
+            assert np.array_equal(new[-1], old.data[st.device_row(source)])
         else:
-            assert np.array_equal(st.params[k].data, old)
+            assert np.array_equal(adapted.params[k].data, old.data)
+
+
+def test_transfer_leaves_base_unchanged(nb201, small_world):
+    table, archs, sources, target = small_world
+    st = _fresh_state(nb201, sources, seed=3)
+    before = {k: t.data.copy() for k, t in st.params.items()}
+    devices = dict(st.device_index)
+    cfg = pl.TrainConfig(transfer_epochs=2, seed=2)
+    adapted, _ = pl.transfer(st, target, table, sorted(archs)[:8], sources, archs, cfg)
+    assert st.device_index == devices and target not in st.device_index
+    for k, old in before.items():
+        assert np.array_equal(st.params[k].data, old)
+    assert target in adapted.device_index
+    assert not np.array_equal(adapted.params["head0.w"].data, before["head0.w"])
 
 
 def test_transfer_requires_two_samples(nb201, small_world):
     table, archs, sources, target = small_world
     st = _fresh_state(nb201, sources, seed=3)
-    one = _few_shot(table, sources, target, sorted(archs)[:1])
     with pytest.raises(InsufficientData):
-        pl.transfer(st, target, one, sources, archs, pl.TrainConfig(seed=0))
+        pl.transfer(st, target, table, sorted(archs)[:1], sources, archs, pl.TrainConfig(seed=0))
 
 
 # --- evaluate --------------------------------------------------------------------
@@ -219,6 +224,20 @@ def test_evaluate_oracle_and_negated(nb201, small_world):
         inverted.add(a, "s0", (max(scores.values()) - s) + 1.0)
     assert pl.evaluate(st, "s0", perfect, archs).spearman == pytest.approx(1.0, abs=1e-9)
     assert pl.evaluate(st, "s0", inverted, archs).spearman == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_evaluate_heldout_rule(nb201, small_world):
+    """Held out = archs given and measured on the target, minus exclude."""
+    table, archs, sources, target = small_world
+    st = _fresh_state(nb201, sources, seed=6)
+    ids = sorted(archs)
+    known = {a: archs[a] for a in ids[:50]}
+    entry = pl.evaluate(st, "s0", table, known, exclude=ids[:10] + ids[60:70])
+    assert entry.n_heldout == 40
+    assert entry.arch_ids == ids[10:50]
+    assert list(entry.truths) == [table.latency(a, "s0") for a in ids[10:50]]
+    with pytest.raises(InsufficientData):
+        pl.evaluate(st, "s0", table, known, exclude=ids)
 
 
 def test_untrained_predictor_near_zero_rho(nb201, small_world):
@@ -285,20 +304,3 @@ def test_calibration_maps_scores_to_ms():
     # regression estimate
     assert pl.calibrate_scores(np.array([3.0]), cal_scores, cal_ms)[0] == 25.0
 
-
-# --- experiment reproducibility -----------------------------------------------------
-
-def test_experiment_reproducible(nb201, small_world):
-    table, archs, sources, target = small_world
-    cfg = pl.TrainConfig(epochs=2, source_samples=40, transfer_epochs=4, seed=0)
-    kwargs = dict(
-        space=nb201, table=table, archs=archs, source_devices=sources,
-        target_devices=[target], sampler_method="random", n_target_samples=8,
-        train_config=cfg, predictor_config=pred.PredictorConfig(seed=0),
-        master_seed=77, trials=1,
-    )
-    r1 = pl.run_transfer_experiment(**kwargs)
-    r2 = pl.run_transfer_experiment(**kwargs)
-    assert r1.report.csv_text() == r2.report.csv_text()
-    assert r1.sampled_ids == r2.sampled_ids
-    assert r1.report.entries[0].n_target_samples == 8

@@ -213,6 +213,18 @@ def test_predict_deterministic_and_batch_independent(state, nb201):
     assert np.allclose(batch, singles, rtol=0, atol=1e-12)
 
 
+def test_predict_batch_scores_in_fixed_chunks(state, nb201):
+    archs = [asp.random_architecture(nb201, s) for s in range(150)]
+    chunk = pred.PREDICT_CHUNK
+    want = np.concatenate([
+        pred.predict_batch(state, archs[i : i + chunk], "d0")
+        for i in range(0, len(archs), chunk)
+    ])
+    assert np.array_equal(pred.predict_batch(state, archs, "d0"), want)
+    with pytest.raises(BadSupplementaryDim):
+        pred.predict_batch(state, archs[:3], "d0", np.zeros((2, 0)))
+
+
 def test_predict_unknown_device(state, nb201):
     with pytest.raises(UnknownDevice):
         pred.predict(state, asp.random_architecture(nb201, 0), "nope")
