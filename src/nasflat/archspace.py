@@ -257,16 +257,19 @@ def validation_errors(arch: Architecture, space: SearchSpace) -> list:
 
 
 def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
-    seen = np.zeros(adj.shape[0], dtype=bool)
+    # Plain lists: on graphs this small, a numpy call per node costs more
+    # than the whole search.
+    rows = adj.tolist()
+    seen = [False] * len(rows)
     stack = [start]
     seen[start] = True
     while stack:
         u = stack.pop()
-        for v in np.flatnonzero(adj[u]):
-            if not seen[v]:
+        for v, edge in enumerate(rows[u]):
+            if edge and not seen[v]:
                 seen[v] = True
-                stack.append(int(v))
-    return seen
+                stack.append(v)
+    return np.array(seen)
 
 
 def validate(arch: Architecture, space: SearchSpace) -> None:
@@ -453,8 +456,13 @@ def write_architectures(archs: Iterable[Architecture], path) -> None:
 
 
 def read_architectures(path) -> list[Architecture]:
+    """Parse a JSONL architecture file, validating each line against its space.
+
+    Any malformed or invalid line raises ParseError with `path:line`.
+    """
     path = Path(path)
     archs = []
+    spaces: dict[str, SearchSpace] = {}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -463,7 +471,10 @@ def read_architectures(path) -> list[Architecture]:
             try:
                 obj = json.loads(line)
                 arch = Architecture(obj["space"], np.array(obj["adj"]), tuple(obj["ops"]))
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
+                if arch.space_id not in spaces:
+                    spaces[arch.space_id] = get_space(arch.space_id)
+                validate(arch, spaces[arch.space_id])
+            except (KeyError, TypeError, ValueError, InvalidArchitecture) as e:
                 raise ParseError(f"{path}:{lineno}: {e}") from None
             archs.append(arch)
     return archs

@@ -48,6 +48,7 @@ from .pipeline import (
 )
 from .predictor import (
     PredictorConfig,
+    checkpoint_meta_path,
     init_predictor,
     load_checkpoint,
     save_checkpoint,
@@ -250,7 +251,7 @@ def cmd_pretrain(args) -> int:
     _write_manifest(
         "pretrain", Path(str(out) + ".manifest.json"),
         _resolved_config(train_cfg, pred_cfg, space.space_id), inputs, args.seed,
-        [out, Path(str(out) + ".meta.json")],
+        [out, checkpoint_meta_path(out)],
     )
     first = log[0] if log else float("nan")
     last = log[-1] if log else float("nan")
@@ -277,7 +278,7 @@ def cmd_transfer(args) -> int:
     targets = [args.target] if args.target else list(split.target)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = load_checkpoint(args.checkpoint)
+    base, _ = load_checkpoint(args.checkpoint)
     reference = table.subset(device_ids=split.source)
     outputs = []
     for device in targets:
@@ -305,7 +306,7 @@ def cmd_transfer(args) -> int:
                 "warm_start_source": warm_start,
             },
         )
-        outputs += [ckpt, Path(str(ckpt) + ".meta.json")]
+        outputs += [ckpt, checkpoint_meta_path(ckpt)]
     inputs = [Path(args.latency), Path(args.archs), Path(args.split), Path(args.checkpoint)] + (
         [Path(args.config)] if args.config else []
     )
@@ -317,10 +318,6 @@ def cmd_transfer(args) -> int:
     return EXIT_OK
 
 
-def _checkpoint_meta(path: Path) -> dict:
-    return json.loads(Path(str(path) + ".meta.json").read_text(encoding="utf-8"))
-
-
 def cmd_eval(args) -> int:
     archs = read_architectures(args.archs)
     table = LatencyTable.load_csv(args.latency)
@@ -328,14 +325,14 @@ def cmd_eval(args) -> int:
     encodings = _load_encoding_arg(args)
     ckpt_path = Path(args.checkpoint)
     ckpts = sorted(ckpt_path.glob("transfer_*.json")) if ckpt_path.is_dir() else [ckpt_path]
-    ckpts = [p for p in ckpts if not p.name.endswith(".meta.json")]
+    metas = {checkpoint_meta_path(p) for p in ckpts}
+    ckpts = [p for p in ckpts if p not in metas]
     if not ckpts:
         raise NasflatError(f"no checkpoints found at {ckpt_path}")
     entries = []
     scatter_lines = ["device_id,arch_id,pred,truth"]
     for ckpt in ckpts:
-        state = load_checkpoint(ckpt)
-        extra = _checkpoint_meta(ckpt).get("extra", {})
+        state, extra = load_checkpoint(ckpt)
         device = args.device or extra.get("target_device")
         if device is None:
             raise NasflatError(f"{ckpt}: no target device recorded; pass --device")
@@ -377,8 +374,7 @@ def synthetic_accuracy_oracle(seed: int):
 
 def cmd_search(args) -> int:
     archs = read_architectures(args.archs)
-    state = load_checkpoint(args.checkpoint)
-    extra = _checkpoint_meta(Path(args.checkpoint)).get("extra", {})
+    state, extra = load_checkpoint(args.checkpoint)
     device = args.device or extra.get("target_device")
     if device is None:
         raise NasflatError("no target device recorded in checkpoint; pass --device")

@@ -88,6 +88,10 @@ class InsufficientOverlap(NasflatError):
     pass
 
 
+class BadCheckpoint(NasflatError):
+    """A checkpoint file is unreadable, of another version, or disagrees with its meta."""
+
+
 # --- samplers ----------------------------------------------------------------
 
 class PoolTooSmall(NasflatError):

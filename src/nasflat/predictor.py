@@ -27,7 +27,10 @@ batch shape.
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -40,12 +43,13 @@ from .autodiff import AdamState, Tensor
 from .devicesets import LatencyTable, spearman
 from .errors import (
     BadSupplementaryDim,
+    BadCheckpoint,
     ConstantInput,
     InsufficientOverlap,
     UnknownDevice,
 )
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 PREDICT_CHUNK = 64  # archs per inference forward in predict_batch
 
@@ -219,41 +223,37 @@ def _build_views(config: PredictorConfig, params: dict[str, Tensor]) -> _Views:
     return _Views(ophw_layers, ophw_mlp, dgf_layers, gat_layers, head)
 
 
-def init_predictor(
-    config: PredictorConfig,
-    spaces: Sequence[SearchSpace],
-    device_ids: Sequence[str],
-    seed: int | None = None,
-) -> PredictorState:
-    """Seeded parameter initialization: Glorot-uniform weights, zero biases,
-    N(0, 0.1) embedding rows, unit LayerNorm gains."""
-    if not spaces:
-        raise ValueError("need at least one search space")
-    seed = config.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
-    space_map = {s.space_id: s for s in spaces}
-    max_vocab = max(len(s.op_vocab) for s in spaces)
-    max_nodes = max(s.graph_size for s in spaces)
-    null_op = max_vocab
+def _null_op_index(spaces: Sequence[SearchSpace]) -> int:
+    """Row of op_embed that pads unused template nodes: one past the largest vocab."""
+    return max(len(s.op_vocab) for s in spaces)
 
-    params: dict[str, Tensor] = {}
+
+def _param_specs(
+    config: PredictorConfig, spaces: Sequence[SearchSpace], n_devices: int
+) -> dict[str, tuple[str, tuple[int, ...], int]]:
+    """Name -> (init kind, shape, glorot fan_in + fan_out), in draw order.
+
+    The one definition of the parameter layout: `init_predictor` draws from
+    it and `load_checkpoint` checks a file's names and shapes against it.
+    """
+    max_nodes = max(s.graph_size for s in spaces)
+    specs: dict[str, tuple[str, tuple[int, ...], int]] = {}
 
     def embedding(name: str, rows: int, dim: int) -> None:
-        params[name] = ad.param(rng.normal(0.0, 0.1, size=(rows, dim)))
+        specs[name] = ("normal", (rows, dim), 0)
 
     def glorot(name: str, fan_in: int, fan_out: int, shape=None) -> None:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        params[name] = ad.param(rng.uniform(-limit, limit, size=shape or (fan_in, fan_out)))
+        specs[name] = ("glorot", shape or (fan_in, fan_out), fan_in + fan_out)
 
     def zeros(name: str, shape) -> None:
-        params[name] = ad.param(np.zeros(shape))
+        specs[name] = ("zeros", shape, 0)
 
     def ones(name: str, shape) -> None:
-        params[name] = ad.param(np.ones(shape))
+        specs[name] = ("ones", shape, 0)
 
-    embedding("op_embed", max_vocab + 1, config.op_embed_dim)
+    embedding("op_embed", _null_op_index(spaces) + 1, config.op_embed_dim)
     embedding("node_embed", max_nodes, config.node_embed_dim)
-    embedding("hw_embed", len(device_ids), config.hw_embed_dim)
+    embedding("hw_embed", n_devices, config.hw_embed_dim)
 
     oh_dim = config.op_embed_dim + config.hw_embed_dim
     prev = config.node_embed_dim
@@ -290,11 +290,40 @@ def init_predictor(
         glorot(f"head{i}.w", prev, dim)
         zeros(f"head{i}.b", (dim,))
         prev = dim
+    return specs
 
+
+def init_predictor(
+    config: PredictorConfig,
+    spaces: Sequence[SearchSpace],
+    device_ids: Sequence[str],
+    seed: int | None = None,
+) -> PredictorState:
+    """Seeded parameter initialization: Glorot-uniform weights, zero biases,
+    N(0, 0.1) embedding rows, unit LayerNorm gains."""
+    if not spaces:
+        raise ValueError("need at least one search space")
     device_index = {d: i for i, d in enumerate(device_ids)}
     if len(device_index) != len(device_ids):
         raise ValueError("duplicate device ids")
-    return PredictorState(PredictorConfig(**asdict(config)), space_map, params, device_index, null_op)
+    seed = config.seed if seed is None else seed
+    rng = np.random.default_rng(seed)
+    params: dict[str, Tensor] = {}
+    for name, (kind, shape, fans) in _param_specs(config, spaces, len(device_ids)).items():
+        if kind == "normal":
+            data = rng.normal(0.0, 0.1, size=shape)
+        elif kind == "glorot":
+            limit = np.sqrt(6.0 / fans)
+            data = rng.uniform(-limit, limit, size=shape)
+        elif kind == "zeros":
+            data = np.zeros(shape)
+        else:
+            data = np.ones(shape)
+        params[name] = ad.param(data)
+    space_map = {s.space_id: s for s in spaces}
+    return PredictorState(
+        PredictorConfig(**asdict(config)), space_map, params, device_index, _null_op_index(spaces)
+    )
 
 
 def register_device(state: PredictorState, device_id: str) -> int:
@@ -478,46 +507,130 @@ def init_target_hw_embedding(
     return best_src
 
 
-def save_checkpoint(state: PredictorState, path, extra: dict | None = None) -> None:
-    """Write parameters to `path` and config/registry to `path + '.meta.json'`.
+def checkpoint_meta_path(path) -> Path:
+    """Where `save_checkpoint(state, path)` writes the config/registry document."""
+    return Path(str(path) + ".meta.json")
 
-    `extra` is an arbitrary JSON-serializable annotation block (e.g. the
-    transfer stage's target device and sample list).
+
+def save_checkpoint(state: PredictorState, path, extra: dict | None = None) -> None:
+    """Write parameters to `path` and config/registry to its meta path.
+
+    Each parameter is stored as its shape plus the base64 of its row-major
+    little-endian float64 bytes, so loading returns the saved values bit for
+    bit. The meta records the SHA-256 of the parameter file. `extra` is an
+    arbitrary JSON-serializable annotation block (e.g. the transfer stage's
+    target device and sample list).
     """
     path = Path(path)
     payload = {
         "version": CHECKPOINT_VERSION,
         "params": {
-            name: {"shape": list(t.data.shape), "data": [float(v) for v in t.data.reshape(-1)]}
+            name: {
+                "shape": list(t.data.shape),
+                "f64le": base64.b64encode(np.asarray(t.data, dtype="<f8").tobytes()).decode("ascii"),
+            }
             for name, t in state.params.items()
         },
     }
-    path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob)
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(state.config),
         "devices": state.device_index,
         "space_ids": sorted(state.spaces),
         "null_op_index": state.null_op_index,
+        "params_sha256": hashlib.sha256(blob).hexdigest(),
         "extra": extra or {},
     }
-    Path(str(path) + ".meta.json").write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
+    checkpoint_meta_path(path).write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
 
 
-def load_checkpoint(path) -> PredictorState:
+def _read_document(path: Path, keys: tuple[str, ...]) -> tuple[bytes, dict]:
+    """The bytes and parsed object of one checkpoint file, version and keys checked."""
+    try:
+        blob = path.read_bytes()
+    except OSError as e:
+        raise BadCheckpoint(f"{path}: cannot read: {e.strerror or e}") from None
+    try:
+        doc = json.loads(blob)
+    except ValueError as e:
+        raise BadCheckpoint(f"{path}: invalid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise BadCheckpoint(f"{path}: not a JSON object")
+    if doc.get("version") != CHECKPOINT_VERSION:
+        raise BadCheckpoint(
+            f"{path}: checkpoint version {doc.get('version')!r}; only version "
+            f"{CHECKPOINT_VERSION} is readable, re-run pretrain/transfer to rewrite it"
+        )
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise BadCheckpoint(f"{path}: missing keys {missing}")
+    return blob, doc
+
+
+def load_checkpoint(path) -> tuple[PredictorState, dict]:
+    """Read a checkpoint written by `save_checkpoint`; returns (state, extra).
+
+    Raises BadCheckpoint naming the file, and the parameter where there is
+    one, if either document is unreadable, of another version or missing
+    keys; if the parameter file's SHA-256 differs from the meta's
+    `params_sha256`; or if a parameter's name, shape or byte length differs
+    from what the meta's config and device registry imply.
+    """
     path = Path(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    meta = json.loads(Path(str(path) + ".meta.json").read_text(encoding="utf-8"))
-    if payload.get("version") != CHECKPOINT_VERSION or meta.get("version") != CHECKPOINT_VERSION:
-        raise ValueError("unsupported checkpoint version")
-    cfg = meta["config"]
-    for key in ("ophw_gcn_dims", "ophw_mlp_dims", "gcn_dims", "head_mlp_dims"):
-        cfg[key] = tuple(cfg[key])
-    config = PredictorConfig(**cfg)
-    params = {
-        name: ad.param(np.array(entry["data"], dtype=np.float64).reshape(entry["shape"]))
-        for name, entry in payload["params"].items()
-    }
-    spaces = {sid: get_space(sid) for sid in meta["space_ids"]}
-    device_index = {d: int(i) for d, i in meta["devices"].items()}
-    return PredictorState(config, spaces, params, device_index, int(meta["null_op_index"]))
+    meta_path = checkpoint_meta_path(path)
+    _, meta = _read_document(
+        meta_path, ("config", "devices", "space_ids", "null_op_index", "params_sha256", "extra")
+    )
+    try:
+        cfg = dict(meta["config"])
+        for key in ("ophw_gcn_dims", "ophw_mlp_dims", "gcn_dims", "head_mlp_dims"):
+            cfg[key] = tuple(cfg[key])
+        config = PredictorConfig(**cfg)
+        spaces = {sid: get_space(sid) for sid in meta["space_ids"]}
+        device_index = {d: int(i) for d, i in meta["devices"].items()}
+        null_op_index = int(meta["null_op_index"])
+        expected = _param_specs(config, list(spaces.values()), len(device_index))
+        if not isinstance(meta["extra"], dict):
+            raise TypeError("extra is not an object")
+    except KeyError as e:
+        raise BadCheckpoint(f"{meta_path}: key {e} missing or unknown") from None
+    except (TypeError, ValueError, AttributeError) as e:
+        raise BadCheckpoint(f"{meta_path}: {e}") from None
+    if sorted(device_index.values()) != list(range(len(device_index))):
+        raise BadCheckpoint(f"{meta_path}: device rows are not 0..{len(device_index) - 1}")
+    if null_op_index != _null_op_index(list(spaces.values())):
+        raise BadCheckpoint(f"{meta_path}: null_op_index {null_op_index} does not fit its spaces")
+
+    blob, payload = _read_document(path, ("params",))
+    if hashlib.sha256(blob).hexdigest() != meta["params_sha256"]:
+        raise BadCheckpoint(f"{path}: SHA-256 differs from params_sha256 in {meta_path}")
+    entries = payload["params"]
+    if not isinstance(entries, dict):
+        raise BadCheckpoint(f"{path}: params is not an object")
+    odd = sorted(set(expected).symmetric_difference(entries))
+    if odd:
+        how = "is missing" if odd[0] in expected else "is not in the layout"
+        raise BadCheckpoint(f"{path}: parameter {odd[0]!r} {how} that {meta_path} implies")
+    params = {}
+    for name, entry in entries.items():
+        shape = expected[name][1]
+        try:
+            if tuple(entry["shape"]) != shape:
+                raise BadCheckpoint(
+                    f"{path}: parameter {name!r} has shape {entry['shape']}, "
+                    f"{meta_path} implies {list(shape)}"
+                )
+            raw = base64.b64decode(entry["f64le"], validate=True)
+        except KeyError as e:
+            raise BadCheckpoint(f"{path}: parameter {name!r}: missing key {e}") from None
+        except (TypeError, ValueError) as e:
+            raise BadCheckpoint(f"{path}: parameter {name!r}: {e}") from None
+        if len(raw) != 8 * math.prod(shape):
+            raise BadCheckpoint(
+                f"{path}: parameter {name!r} holds {len(raw)} bytes, shape {list(shape)} "
+                f"needs {8 * math.prod(shape)}"
+            )
+        params[name] = ad.param(np.frombuffer(raw, dtype="<f8").reshape(shape))
+    return PredictorState(config, spaces, params, device_index, null_op_index), meta["extra"]

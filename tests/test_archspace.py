@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,13 @@ def test_architecture_jsonl_roundtrip(nb201, tmp_path):
     asp.write_architectures(archs, path)
     loaded = asp.read_architectures(path)
     assert [a.arch_id for a in loaded] == [a.arch_id for a in archs]
+
+
+@pytest.mark.parametrize("op", [5, 9, -1])
+def test_read_architectures_rejects_invalid_archs(nb201, tmp_path, op):
+    archs = [asp.random_architecture(nb201, s) for s in range(3)]
+    bad = asp.Architecture(nb201.space_id, archs[1].adjacency, (op,) + archs[1].ops[1:])
+    path = tmp_path / "archs.jsonl"
+    asp.write_architectures([archs[0], bad, archs[2]], path)
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2: op {op} at slot 0")):
+        asp.read_architectures(path)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +208,121 @@ def test_search_flow_and_timing(workspace, transfers):
         "--out", str(root / "none.csv"),
     ])
     assert code == 3  # EmptyFeasibleSet is a data error
+
+
+def _resign(ckpt, doc):
+    """Rewrite the params document and record its new digest in the meta."""
+    ckpt.write_text(json.dumps(doc, sort_keys=True))
+    meta_path = Path(str(ckpt) + ".meta.json")
+    meta = json.loads(meta_path.read_text())
+    meta["params_sha256"] = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+    meta_path.write_text(json.dumps(meta, sort_keys=True))
+
+
+def _as_version_1(ckpt, archs):
+    doc = json.loads(ckpt.read_text())
+    doc["version"] = 1
+    for entry in doc["params"].values():
+        entry["data"] = np.frombuffer(base64.b64decode(entry.pop("f64le")), "<f8").tolist()
+    ckpt.write_text(json.dumps(doc, sort_keys=True))
+    meta_path = Path(str(ckpt) + ".meta.json")
+    meta = json.loads(meta_path.read_text())
+    meta["version"] = 1
+    del meta["params_sha256"]
+    meta_path.write_text(json.dumps(meta, sort_keys=True))
+    return meta_path, "version 1"
+
+
+def _wrong_version(ckpt, archs):
+    doc = json.loads(ckpt.read_text())
+    doc["version"] = 9
+    ckpt.write_text(json.dumps(doc, sort_keys=True))
+    return ckpt, "version 9"
+
+
+def _truncated(ckpt, archs):
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(blob[: len(blob) // 2])
+    return ckpt, "invalid JSON"
+
+
+def _digest_mismatch(ckpt, archs):
+    doc = json.loads(ckpt.read_text())
+    entry = doc["params"]["head0.b"]
+    values = np.frombuffer(base64.b64decode(entry["f64le"]), "<f8") + 1.0
+    entry["f64le"] = base64.b64encode(values.tobytes()).decode("ascii")
+    ckpt.write_text(json.dumps(doc, sort_keys=True))
+    return ckpt, "params_sha256"
+
+
+def _wrong_shape(ckpt, archs):
+    doc = json.loads(ckpt.read_text())
+    doc["params"]["head0.b"]["shape"] = [1, 200]
+    _resign(ckpt, doc)
+    return ckpt, "'head0.b' has shape [1, 200]"
+
+
+def _short_param(ckpt, archs):
+    doc = json.loads(ckpt.read_text())
+    entry = doc["params"]["head0.b"]
+    entry["f64le"] = base64.b64encode(base64.b64decode(entry["f64le"])[:-8]).decode("ascii")
+    _resign(ckpt, doc)
+    return ckpt, "'head0.b' holds 1592 bytes"
+
+
+def _renamed_param(ckpt, archs):
+    doc = json.loads(ckpt.read_text())
+    doc["params"]["head9.b"] = doc["params"].pop("head0.b")
+    _resign(ckpt, doc)
+    return ckpt, "'head0.b' is missing"
+
+
+def _missing_key(ckpt, archs):
+    meta_path = Path(str(ckpt) + ".meta.json")
+    meta = json.loads(meta_path.read_text())
+    del meta["config"]
+    meta_path.write_text(json.dumps(meta, sort_keys=True))
+    return meta_path, "missing keys ['config']"
+
+
+def _missing_meta(ckpt, archs):
+    meta_path = Path(str(ckpt) + ".meta.json")
+    meta_path.unlink()
+    return meta_path, "cannot read"
+
+
+def _op_index_out_of_vocab(ckpt, archs):
+    lines = archs.read_text().splitlines()
+    obj = json.loads(lines[2])
+    obj["ops"][0] = 5  # nb201 has 5 ops; 5 is the null-op row
+    lines[2] = json.dumps(obj)
+    archs.write_text("\n".join(lines) + "\n")
+    return Path(f"{archs}:3"), "op 5 at slot 0"
+
+
+@pytest.mark.parametrize("corrupt", [
+    _as_version_1, _wrong_version, _truncated, _digest_mismatch, _wrong_shape,
+    _short_param, _renamed_param, _missing_key, _missing_meta, _op_index_out_of_vocab,
+], ids=lambda f: f.__name__.strip("_"))
+def test_unreadable_input_is_data_error(workspace, transfers, tmp_path, capsys, corrupt):
+    """Bad checkpoints and JSONL archs exit 3 and name the file, not 4 or 0."""
+    _, data, _, _, _ = workspace
+    src = sorted(transfers.glob("transfer_*.json.meta.json"))[0]
+    ckpt = tmp_path / src.name[: -len(".meta.json")]
+    shutil.copy(transfers / ckpt.name, ckpt)
+    shutil.copy(src, tmp_path / src.name)
+    archs = tmp_path / "archs.jsonl"
+    shutil.copy(data / "archs.jsonl", archs)
+    named, why = corrupt(ckpt, archs)
+    capsys.readouterr()
+    code = run([
+        "search", "--archs", str(archs), "--checkpoint", str(ckpt),
+        "--constraint-ms", "1e9", "--top-k", "3", "--out", str(tmp_path / "r.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"{named}:" in err and why in err, err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def _transfer_argv(workspace, out_dir, *extra):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from oracles import dgf_reference, gat_reference
@@ -347,11 +349,17 @@ def test_checkpoint_roundtrip(state, nb201, tmp_path):
     before = pred.predict(state, arch, "d1")
     path = tmp_path / "ckpt.json"
     pred.save_checkpoint(state, path, extra={"stage": "test"})
-    loaded = pred.load_checkpoint(path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["version"] == pred.CHECKPOINT_VERSION
+    assert set(doc["params"]) == set(state.params)
+    loaded, extra = pred.load_checkpoint(path)
+    assert extra == {"stage": "test"}
     assert loaded.config == state.config
     assert loaded.device_index == state.device_index
-    for name in state.params:
-        assert np.array_equal(loaded.params[name].data, state.params[name].data)
+    for name, t in state.params.items():
+        got = loaded.params[name].data
+        assert got.dtype == t.data.dtype and got.shape == t.data.shape
+        assert got.tobytes() == t.data.tobytes()  # bitwise, signed zeros included
     assert pred.predict(loaded, arch, "d1") == before
     # byte-identical re-save
     second = tmp_path / "ckpt2.json"
