@@ -15,6 +15,7 @@ tape from one thread.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -134,12 +135,19 @@ def scale(a, c: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product on the last two axes, broadcasting leading axes."""
+    """Matrix product on the last two axes, broadcasting leading axes.
+
+    Stacked rows times one matrix, (..., n, k) @ (k, m), run as a single
+    (rows, k) @ (k, m) GEMM, and the matrix's gradient is one (rows, k)^T
+    @ (rows, m) GEMM rather than a sum of per-slice products.
+    """
     ad, bd = _data(a), _data(b)
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeMismatch(f"matmul needs >=2-D operands, got {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeMismatch(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
+    if bd.ndim == 2 and ad.ndim >= 3:
+        return _rows_matmul(a, b, ad, bd)
     out = Tensor(np.matmul(ad, bd))
     tape = _tape()
     if tape is not None:
@@ -151,6 +159,23 @@ def matmul(a, b) -> Tensor:
             if isinstance(b, Tensor):
                 gb = np.matmul(np.swapaxes(ad, -1, -2), g)
                 acc(b, _unbroadcast(gb, bd.shape))
+
+        tape._record(out, bwd)
+    return out
+
+
+def _rows_matmul(a, b, ad: Array, bd: Array) -> Tensor:
+    a2 = ad.reshape(-1, ad.shape[-1])
+    out = Tensor(np.matmul(a2, bd).reshape(ad.shape[:-1] + bd.shape[-1:]))
+    tape = _tape()
+    if tape is not None:
+
+        def bwd(g: Array, acc) -> None:
+            g2 = g.reshape(-1, g.shape[-1])
+            if isinstance(a, Tensor):
+                acc(a, np.matmul(g2, bd.T).reshape(ad.shape))
+            if isinstance(b, Tensor):
+                acc(b, np.matmul(a2.T, g2))
 
         tape._record(out, bwd)
     return out
@@ -172,7 +197,7 @@ def _unary(x, fwd, bwd_fn) -> Tensor:
 def sigmoid(x) -> Tensor:
     def fwd(v):
         e = np.exp(-np.abs(v))
-        return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
     return _unary(x, fwd, lambda g, v, o: g * o * (1.0 - o))
 
@@ -358,9 +383,11 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Array]:
 
 def named_grads(params: dict[str, Tensor], grads: dict[Tensor, Array]) -> dict[str, Array]:
     """Re-key a backward() result by parameter name; missing entries are zero."""
-    return {
-        name: grads.get(t, np.zeros_like(t.data)) for name, t in params.items()
-    }
+    out = {}
+    for name, t in params.items():
+        g = grads.get(t)
+        out[name] = np.zeros_like(t.data) if g is None else g
+    return out
 
 
 @dataclass
@@ -391,13 +418,18 @@ def adam_step(
 ) -> None:
     """One Adam update with bias correction and decoupled weight decay.
 
-    Decay is applied as p <- p - lr*wd*p before the moment update, so it never
-    enters the moments.
+    Decay is applied as p <- p * (1 - lr*wd) before the moment update, so it
+    never enters the moments. The textbook step lr * (m/c1) / (sqrt(v/c2) + eps)
+    is computed as (lr*sqrt(c2)/c1) * m / (sqrt(v) + eps*sqrt(c2)): the same
+    value up to rounding, in place, with one scratch array per parameter.
     """
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** t
+    root_c2 = math.sqrt(1.0 - b2 ** t)
+    step_size = lr * root_c2 / c1
+    eps = state.eps * root_c2
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -405,14 +437,21 @@ def adam_step(
         if g.shape != p.data.shape:
             raise ShapeMismatch(f"grad for {name}: {g.shape} vs param {p.data.shape}")
         if weight_decay:
-            p.data -= lr * weight_decay * p.data
+            p.data *= 1.0 - lr * weight_decay
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        buf = np.multiply(g, 1.0 - b1, out=np.empty_like(p.data))
+        m *= b1
+        m += buf
+        np.multiply(g, g, out=buf)
+        buf *= 1.0 - b2
+        v *= b2
+        v += buf
+        np.sqrt(v, out=buf)
+        buf += eps
+        np.divide(m, buf, out=buf)
+        buf *= step_size
+        p.data -= buf
 
 
 @dataclass

@@ -14,6 +14,7 @@ latencies by a positive constant leaves training trajectories bit-identical.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -28,6 +29,7 @@ from .errors import (
     EmptyFeasibleSet,
     InsufficientData,
     LengthMismatch,
+    NonFiniteValue,
     TooFewSamples,
 )
 from .predictor import (
@@ -129,6 +131,20 @@ def _train_batch(
     return float(loss.data)
 
 
+def _require_finite_loss(loss: float, stage: str, epoch: int, step: int, device: str) -> None:
+    if not math.isfinite(loss):
+        raise NonFiniteValue(
+            f"{stage}: loss is {loss} at epoch {epoch}, step {step}, device {device!r}"
+        )
+
+
+def _require_finite_params(state: PredictorState, stage: str) -> None:
+    """Once after the last step: a non-finite last update has no later loss to show it."""
+    for name, t in state.params.items():
+        if not np.isfinite(t.data).all():
+            raise NonFiniteValue(f"{stage}: parameter {name!r} is non-finite after training")
+
+
 def _epoch_batches(
     rng: np.random.Generator,
     device_ids: Sequence[str],
@@ -178,15 +194,18 @@ def pretrain(
     state.adam = AdamState.for_params(state.params)
     rng = rng_for("pretrain", config.seed)
     log: list[float] = []
-    for _ in range(config.epochs):
-        losses = [
-            _train_batch(
+    for epoch in range(config.epochs):
+        losses = []
+        batches = _epoch_batches(rng, source_devices, ids_by_device, config.batch_size)
+        for step, (device, chunk) in enumerate(batches):
+            loss = _train_batch(
                 state, space, device, chunk, archs, source_table, encodings,
                 config.lr, config.weight_decay, config.hinge_margin,
             )
-            for device, chunk in _epoch_batches(rng, source_devices, ids_by_device, config.batch_size)
-        ]
+            _require_finite_loss(loss, "pretrain", epoch, step, device)
+            losses.append(loss)
         log.append(float(np.mean(losses)) if losses else 0.0)
+    _require_finite_params(state, "pretrain")
     return state, log
 
 
@@ -228,12 +247,15 @@ def transfer(
     state.adam = AdamState.for_params(state.params)
     rng = rng_for("transfer", config.seed, target_device)
     batch = min(config.batch_size, len(sampled))
-    for _ in range(config.transfer_epochs):
-        for device, chunk in _epoch_batches(rng, [target_device], {target_device: sampled}, batch):
-            _train_batch(
+    for epoch in range(config.transfer_epochs):
+        batches = _epoch_batches(rng, [target_device], {target_device: sampled}, batch)
+        for step, (device, chunk) in enumerate(batches):
+            loss = _train_batch(
                 state, space, device, chunk, archs, few_shot, encodings,
                 config.transfer_lr, config.weight_decay, config.hinge_margin,
             )
+            _require_finite_loss(loss, "transfer", epoch, step, device)
+    _require_finite_params(state, "transfer")
     state.adam = None
     return state, warm_start
 

@@ -350,17 +350,29 @@ def _mlp(x, layers: list[tuple[Tensor, Tensor]], activate_last: bool = False) ->
     return x
 
 
+def _node_rows(state: PredictorState, tpl: _SpaceTemplate, batch: int) -> Tensor:
+    """The template's node_embed rows as a (batch, n_nodes, node_embed_dim) input.
+
+    Every arch starts from these rows, so at batch 1 a stack's first layer
+    runs its x @ W, A @ h and attention once and broadcasts against the
+    per-arch gate.
+    """
+    node_idx = np.broadcast_to(np.arange(tpl.n_nodes, dtype=np.intp), (batch, tpl.n_nodes))
+    return ad.gather(state.params["node_embed"], node_idx)
+
+
 def _refined_op_features(state: PredictorState, tpl: _SpaceTemplate, node_ops: np.ndarray, device_row: int) -> Tensor:
     """Joint op+hw embedding refined over the DAG; one feature row per node."""
-    batch = node_ops.shape[:-1]
     op_feat = ad.gather(state.params["op_embed"], node_ops)
     hw_feat = ad.gather(
         state.params["hw_embed"], np.full(node_ops.shape, device_row, dtype=np.intp)
     )
     joint = ad.concat([op_feat, hw_feat], axis=-1)
-    node_idx = np.broadcast_to(np.arange(tpl.n_nodes, dtype=np.intp), batch + (tpl.n_nodes,))
-    x = ad.gather(state.params["node_embed"], node_idx)
-    for w in state._views.ophw_layers:
+    # Without an op-gated layer nothing would broadcast shared rows back to
+    # the batch, so the rows are then gathered once per arch.
+    layers = state._views.ophw_layers
+    x = _node_rows(state, tpl, 1 if layers else node_ops.shape[0])
+    for w in layers:
         x = dgf_layer(x, tpl.agg, joint, w)
     return _mlp(x, state._views.ophw_mlp)
 
@@ -380,15 +392,16 @@ def _forward(
     node_ops[:, tpl.slot_nodes] = ops_rows
     refined = _refined_op_features(state, tpl, node_ops, device_row)
 
-    node_idx = np.broadcast_to(np.arange(tpl.n_nodes, dtype=np.intp), (batch, tpl.n_nodes))
+    # Layer 0 of each stack gates with the per-arch `refined`, so its output
+    # has the batch's leading dimension.
     sinks = []
     if state.config.gnn_kind in ("dgf", "ensemble"):
-        x = ad.gather(state.params["node_embed"], node_idx)
+        x = _node_rows(state, tpl, 1)
         for w in state._views.dgf_layers:
             x = dgf_layer(x, tpl.agg, refined, w)
         sinks.append(ad.take_node(x, tpl.sink))
     if state.config.gnn_kind in ("gat", "ensemble"):
-        x = ad.gather(state.params["node_embed"], node_idx)
+        x = _node_rows(state, tpl, 1)
         for w in state._views.gat_layers:
             x = gat_layer(x, tpl.agg, refined, w, state.config.leaky_slope)
         sinks.append(ad.take_node(x, tpl.sink))

@@ -35,6 +35,30 @@ def test_matmul_batched_broadcast_gradient():
     _fd_check(lambda: ad.sum_all(ad.matmul(m, x)), {"m": m, "x": x})
 
 
+def test_matmul_stacked_rows_gradient():
+    """(B,N,k) @ (k,m) and (1,N,k) @ (k,m) take the one-GEMM path."""
+    w = ad.param(RNG.normal(size=(4, 3)))
+    weights = RNG.normal(size=(3, 5, 3))
+    for lead in (3, 1):
+        a = ad.param(RNG.normal(size=(lead, 5, 4)))
+        _fd_check(lambda: ad.sum_all(ad.mul(ad.matmul(a, w), weights[:lead])), {"a": a, "w": w})
+        # the forward is the same product as a per-slice matmul
+        assert np.allclose(ad.matmul(a, w).data, np.stack([s @ w.data for s in a.data]), rtol=1e-14)
+
+
+def test_shared_rows_broadcast_product_gradient():
+    """A (1,N,m) tensor times a (B,N,m) one: the shared operand's gradient sums over B."""
+    shared = ad.param(RNG.normal(size=(1, 5, 3)))
+    per_arch = ad.param(RNG.normal(size=(4, 5, 3)))
+    weights = RNG.normal(size=(4, 5, 3))
+    out = ad.mul(shared, per_arch)
+    assert out.shape == (4, 5, 3)
+    _fd_check(
+        lambda: ad.sum_all(ad.mul(ad.mul(shared, per_arch), weights)),
+        {"shared": shared, "per_arch": per_arch},
+    )
+
+
 def test_elementwise_and_bias_broadcast_gradients():
     x = ad.param(RNG.normal(size=(4, 6)))
     b = ad.param(RNG.normal(size=(6,)))
@@ -103,6 +127,16 @@ def test_sigmoid_at_zero():
     assert ad.sigmoid(ad.param(0.0)).data == 0.5
 
 
+def test_sigmoid_matches_two_branch_form():
+    v = np.concatenate([RNG.normal(scale=20.0, size=200), [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan]])
+    e = np.exp(-np.abs(v))
+    with np.errstate(invalid="ignore"):
+        two_branch = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    got = ad.sigmoid(ad.param(v)).data
+    assert np.array_equal(got, two_branch, equal_nan=True)
+    assert got[-3] == 1.0 and got[-2] == 0.0
+
+
 def test_backward_square():
     x = ad.param(3.0)
     with ad.recording() as tape:
@@ -122,8 +156,10 @@ def test_unused_parameter_gets_zero_gradient():
     unused = ad.param(5.0)
     with ad.recording() as tape:
         loss = ad.mul(used, used)
-    named = ad.named_grads({"used": used, "unused": unused}, ad.backward(tape, loss))
+    raw = ad.backward(tape, loss)
+    named = ad.named_grads({"used": used, "unused": unused}, raw)
     assert named["unused"] == 0.0
+    assert named["used"] is raw[used]
     assert named["used"] == pytest.approx(4.0)
 
 
@@ -186,6 +222,33 @@ def test_adam_decoupled_weight_decay():
     ad.adam_step({"p": p}, {"p": np.array(0.0)}, state, lr=0.1, weight_decay=0.5)
     # decay applied as p -= lr*wd*p; zero grad leaves no Adam update
     assert p.data == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
+
+
+def test_adam_multi_step_matches_textbook_with_weight_decay():
+    rng = np.random.default_rng(7)
+    shapes = {"w": (6, 5), "b": (5,), "s": ()}
+    params = {k: ad.param(rng.normal(size=sh)) for k, sh in shapes.items()}
+    ref = {k: t.data.copy() for k, t in params.items()}
+    m = {k: np.zeros(sh) for k, sh in shapes.items()}
+    v = {k: np.zeros(sh) for k, sh in shapes.items()}
+    state = ad.AdamState.for_params(params)
+    lr, wd, b1, b2, eps = 0.01, 0.05, 0.9, 0.999, 1e-8
+    for t in range(1, 31):
+        grads = {k: rng.normal(size=sh) for k, sh in shapes.items()}
+        grads["s"] = np.array(0.0) if t % 3 == 0 else grads["s"]
+        ad.adam_step(params, grads, state, lr=lr, weight_decay=wd)
+        for k in shapes:
+            g = grads[k]
+            ref[k] = ref[k] - lr * wd * ref[k]
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g * g
+            m_hat = m[k] / (1 - b1 ** t)
+            v_hat = v[k] / (1 - b2 ** t)
+            ref[k] = ref[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    for k in shapes:
+        np.testing.assert_allclose(params[k].data, ref[k], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(state.m[k], m[k], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(state.v[k], v[k], rtol=1e-12, atol=0)
 
 
 def test_training_determinism_bit_exact():

@@ -13,6 +13,7 @@ import pytest
 
 from nasflat import cli
 from nasflat.devicesets import DeviceSplit, LatencyTable
+from nasflat.predictor import load_checkpoint, save_checkpoint
 from nasflat import synthbench as sb
 from nasflat import archspace as asp
 
@@ -390,6 +391,24 @@ def test_non_finite_latency_is_data_error(workspace, tmp_path, capsys):
     assert code == 3
     assert f"{bad}:6:" in capsys.readouterr().err
     assert not (tmp_path / "c.json").exists()
+
+
+def test_non_finite_training_loss_is_data_error(workspace, tmp_path, capsys):
+    state, extra = load_checkpoint(workspace[4])
+    state.params["head0.b"].data[0] = np.nan
+    poisoned = tmp_path / "nan.json"
+    save_checkpoint(state, poisoned, extra)
+    root, data, split, config, _ = workspace
+    out_dir = tmp_path / "out"
+    code = run([
+        "transfer", "--config", str(config), "--latency", str(data / "latency.csv"),
+        "--archs", str(data / "archs.jsonl"), "--split", str(split),
+        "--checkpoint", str(poisoned), "--samples", "8", "--seed", "4",
+        "--out-dir", str(out_dir),
+    ])
+    assert code == 3
+    assert "transfer: loss is nan at epoch 0, step 0, device " in capsys.readouterr().err
+    assert not list(out_dir.glob("transfer_*.json"))
 
 
 def test_config_sampler_section_used_when_flags_absent(workspace, tmp_path):

@@ -13,7 +13,7 @@ from nasflat import pipeline as pl
 from nasflat import predictor as pred
 from nasflat import synthbench as sb
 from nasflat.devicesets import LatencyTable
-from nasflat.errors import EmptyFeasibleSet, InsufficientData, TooFewSamples
+from nasflat.errors import EmptyFeasibleSet, InsufficientData, NonFiniteValue, TooFewSamples
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +204,29 @@ def test_transfer_requires_two_samples(nb201, small_world):
     st = _fresh_state(nb201, sources, seed=3)
     with pytest.raises(InsufficientData):
         pl.transfer(st, target, table, sorted(archs)[:1], sources, archs, pl.TrainConfig(seed=0))
+
+
+# --- non-finite guard --------------------------------------------------------------
+
+def test_non_finite_loss_stops_pretrain_and_transfer(nb201, small_world):
+    table, archs, sources, target = small_world
+    st = _fresh_state(nb201, sources, seed=3)
+    st.params["head0.w"].data[0, 0] = np.nan
+    cfg = pl.TrainConfig(epochs=2, source_samples=40, transfer_epochs=2, seed=2)
+    with pytest.raises(NonFiniteValue, match=r"^pretrain: loss is nan at epoch 0, step 0, device 's[012]'$"):
+        pl.pretrain(st, table, sources, archs, cfg)
+    with pytest.raises(NonFiniteValue, match=r"^transfer: loss is nan at epoch 0, step 0, device 't0'$"):
+        pl.transfer(st, target, table, sorted(archs)[:8], sources, archs, cfg)
+
+
+def test_non_finite_parameter_outside_every_loss_is_caught_after_training(nb201, small_world):
+    """A NaN no loss reads (an idle device's hardware row) is caught once, after the last step."""
+    table, archs, sources, _ = small_world
+    st = pred.init_predictor(pred.PredictorConfig(seed=0), [nb201], list(sources) + ["idle"])
+    st.params["hw_embed"].data[st.device_row("idle"), 3] = np.inf
+    cfg = pl.TrainConfig(epochs=1, source_samples=40, seed=1)
+    with pytest.raises(NonFiniteValue, match=r"^pretrain: parameter 'hw_embed' is non-finite after training$"):
+        pl.pretrain(st, table, sources, archs, cfg)
 
 
 # --- evaluate --------------------------------------------------------------------

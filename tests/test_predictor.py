@@ -276,6 +276,61 @@ def test_full_gradient_check_all_kinds(nb201, kind):
     assert report.max_rel_err < 1e-4, report.worst_param
 
 
+_SHAPE_CONFIGS = [
+    dict(gnn_kind="dgf"),
+    dict(gnn_kind="gat"),
+    dict(gnn_kind="ensemble"),
+    dict(gnn_kind="ensemble", ophw_gcn_dims=(), ophw_mlp_dims=(), supplementary_dim=2),
+    dict(gnn_kind="dgf", ophw_gcn_dims=(), supplementary_dim=2),
+    dict(gnn_kind="gat", ophw_mlp_dims=()),
+]
+
+
+@pytest.mark.parametrize("overrides", _SHAPE_CONFIGS, ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+@pytest.mark.parametrize("batch", [1, 5])
+def test_outputs_keep_batch_shape_with_finite_gradients(nb201, overrides, batch):
+    small = dict(ophw_gcn_dims=(16, 16), ophw_mlp_dims=(16,), gcn_dims=(16, 16), head_mlp_dims=(8,))
+    config = pred.PredictorConfig(seed=5, **{**small, **overrides})
+    st = pred.init_predictor(config, [nb201], ["d0", "d1"])
+    archs = [asp.random_architecture(nb201, s) for s in range(batch)]
+    ops_rows = np.array([a.ops for a in archs], dtype=np.intp)
+    supp = None
+    if config.supplementary_dim:
+        supp = np.random.default_rng(0).normal(size=(batch, config.supplementary_dim))
+    assert pred.predict_batch(st, archs, "d1", supp).shape == (batch,)
+    with ad.recording() as tape:
+        out = pred._forward(st, nb201, ops_rows, 1, supp)
+        loss = ad.sum_all(ad.mul(out, np.arange(1.0, batch + 1.0).reshape(-1, 1)))
+    assert out.shape == (batch, 1)
+    grads = ad.named_grads(st.params, ad.backward(tape, loss))
+    for name, g in grads.items():
+        assert g.shape == st.params[name].shape, name
+        assert np.isfinite(g).all(), name
+
+
+def test_first_layer_of_each_stack_runs_once_per_batch(nb201, monkeypatch):
+    """Layer 0 starts from node rows shared by every arch: its projection is (1, N, d) @ W."""
+    st = pred.init_predictor(pred.PredictorConfig(seed=2), [nb201], ["d0"])
+    first = {st.params[n]: n for n in ("ophw_gcn0.w_feat", "dgf0.w_feat", "gat0.w_proj")}
+    later = {st.params[n]: n for n in ("ophw_gcn1.w_feat", "dgf1.w_feat", "gat1.w_proj")}
+    seen = {}
+    real = ad.matmul
+
+    def spy(a, b):
+        if b in first or b in later:
+            seen[(first | later)[b]] = ad._data(a).shape
+        return real(a, b)
+
+    monkeypatch.setattr(ad, "matmul", spy)
+    archs = [asp.random_architecture(nb201, s) for s in range(6)]
+    pred.predict_batch(st, archs, "d0")
+    n, d = nb201.graph_size, st.config.node_embed_dim
+    for name in first.values():
+        assert seen[name] == (1, n, d), name
+    for name in later.values():
+        assert seen[name][0] == 6, name
+
+
 # --- hardware embedding init ----------------------------------------------------
 
 def _samples_table(target_vals, source_cols):
