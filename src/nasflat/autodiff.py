@@ -11,11 +11,16 @@ numpy arrays and never receive gradients; learnable values are Tensors.
 
 Everything is float64. Tapes are single-owner: build one forward pass per
 tape from one thread.
+
+On glibc, importing this module raises the allocator's mmap and trim
+thresholds once for the process (see `_keep_freed_memory_in_heap`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -25,6 +30,40 @@ import numpy as np
 from .errors import NonScalarLoss, ShapeMismatch
 
 Array = np.ndarray
+
+# mallopt parameter numbers from glibc's <malloc.h>.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")
+
+
+def _keep_freed_memory_in_heap() -> None:
+    """Let glibc reuse freed float64 temporaries instead of faulting in new pages.
+
+    glibc serves blocks above its mmap threshold (128 KiB at start) with a
+    fresh mmap and returns heap memory above its trim threshold to the
+    kernel. Its dynamic rule raises both only as far as the largest block
+    freed so far, so the ~0.1-1.4 MB temporaries of a forward pass keep being
+    unmapped or trimmed, and every reuse page-faults in zeroed memory. This
+    sets both to the ceilings that rule climbs towards. Nothing is done off
+    glibc, or when the environment already holds the user's malloc settings,
+    which glibc read at process start and which win.
+    """
+    if os.name != "posix" or any(k in os.environ for k in _MALLOC_ENV):
+        return
+    if "glibc.malloc" in os.environ.get("GLIBC_TUNABLES", ""):
+        return
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "gnu_get_libc_version"):
+        return
+    mallopt = libc.mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_keep_freed_memory_in_heap()
 
 
 class Tensor:
@@ -195,11 +234,22 @@ def _unary(x, fwd, bwd_fn) -> Tensor:
 
 
 def sigmoid(x) -> Tensor:
+    # where(v >= 0, 1, e) / (1 + e) with e = exp(-|v|), in three buffers:
+    # e <= 1, so max(v >= 0, e) picks 1 or e, and maximum propagates NaN.
     def fwd(v):
         e = np.exp(-np.abs(v))
-        return np.where(v >= 0, 1.0, e) / (1.0 + e)
+        out = np.array(v >= 0, dtype=np.float64)
+        np.maximum(out, e, out=out)
+        e += 1.0
+        out /= e
+        return out
 
-    return _unary(x, fwd, lambda g, v, o: g * o * (1.0 - o))
+    def bwd(g, v, o):
+        r = g * o
+        r *= 1.0 - o
+        return r
+
+    return _unary(x, fwd, bwd)
 
 
 def relu(x) -> Tensor:
@@ -252,11 +302,14 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then apply the learned affine."""
     xd, gd, bd = _data(x), _data(gain), _data(bias)
     mu = xd.mean(axis=-1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = xd - mu  # centred now, normalized in place below
+    buf = xhat * xhat
+    var = buf.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor(xhat * gd + bd)
+    xhat *= inv
+    np.multiply(xhat, gd, out=buf)
+    buf += bd
+    out = Tensor(buf)
     tape = _tape()
     if tape is not None:
 

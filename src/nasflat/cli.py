@@ -374,6 +374,7 @@ def synthetic_accuracy_oracle(seed: int):
 
 def cmd_search(args) -> int:
     archs = read_architectures(args.archs)
+    _arch_space_id(archs)
     state, extra = load_checkpoint(args.checkpoint)
     device = args.device or extra.get("target_device")
     if device is None:

@@ -80,6 +80,10 @@ class UnknownDevice(NasflatError):
     pass
 
 
+class SpaceMismatch(NasflatError):
+    """Architectures are not all from one search space the predictor was built for."""
+
+
 class BadSupplementaryDim(NasflatError):
     pass
 

@@ -174,9 +174,9 @@ def pretrain(
     encodings: EncodingTable | None = None,
 ) -> tuple[PredictorState, list[float]]:
     """Rank-loss training over all source devices; returns per-epoch mean loss."""
-    space = state.spaces[next(iter(archs.values())).space_id] if archs else None
-    if space is None:
+    if not archs:
         raise InsufficientData("no architectures provided")
+    space = state.space_for(archs.values())
     ids_by_device: dict[str, list[str]] = {}
     budget_rng = rng_for("pretrain-budget", config.seed)
     for device in source_devices:
@@ -233,7 +233,7 @@ def transfer(
     sampled = sorted(few_shot.archs_for(target_device))
     if len(sampled) < 2:
         raise InsufficientData(f"need >= 2 target samples, got {len(sampled)}")
-    space = base.spaces[archs[sampled[0]].space_id]
+    space = base.space_for(archs[a] for a in sampled)
     state = PredictorState(
         base.config,
         dict(base.spaces),

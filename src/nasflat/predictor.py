@@ -33,7 +33,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .errors import (
     BadCheckpoint,
     ConstantInput,
     InsufficientOverlap,
+    SpaceMismatch,
     UnknownDevice,
 )
 
@@ -170,6 +171,15 @@ class PredictorState:
             return self.device_index[device_id]
         except KeyError:
             raise UnknownDevice(f"device {device_id!r} not registered") from None
+
+    def space_for(self, archs: Iterable[Architecture]) -> SearchSpace:
+        """The one search space of `archs`; it must be one this predictor was built for."""
+        ids = {a.space_id for a in archs}
+        if len(ids) != 1 or not ids <= self.spaces.keys():
+            raise SpaceMismatch(
+                f"architectures from space(s) {sorted(ids)}; predictor built for {sorted(self.spaces)}"
+            )
+        return self.spaces[ids.pop()]
 
 
 def _make_template(space: SearchSpace, null_op_index: int) -> _SpaceTemplate:
@@ -439,7 +449,7 @@ def predict_batch(
         raise BadSupplementaryDim(
             f"{len(supplementary)} supplementary rows for {len(archs)} archs"
         )
-    space = state.spaces[archs[0].space_id]
+    space = state.space_for(archs)
     row = state.device_row(device_id)
     out = np.empty(len(archs))
     for start in range(0, len(archs), PREDICT_CHUNK):
@@ -457,7 +467,7 @@ def predict(
     supplementary: np.ndarray | None = None,
 ) -> float:
     """Latency score for a single architecture."""
-    space = state.spaces[arch.space_id]
+    space = state.space_for([arch])
     validate(arch, space)
     supp = None if supplementary is None else np.asarray(supplementary, dtype=np.float64).reshape(1, -1)
     if supplementary is not None and supp.shape[1] != state.config.supplementary_dim:
@@ -469,7 +479,7 @@ def predict(
 
 def refine_op_embeddings(state: PredictorState, arch: Architecture, device_id: str) -> np.ndarray:
     """Per-slot refined operation features for one (arch, device) pair."""
-    space = state.spaces[arch.space_id]
+    space = state.space_for([arch])
     tpl = state._templates[space.space_id]
     row = state.device_row(device_id)
     node_ops = np.tile(tpl.node_ops, (1, 1))

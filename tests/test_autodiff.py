@@ -137,6 +137,63 @@ def test_sigmoid_matches_two_branch_form():
     assert got[-3] == 1.0 and got[-2] == 0.0
 
 
+_SPECIALS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300]
+
+
+def _same_bits(got, want):
+    """Equal bytes everywhere except NaN, where only NaN-ness must match."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return (
+        got.shape == want.shape
+        and np.array_equal(np.isnan(got), nan)
+        and got[~nan].tobytes() == want[~nan].tobytes()
+    )
+
+
+def _with_specials(rng, shape, scale):
+    """Normal entries with every special value planted in the first rows."""
+    if shape == ():
+        return [np.array(v) for v in _SPECIALS + [0.3, -2.5]]
+    v = rng.normal(scale=scale, size=shape)
+    rows = v.reshape(-1, shape[-1])
+    rows[: len(_SPECIALS), 0] = _SPECIALS
+    rows[len(_SPECIALS)] = _SPECIALS[3:5] * (shape[-1] // 2)  # +-0
+    rows[len(_SPECIALS) + 1] = _SPECIALS[5:7] * (shape[-1] // 2)  # +-1e-300
+    return [v]
+
+
+@pytest.mark.parametrize("shape", [(), (16, 8, 128), (64, 22, 128)], ids=str)
+def test_sigmoid_forward_and_backward_bitwise_equal_textbook(shape):
+    """The three-buffer forward and two-buffer backward keep the textbook bits."""
+    rng = np.random.default_rng(7)
+    for v in _with_specials(rng, shape, 20.0):
+        e = np.exp(-np.abs(v))
+        with np.errstate(invalid="ignore"):
+            want = np.where(v >= 0, 1.0, e) / (1.0 + e)
+        x = ad.param(v)
+        g = rng.normal(size=shape)
+        with np.errstate(invalid="ignore"), ad.recording() as tape:
+            out = ad.sigmoid(x)
+            loss = ad.sum_all(ad.mul(out, g))
+            grad = ad.backward(tape, loss)[x]
+        assert _same_bits(out.data, want)
+        assert _same_bits(grad, g * want * (1.0 - want))
+
+
+@pytest.mark.parametrize("shape", [(16, 8, 128), (64, 22, 128)], ids=str)
+def test_layer_norm_forward_bitwise_equal_textbook(shape):
+    rng = np.random.default_rng(8)
+    (v,) = _with_specials(rng, shape, 3.0)
+    gain, bias = rng.normal(size=shape[-1:]), rng.normal(size=shape[-1:])
+    with np.errstate(invalid="ignore"):
+        xc = v - v.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        want = (xc * inv) * gain + bias
+        got = ad.layer_norm(ad.param(v), ad.param(gain), ad.param(bias)).data
+    assert np.isnan(want).any() and _same_bits(got, want)
+
+
 def test_backward_square():
     x = ad.param(3.0)
     with ad.recording() as tape:

@@ -326,6 +326,40 @@ def test_unreadable_input_is_data_error(workspace, transfers, tmp_path, capsys, 
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_archs_from_another_space_are_data_error(transfers, tmp_path, capsys):
+    """fbnet archs scored by an nb201 checkpoint exit 3 in search and eval, not 4."""
+    fbnet = asp.fbnet_space()
+    archs = [asp.random_architecture(fbnet, s) for s in range(6)]
+    archs_path = tmp_path / "fbnet.jsonl"
+    asp.write_architectures(archs, archs_path)
+    meta = sorted(transfers.glob("transfer_*.json.meta.json"))[0]
+    ckpt = transfers / meta.name[: -len(".meta.json")]
+    device = json.loads(meta.read_text())["extra"]["target_device"]
+    table = LatencyTable()
+    for i, arch in enumerate(archs):
+        table.add(arch.arch_id, device, 1.0 + i)
+    table.save_csv(tmp_path / "latency.csv")
+    for argv in (
+        ["search", "--archs", str(archs_path), "--checkpoint", str(ckpt),
+         "--constraint-ms", "1e9", "--top-k", "3", "--out", str(tmp_path / "r.csv")],
+        ["eval", "--latency", str(tmp_path / "latency.csv"), "--archs", str(archs_path),
+         "--checkpoint", str(ckpt), "--out-prefix", str(tmp_path / "rep")],
+    ):
+        capsys.readouterr()
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "['fbnet']; predictor built for ['nb201']" in err, err
+    assert not list(tmp_path.glob("r.csv*")) and not list(tmp_path.glob("rep*"))
+
+    mixed = tmp_path / "mixed.jsonl"
+    asp.write_architectures(archs[:2] + [asp.random_architecture(asp.nb201_space(), 0)], mixed)
+    code = run(["search", "--archs", str(mixed), "--checkpoint", str(ckpt),
+                "--constraint-ms", "1e9", "--top-k", "3", "--out", str(tmp_path / "m.csv")])
+    assert code == 3
+    assert "architecture file mixes spaces: ['fbnet', 'nb201']" in capsys.readouterr().err
+
+
 def _transfer_argv(workspace, out_dir, *extra):
     _, data, split, config, ckpt = workspace
     return [

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from nasflat.devicesets import LatencyTable
 from nasflat.errors import (
     BadSupplementaryDim,
     InsufficientOverlap,
+    SpaceMismatch,
     UnknownDevice,
 )
 
@@ -230,6 +236,50 @@ def test_predict_batch_scores_in_fixed_chunks(state, nb201):
 def test_predict_unknown_device(state, nb201):
     with pytest.raises(UnknownDevice):
         pred.predict(state, asp.random_architecture(nb201, 0), "nope")
+
+
+def test_predict_batch_rejects_archs_from_another_space(state, nb201):
+    fbnet = asp.fbnet_space()
+    fb = [asp.random_architecture(fbnet, s) for s in range(2)]
+    nb = [asp.random_architecture(nb201, s) for s in range(2)]
+    with pytest.raises(SpaceMismatch, match=r"\['fbnet'\]; predictor built for \['nb201'\]"):
+        pred.predict_batch(state, fb, "d0")
+    both = pred.init_predictor(pred.PredictorConfig(seed=3), [nb201, fbnet], ["d0"])
+    with pytest.raises(SpaceMismatch, match=r"\['fbnet', 'nb201'\]; predictor built for"):
+        pred.predict_batch(both, nb + fb, "d0")
+    assert pred.predict_batch(both, fb, "d0").shape == (2,)
+
+
+_SECOND_BATCH_FAULTS = """
+import resource
+from nasflat import archspace, predictor, synthbench
+space = archspace.get_space("fbnet")
+archs = synthbench.distinct_random_architectures(space, 500, 0)
+state = predictor.init_predictor(predictor.PredictorConfig(), [space], ["d0"], seed=0)
+predictor.predict_batch(state, archs, "d0")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+predictor.predict_batch(state, archs, "d0")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _second_batch_minor_faults(**malloc_env) -> int:
+    """Minor page faults of a warm 500-arch fbnet predict_batch in a fresh process."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    src = str(Path(pred.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    env.update(malloc_env)
+    done = subprocess.run([sys.executable, "-c", _SECOND_BATCH_FAULTS], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    return int(done.stdout.split()[-1])
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap thresholds are set on glibc only")
+def test_inference_reuses_heap_memory_unless_malloc_is_configured():
+    """Importing nasflat.autodiff keeps freed temporaries in the heap; the user's setting wins."""
+    assert _second_batch_minor_faults() < 1_000
+    assert _second_batch_minor_faults(MALLOC_MMAP_THRESHOLD_="131072") > 10_000
 
 
 def test_supplementary_dim_zero_rejects_payload_but_not_empty(state, nb201):
