@@ -279,16 +279,6 @@ def validate(arch: Architecture, space: SearchSpace) -> None:
         raise InvalidArchitecture(errors)
 
 
-def flatten_encoding(arch: Architecture, space: SearchSpace) -> np.ndarray:
-    """Concatenated per-slot one-hot op vector, length slot_count * |vocab|."""
-    validate(arch, space)
-    vocab = len(space.op_vocab)
-    out = np.zeros(space.slot_count * vocab, dtype=np.float64)
-    for slot, op in enumerate(arch.ops):
-        out[slot * vocab + op] = 1.0
-    return out
-
-
 def graph_proxies(arch: Architecture, space: SearchSpace) -> np.ndarray:
     """13 deterministic per-architecture features, in GRAPH_PROXY_NAMES order.
 

@@ -22,7 +22,7 @@ import ctypes
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -505,66 +505,3 @@ def adam_step(
         np.divide(m, buf, out=buf)
         buf *= step_size
         p.data -= buf
-
-
-@dataclass
-class FiniteDiffReport:
-    max_rel_err: float
-    worst_param: str
-    worst_index: int
-    n_checked: int
-    failures: list[tuple[str, int, float]] = field(default_factory=list)
-
-    def ok(self, tolerance: float) -> bool:
-        return self.max_rel_err < tolerance
-
-
-def finite_diff_check(
-    model_eval: Callable[[], Tensor],
-    params: dict[str, Tensor],
-    n_samples: int = 100,
-    h: float = 1e-5,
-    seed: int = 0,
-    tolerance: float = 1e-4,
-    denom_floor: float = 1e-6,
-) -> FiniteDiffReport:
-    """Compare analytic gradients against central finite differences.
-
-    model_eval must be a pure function of the current parameter values: it is
-    re-run with individual entries perturbed by +/-h. Coordinates are sampled
-    uniformly over all parameter entries.
-    """
-    with recording() as tape:
-        loss = model_eval()
-    analytic = named_grads(params, backward(tape, loss))
-
-    rng = np.random.default_rng(seed)
-    names = sorted(params)
-    sizes = np.array([params[n].data.size for n in names])
-    total = int(sizes.sum())
-    n_samples = min(n_samples, total)
-    flat_choices = rng.choice(total, size=n_samples, replace=False)
-
-    report = FiniteDiffReport(0.0, "", -1, n_samples)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    for flat in sorted(flat_choices):
-        which = int(np.searchsorted(offsets, flat, side="right") - 1)
-        name = names[which]
-        idx = int(flat - offsets[which])
-        pdata = params[name].data
-        orig = pdata.flat[idx]
-        pdata.flat[idx] = orig + h
-        f_plus = float(model_eval().data)
-        pdata.flat[idx] = orig - h
-        f_minus = float(model_eval().data)
-        pdata.flat[idx] = orig
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        a = float(analytic[name].flat[idx])
-        rel = abs(a - numeric) / max(abs(a), abs(numeric), denom_floor)
-        if rel > report.max_rel_err:
-            report.max_rel_err = rel
-            report.worst_param = name
-            report.worst_index = idx
-        if rel >= tolerance:
-            report.failures.append((name, idx, rel))
-    return report

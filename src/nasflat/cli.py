@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 
@@ -100,6 +100,8 @@ def _load_run_config(
 
     Returns (train, predictor, sampler_section); schema violations are
     reported with JSON pointer paths. CLI flags override the sampler section.
+    The predictor's supplementary_dim is not a run-config field: `pretrain`
+    takes it from --encoding.
     """
     space = get_space(space_id)
     if path is None:
@@ -119,10 +121,11 @@ def _load_run_config(
         train = TrainConfig.for_space(space, **doc.get("train", {}))
     except (TypeError, ValueError) as e:
         raise NasflatError(f"{path}: /train: {e}") from None
-    pred_section = dict(doc.get("predictor", {}))
-    for key in ("ophw_gcn_dims", "ophw_mlp_dims", "gcn_dims", "head_mlp_dims"):
-        if key in pred_section:
-            pred_section[key] = tuple(pred_section[key])
+    pred_section = doc.get("predictor", {})
+    if isinstance(pred_section, dict) and "supplementary_dim" in pred_section:
+        raise NasflatError(
+            f"{path}: /predictor/supplementary_dim: set by --encoding (its width, 0 without it)"
+        )
     try:
         predictor = PredictorConfig(**pred_section)
     except (TypeError, ValueError) as e:
@@ -147,6 +150,21 @@ def _resolved_config(train: TrainConfig, predictor: PredictorConfig, space_id: s
         "train": asdict(train),
         "predictor": asdict(predictor),
     }
+
+
+def _load_split(path: str, table: LatencyTable, latency_path: str) -> DeviceSplit:
+    """The device split at `path`; each of its devices must have rows in `table`."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        split = DeviceSplit.from_json(text)
+    except KeyError as e:
+        raise NasflatError(f"{path}: device split is missing key {e}") from None
+    except (TypeError, ValueError) as e:
+        raise NasflatError(f"{path}: not a device split object: {e}") from None
+    unknown = sorted(set(split.source + split.target) - set(table.devices()))
+    if unknown:
+        raise NasflatError(f"{path}: unknown device(s) {unknown}: no rows in {latency_path}")
+    return split
 
 
 def _arch_space_id(archs: list[Architecture]) -> str:
@@ -228,19 +246,14 @@ def cmd_pretrain(args) -> int:
     space = get_space(_arch_space_id(archs))
     train_cfg, pred_cfg, _ = _load_run_config(args.config, space.space_id)
     table = LatencyTable.load_csv(args.latency)
-    split = DeviceSplit.from_json(Path(args.split).read_text(encoding="utf-8"))
+    split = _load_split(args.split, table, args.latency)
     encodings = _load_encoding_arg(args)
-    if encodings is not None and pred_cfg.supplementary_dim != encodings.dim:
-        raise NasflatError(
-            f"/predictor/supplementary_dim: {pred_cfg.supplementary_dim} does not match "
-            f"encoding dim {encodings.dim}"
-        )
+    pred_cfg = replace(pred_cfg, supplementary_dim=0 if encodings is None else encodings.dim)
     archmap = {a.arch_id: a for a in archs}
     seed = stable_seed("pretrain", args.seed)
     state = init_predictor(pred_cfg, [space], list(split.source), seed=seed)
     state, log = pretrain(
-        state, table, list(split.source), archmap,
-        TrainConfig(**{**asdict(train_cfg), "seed": seed}), encodings=encodings,
+        state, table, list(split.source), archmap, train_cfg, encodings=encodings, seed=seed,
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -263,13 +276,13 @@ def cmd_pretrain(args) -> int:
 def cmd_transfer(args) -> int:
     archs = read_architectures(args.archs)
     space = get_space(_arch_space_id(archs))
-    train_cfg, pred_cfg, sampler_cfg = _load_run_config(args.config, space.space_id)
+    train_cfg, _, sampler_cfg = _load_run_config(args.config, space.space_id)
     if args.sampler is None:
         args.sampler = sampler_cfg.get("method", "random")
     if args.samples is None:
         args.samples = int(sampler_cfg.get("samples", 20))
     table = LatencyTable.load_csv(args.latency)
-    split = DeviceSplit.from_json(Path(args.split).read_text(encoding="utf-8"))
+    split = _load_split(args.split, table, args.latency)
     encodings = _load_encoding_arg(args)
     sampler_encoding = encodings
     if args.sampler_encoding:
@@ -289,9 +302,8 @@ def cmd_transfer(args) -> int:
             space=space, encoding=sampler_encoding, reference_latencies=reference,
         )
         state, warm_start = transfer(
-            base, device, table, picked, list(split.source), archmap,
-            TrainConfig(**{**asdict(train_cfg), "seed": stable_seed("transfer", args.seed, device)}),
-            encodings=encodings,
+            base, device, table, picked, list(split.source), archmap, train_cfg,
+            encodings=encodings, seed=stable_seed("transfer", args.seed, device),
         )
         ckpt = out_dir / f"transfer_{device}.json"
         save_checkpoint(
@@ -312,7 +324,7 @@ def cmd_transfer(args) -> int:
     )
     _write_manifest(
         "transfer", out_dir / "manifest.json",
-        _resolved_config(train_cfg, pred_cfg, space.space_id), inputs, args.seed, outputs,
+        _resolved_config(train_cfg, base.config, space.space_id), inputs, args.seed, outputs,
     )
     print(f"transferred to {len(targets)} device(s) with {args.samples} samples each -> {out_dir}")
     return EXIT_OK

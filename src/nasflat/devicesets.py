@@ -218,13 +218,6 @@ class DeviceSplit:
         return cls(tuple(obj["source"]), tuple(obj["target"]), float(obj["objective"]))
 
 
-def cut_weight(weights: np.ndarray, side_a: Sequence[int], side_b: Sequence[int]) -> float:
-    """Total weight of edges crossing the bipartition."""
-    ia = np.asarray(list(side_a), dtype=np.intp)
-    ib = np.asarray(list(side_b), dtype=np.intp)
-    return float(weights[np.ix_(ia, ib)].sum())
-
-
 def _kl_pass(weights: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, float]:
     """One Kernighan-Lin pass: best prefix of greedy locked pair swaps."""
     n = weights.shape[0]

@@ -51,14 +51,12 @@ class TrainConfig:
     transfer_epochs: int = 40
     transfer_lr: float = 0.003
     hinge_margin: float = 0.1
-    trials: int = 3
-    seed: int = 0
     source_samples: int = 900  # per-device pretraining budget
 
     def __post_init__(self):
-        positive = (self.lr, self.transfer_lr, self.batch_size, self.hinge_margin, self.trials)
+        positive = (self.lr, self.transfer_lr, self.batch_size, self.hinge_margin)
         if any(v <= 0 for v in positive):
-            raise ValueError("lr, transfer_lr, batch_size, hinge_margin, trials must be positive")
+            raise ValueError("lr, transfer_lr, batch_size, hinge_margin must be positive")
         if self.epochs < 0 or self.transfer_epochs < 0 or self.weight_decay < 0:
             raise ValueError("epochs, transfer_epochs, weight_decay must be >= 0")
 
@@ -109,6 +107,7 @@ def _supplementary_rows(
 
 def _train_batch(
     state: PredictorState,
+    adam: AdamState,
     space: SearchSpace,
     device_id: str,
     arch_ids: Sequence[str],
@@ -127,7 +126,7 @@ def _train_batch(
         preds = _forward(state, space, ops_rows, row, supp)
         loss = pairwise_hinge_loss(preds, targets, margin)
     grads = ad.named_grads(state.params, ad.backward(tape, loss))
-    ad.adam_step(state.params, grads, state.adam, lr, weight_decay)
+    ad.adam_step(state.params, grads, adam, lr, weight_decay)
     return float(loss.data)
 
 
@@ -172,13 +171,18 @@ def pretrain(
     archs: Mapping[str, Architecture],
     config: TrainConfig,
     encodings: EncodingTable | None = None,
+    *,
+    seed: int,
 ) -> tuple[PredictorState, list[float]]:
-    """Rank-loss training over all source devices; returns per-epoch mean loss."""
+    """Rank-loss training over all source devices; returns per-epoch mean loss.
+
+    `seed` picks the per-device budget subsets and orders the minibatches.
+    """
     if not archs:
         raise InsufficientData("no architectures provided")
     space = state.space_for(archs.values())
     ids_by_device: dict[str, list[str]] = {}
-    budget_rng = rng_for("pretrain-budget", config.seed)
+    budget_rng = rng_for("pretrain-budget", seed)
     for device in source_devices:
         ids = sorted(source_table.archs_for(device))
         if len(ids) < config.batch_size:
@@ -191,15 +195,15 @@ def pretrain(
             ids = [ids[i] for i in sorted(picks)]
         ids_by_device[device] = ids
 
-    state.adam = AdamState.for_params(state.params)
-    rng = rng_for("pretrain", config.seed)
+    adam = AdamState.for_params(state.params)
+    rng = rng_for("pretrain", seed)
     log: list[float] = []
     for epoch in range(config.epochs):
         losses = []
         batches = _epoch_batches(rng, source_devices, ids_by_device, config.batch_size)
         for step, (device, chunk) in enumerate(batches):
             loss = _train_batch(
-                state, space, device, chunk, archs, source_table, encodings,
+                state, adam, space, device, chunk, archs, source_table, encodings,
                 config.lr, config.weight_decay, config.hinge_margin,
             )
             _require_finite_loss(loss, "pretrain", epoch, step, device)
@@ -218,16 +222,16 @@ def transfer(
     archs: Mapping[str, Architecture],
     config: TrainConfig,
     encodings: EncodingTable | None = None,
+    *,
+    seed: int,
 ) -> tuple[PredictorState, str]:
     """Adapt a copy of a pretrained predictor to one target device from few samples.
 
     The few-shot data is `table` restricted to the sources plus the target
     and to the `picked` archs: the target rows are fine-tuned on, the source
-    rows pick the hardware-embedding warm start. The optimizer is
-    re-initialized and all parameters are fine-tuned at transfer_lr. `base`
-    is left unchanged. Returns the adapted state, without its optimizer
-    moments (which would double its memory while callers also hold `base`),
-    and the warm-start source.
+    rows pick the hardware-embedding warm start. A fresh optimizer fine-tunes
+    all parameters at transfer_lr, with minibatches ordered by `seed`. `base`
+    is left unchanged. Returns the adapted state and the warm-start source.
     """
     few_shot = table.subset(device_ids=list(source_devices) + [target_device], arch_ids=picked)
     sampled = sorted(few_shot.archs_for(target_device))
@@ -244,19 +248,18 @@ def transfer(
     register_device(state, target_device)
     warm_start = init_target_hw_embedding(state, few_shot, source_devices)
 
-    state.adam = AdamState.for_params(state.params)
-    rng = rng_for("transfer", config.seed, target_device)
+    adam = AdamState.for_params(state.params)
+    rng = rng_for("transfer", seed, target_device)
     batch = min(config.batch_size, len(sampled))
     for epoch in range(config.transfer_epochs):
         batches = _epoch_batches(rng, [target_device], {target_device: sampled}, batch)
         for step, (device, chunk) in enumerate(batches):
             loss = _train_batch(
-                state, space, device, chunk, archs, few_shot, encodings,
+                state, adam, space, device, chunk, archs, few_shot, encodings,
                 config.transfer_lr, config.weight_decay, config.hinge_margin,
             )
             _require_finite_loss(loss, "transfer", epoch, step, device)
     _require_finite_params(state, "transfer")
-    state.adam = None
     return state, warm_start
 
 

@@ -31,15 +31,15 @@ import base64
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .archspace import Architecture, SearchSpace, get_space, validate
-from .autodiff import AdamState, Tensor
+from .archspace import Architecture, SearchSpace, get_space
+from .autodiff import Tensor
 from .devicesets import LatencyTable, spearman
 from .errors import (
     BadSupplementaryDim,
@@ -50,7 +50,7 @@ from .errors import (
     UnknownDevice,
 )
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 PREDICT_CHUNK = 64  # archs per inference forward in predict_batch
 
@@ -62,7 +62,6 @@ class PredictorConfig:
     op_embed_dim: int = 48
     node_embed_dim: int = 48
     hw_embed_dim: int = 48
-    hidden_dim: int = 96
     ophw_gcn_dims: tuple[int, ...] = (128, 128)
     ophw_mlp_dims: tuple[int, ...] = (128,)
     gcn_dims: tuple[int, ...] = (128, 128, 128)
@@ -70,11 +69,10 @@ class PredictorConfig:
     gnn_kind: str = "ensemble"
     supplementary_dim: int = 0
     leaky_slope: float = 0.2
-    seed: int = 0
 
     def __post_init__(self):
         dims = (
-            (self.op_embed_dim, self.node_embed_dim, self.hw_embed_dim, self.hidden_dim)
+            (self.op_embed_dim, self.node_embed_dim, self.hw_embed_dim)
             + tuple(self.ophw_gcn_dims)
             + tuple(self.ophw_mlp_dims)
             + tuple(self.gcn_dims)
@@ -82,12 +80,12 @@ class PredictorConfig:
         )
         if any(d <= 0 for d in dims):
             raise ValueError("all layer dims must be positive")
+        if not self.gcn_dims:
+            raise ValueError("gcn_dims needs at least one layer")
         if self.gnn_kind not in GNN_KINDS:
             raise ValueError(f"gnn_kind must be one of {GNN_KINDS}")
         if self.supplementary_dim < 0:
             raise ValueError("supplementary_dim must be >= 0")
-        if self.hidden_dim != self.op_embed_dim + self.hw_embed_dim:
-            raise ValueError("hidden_dim must equal op_embed_dim + hw_embed_dim")
         object.__setattr__(self, "ophw_gcn_dims", tuple(self.ophw_gcn_dims))
         object.__setattr__(self, "ophw_mlp_dims", tuple(self.ophw_mlp_dims))
         object.__setattr__(self, "gcn_dims", tuple(self.gcn_dims))
@@ -145,7 +143,7 @@ class _SpaceTemplate:
 
 
 class PredictorState:
-    """All learnable tensors plus the device registry and optimizer state."""
+    """All learnable tensors plus the device registry."""
 
     def __init__(
         self,
@@ -160,7 +158,6 @@ class PredictorState:
         self.params = params
         self.device_index = device_index
         self.null_op_index = null_op_index
-        self.adam: AdamState | None = None
         self._templates: dict[str, _SpaceTemplate] = {
             sid: _make_template(sp, null_op_index) for sid, sp in spaces.items()
         }
@@ -307,7 +304,7 @@ def init_predictor(
     config: PredictorConfig,
     spaces: Sequence[SearchSpace],
     device_ids: Sequence[str],
-    seed: int | None = None,
+    seed: int,
 ) -> PredictorState:
     """Seeded parameter initialization: Glorot-uniform weights, zero biases,
     N(0, 0.1) embedding rows, unit LayerNorm gains."""
@@ -316,7 +313,6 @@ def init_predictor(
     device_index = {d: i for i, d in enumerate(device_ids)}
     if len(device_index) != len(device_ids):
         raise ValueError("duplicate device ids")
-    seed = config.seed if seed is None else seed
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     for name, (kind, shape, fans) in _param_specs(config, spaces, len(device_ids)).items():
@@ -331,9 +327,7 @@ def init_predictor(
             data = np.ones(shape)
         params[name] = ad.param(data)
     space_map = {s.space_id: s for s in spaces}
-    return PredictorState(
-        PredictorConfig(**asdict(config)), space_map, params, device_index, _null_op_index(spaces)
-    )
+    return PredictorState(config, space_map, params, device_index, _null_op_index(spaces))
 
 
 def register_device(state: PredictorState, device_id: str) -> int:
@@ -342,11 +336,6 @@ def register_device(state: PredictorState, device_id: str) -> int:
         return state.device_index[device_id]
     hw = state.params["hw_embed"]
     hw.data = np.vstack([hw.data, np.zeros((1, hw.data.shape[1]))])
-    if state.adam is not None:
-        for moments in (state.adam.m, state.adam.v):
-            moments["hw_embed"] = np.vstack(
-                [moments["hw_embed"], np.zeros((1, hw.data.shape[1]))]
-            )
     idx = hw.data.shape[0] - 1
     state.device_index[device_id] = idx
     return idx
@@ -393,7 +382,6 @@ def _forward(
     ops_rows: np.ndarray,
     device_row: int,
     supplementary: np.ndarray | None,
-    collect: dict | None = None,
 ) -> Tensor:
     """Batched forward pass; ops_rows is (batch, slot_count) int indices."""
     tpl = state._templates[space.space_id]
@@ -416,8 +404,6 @@ def _forward(
             x = gat_layer(x, tpl.agg, refined, w, state.config.leaky_slope)
         sinks.append(ad.take_node(x, tpl.sink))
     sink = sinks[0] if len(sinks) == 1 else ad.scale(ad.add(sinks[0], sinks[1]), 0.5)
-    if collect is not None:
-        collect["sink"] = sink.data.copy()
 
     head_in = sink
     if state.config.supplementary_dim > 0:
@@ -458,23 +444,6 @@ def predict_batch(
         supp = None if supplementary is None else supplementary[start:stop]
         out[start:stop] = _forward(state, space, ops_rows, row, supp).data[:, 0]
     return out
-
-
-def predict(
-    state: PredictorState,
-    arch: Architecture,
-    device_id: str,
-    supplementary: np.ndarray | None = None,
-) -> float:
-    """Latency score for a single architecture."""
-    space = state.space_for([arch])
-    validate(arch, space)
-    supp = None if supplementary is None else np.asarray(supplementary, dtype=np.float64).reshape(1, -1)
-    if supplementary is not None and supp.shape[1] != state.config.supplementary_dim:
-        raise BadSupplementaryDim(
-            f"supplementary length {supp.shape[1]}, expected {state.config.supplementary_dim}"
-        )
-    return float(predict_batch(state, [arch], device_id, supp)[0])
 
 
 def refine_op_embeddings(state: PredictorState, arch: Architecture, device_id: str) -> np.ndarray:
@@ -597,7 +566,8 @@ def load_checkpoint(path) -> tuple[PredictorState, dict]:
 
     Raises BadCheckpoint naming the file, and the parameter where there is
     one, if either document is unreadable, of another version or missing
-    keys; if the parameter file's SHA-256 differs from the meta's
+    keys (config fields included: a default would silently stand in for the
+    trained value); if the parameter file's SHA-256 differs from the meta's
     `params_sha256`; or if a parameter's name, shape or byte length differs
     from what the meta's config and device registry imply.
     """
@@ -607,10 +577,10 @@ def load_checkpoint(path) -> tuple[PredictorState, dict]:
         meta_path, ("config", "devices", "space_ids", "null_op_index", "params_sha256", "extra")
     )
     try:
-        cfg = dict(meta["config"])
-        for key in ("ophw_gcn_dims", "ophw_mlp_dims", "gcn_dims", "head_mlp_dims"):
-            cfg[key] = tuple(cfg[key])
-        config = PredictorConfig(**cfg)
+        missing = sorted({f.name for f in fields(PredictorConfig)} - set(meta["config"]))
+        if missing:
+            raise BadCheckpoint(f"{meta_path}: config is missing {missing}")
+        config = PredictorConfig(**meta["config"])
         spaces = {sid: get_space(sid) for sid in meta["space_ids"]}
         device_index = {d: int(i) for d, i in meta["devices"].items()}
         null_op_index = int(meta["null_op_index"])

@@ -19,7 +19,9 @@ import numpy as np
 import pytest
 from oracles import (
     balanced_bipartitions,
+    cut_weight,
     dgf_reference,
+    finite_diff_check,
     gat_reference,
     prune_oracle,
     spearman_oracle,
@@ -48,24 +50,24 @@ NB201 = asp.nb201_space()
 # Criterion 1: full-predictor gradients vs central finite differences.
 # -------------------------------------------------------------------------
 
-def _random_config(rng) -> pred.PredictorConfig:
+def _random_config(rng) -> tuple[pred.PredictorConfig, int]:
+    """A random small config and an init seed, drawn from `rng` in that order."""
     op = int(rng.choice([16, 24, 32]))
     hw = int(rng.choice([16, 24, 32]))
     depth = int(rng.choice([2, 3]))
     width = int(rng.choice([24, 48]))
-    return pred.PredictorConfig(
+    config = pred.PredictorConfig(
         op_embed_dim=op,
         node_embed_dim=int(rng.choice([16, 32])),
         hw_embed_dim=hw,
-        hidden_dim=op + hw,
         ophw_gcn_dims=(width, width),
         ophw_mlp_dims=(width,),
         gcn_dims=(width,) * depth,
         head_mlp_dims=(48, 48),
         gnn_kind="ensemble",
         supplementary_dim=int(rng.choice([2, 13])),
-        seed=int(rng.integers(1 << 30)),
     )
+    return config, int(rng.integers(1 << 30))
 
 
 def test_criterion_1_gradient_correctness():
@@ -73,8 +75,8 @@ def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(101)
     worst = 0.0
     for trial in range(5):
-        config = _random_config(rng)
-        state = pred.init_predictor(config, [NB201], ["d0", "d1"])
+        config, seed = _random_config(rng)
+        state = pred.init_predictor(config, [NB201], ["d0", "d1"], seed=seed)
         archs = [asp.random_architecture(NB201, int(rng.integers(1 << 30))) for _ in range(4)]
         ops_rows = np.array([a.ops for a in archs], dtype=np.intp)
         supp = rng.normal(size=(4, config.supplementary_dim))
@@ -84,7 +86,7 @@ def test_criterion_1_gradient_correctness():
             out = pred._forward(state, NB201, ops_rows, 0, supp)
             return ad.sum_all(ad.mul(out, mix))
 
-        report = ad.finite_diff_check(model_eval, state.params, n_samples=100, seed=trial)
+        report = finite_diff_check(model_eval, state.params, n_samples=100, seed=trial)
         worst = max(worst, report.max_rel_err)
         assert report.n_checked >= 100
     elapsed = time.perf_counter() - t0
@@ -181,10 +183,10 @@ def test_criterion_4_partitioner_quality():
         )
         side_a, side_b = ds.kl_bisect(graph, seed=trial)
         index = {d: i for i, d in enumerate(graph.devices)}
-        got = ds.cut_weight(
+        got = cut_weight(
             graph.weights, [index[d] for d in side_a], [index[d] for d in side_b]
         )
-        cuts = [ds.cut_weight(graph.weights, a, b) for a, b in balanced_bipartitions(n)]
+        cuts = [cut_weight(graph.weights, a, b) for a, b in balanced_bipartitions(n)]
         beaten = sum(1 for c in cuts if got <= c + 1e-12)
         if beaten / len(cuts) < 0.95:
             failures.append(trial)
@@ -290,7 +292,7 @@ def test_criterion_6_hw_embedding_init():
         )
         table = sb.measure(archs, sources + [target], NB201)
         state = pred.init_predictor(
-            pred.PredictorConfig(seed=trial), [NB201], [d.device_id for d in sources]
+            pred.PredictorConfig(), [NB201], [d.device_id for d in sources], seed=trial
         )
         pred.register_device(state, "target")
         chosen = pred.init_target_hw_embedding(state, table, [d.device_id for d in sources])
@@ -306,7 +308,7 @@ def test_criterion_6_hw_embedding_init():
 E2E_SEED = 777
 E2E_TRAIN = pl.TrainConfig(
     epochs=12, batch_size=16, source_samples=300,
-    transfer_epochs=40, transfer_lr=0.003, trials=5, seed=0,
+    transfer_epochs=40, transfer_lr=0.003,
 )
 
 
@@ -321,8 +323,8 @@ def _build_world():
 
 def _transfer_and_eval(base_state, table, archmap, sources, target, picked, trial, cfg):
     adapted, _ = pl.transfer(
-        base_state, target, table, picked, sources, archmap,
-        replace(cfg, seed=stable_seed("t", E2E_SEED, trial, target)),
+        base_state, target, table, picked, sources, archmap, cfg,
+        seed=stable_seed("t", E2E_SEED, trial, target),
     )
     entry = pl.evaluate(
         adapted, target, table, archmap,
@@ -340,10 +342,8 @@ def e2e():
     adapted_states = {}  # trial-0 random-sampler states, audited by criterion 9
     for trial in range(5):
         trial_seed = stable_seed("trial", E2E_SEED, trial)
-        state = pred.init_predictor(
-            pred.PredictorConfig(seed=trial_seed), [NB201], sources
-        )
-        pl.pretrain(state, table, sources, archmap, replace(E2E_TRAIN, seed=trial_seed))
+        state = pred.init_predictor(pred.PredictorConfig(), [NB201], sources, seed=trial_seed)
+        pl.pretrain(state, table, sources, archmap, E2E_TRAIN, seed=trial_seed)
         for method in ("random", "cosine"):
             for target in targets:
                 picked = smp.run_sampler(
@@ -390,10 +390,10 @@ def _single_trial_pipeline(out_dir):
     """One-trial instance of the criterion-7 pipeline; writes checkpoints + report."""
     table, archmap, sources, targets, encoding = _build_world()
     pool = [archmap[a] for a in sorted(archmap)]
-    cfg = replace(E2E_TRAIN, epochs=4, trials=1)
+    cfg = replace(E2E_TRAIN, epochs=4)
     trial_seed = stable_seed("repro", E2E_SEED)
-    state = pred.init_predictor(pred.PredictorConfig(seed=trial_seed), [NB201], sources)
-    pl.pretrain(state, table, sources, archmap, replace(cfg, seed=trial_seed))
+    state = pred.init_predictor(pred.PredictorConfig(), [NB201], sources, seed=trial_seed)
+    pl.pretrain(state, table, sources, archmap, cfg, seed=trial_seed)
     out_dir.mkdir()
     entries = []
     for target in targets:

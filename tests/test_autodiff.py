@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import finite_diff_check
 
 from nasflat import autodiff as ad
 from nasflat.errors import NonScalarLoss, ShapeMismatch
@@ -12,7 +13,7 @@ RNG = np.random.default_rng(1234)
 
 
 def _fd_check(build_loss, params, n_samples=40, tol=1e-6, seed=0):
-    report = ad.finite_diff_check(build_loss, params, n_samples=n_samples, seed=seed)
+    report = finite_diff_check(build_loss, params, n_samples=n_samples, seed=seed)
     assert report.max_rel_err < tol, (
         f"max rel err {report.max_rel_err:.3e} at {report.worst_param}[{report.worst_index}]"
     )
@@ -327,5 +328,5 @@ def test_training_determinism_bit_exact():
 def test_finite_diff_on_linear_model_is_exact():
     w = ad.param(RNG.normal(size=(6,)))
     x = np.asarray(RNG.normal(size=(6,)))
-    report = ad.finite_diff_check(lambda: ad.sum_all(ad.mul(w, x)), {"w": w}, n_samples=6)
+    report = finite_diff_check(lambda: ad.sum_all(ad.mul(w, x)), {"w": w}, n_samples=6)
     assert report.max_rel_err < 1e-9

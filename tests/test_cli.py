@@ -6,6 +6,7 @@ import base64
 import hashlib
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 
 from nasflat import cli
 from nasflat.devicesets import DeviceSplit, LatencyTable
-from nasflat.predictor import load_checkpoint, save_checkpoint
+from nasflat.pipeline import TrainConfig
+from nasflat.predictor import PredictorConfig, load_checkpoint, save_checkpoint
 from nasflat import synthbench as sb
 from nasflat import archspace as asp
 
@@ -286,6 +288,14 @@ def _missing_key(ckpt, archs):
     return meta_path, "missing keys ['config']"
 
 
+def _missing_config_field(ckpt, archs):
+    meta_path = Path(str(ckpt) + ".meta.json")
+    meta = json.loads(meta_path.read_text())
+    del meta["config"]["leaky_slope"]
+    meta_path.write_text(json.dumps(meta, sort_keys=True))
+    return meta_path, "config is missing ['leaky_slope']"
+
+
 def _missing_meta(ckpt, archs):
     meta_path = Path(str(ckpt) + ".meta.json")
     meta_path.unlink()
@@ -303,7 +313,8 @@ def _op_index_out_of_vocab(ckpt, archs):
 
 @pytest.mark.parametrize("corrupt", [
     _as_version_1, _wrong_version, _truncated, _digest_mismatch, _wrong_shape,
-    _short_param, _renamed_param, _missing_key, _missing_meta, _op_index_out_of_vocab,
+    _short_param, _renamed_param, _missing_key, _missing_config_field, _missing_meta,
+    _op_index_out_of_vocab,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_unreadable_input_is_data_error(workspace, transfers, tmp_path, capsys, corrupt):
     """Bad checkpoints and JSONL archs exit 3 and name the file, not 4 or 0."""
@@ -465,19 +476,180 @@ def test_config_sampler_section_used_when_flags_absent(workspace, tmp_path):
     assert extra["samples"] == 6
 
 
-def test_bad_config_reports_json_pointer(workspace, tmp_path):
+@pytest.mark.parametrize("section, field, value, pointer", [
+    pytest.param("train", "lr", -1, "/train", id="train.lr"),
+    pytest.param("train", "seed", 123, "/train", id="train.seed"),
+    pytest.param("train", "trials", 5, "/train", id="train.trials"),
+    pytest.param("predictor", "seed", 99, "/predictor", id="predictor.seed"),
+    pytest.param("predictor", "hidden_dim", 96, "/predictor", id="predictor.hidden_dim"),
+    pytest.param("predictor", "gcn_dims", 5, "/predictor", id="predictor.gcn_dims"),
+    pytest.param("predictor", "gcn_dims", [], "/predictor", id="predictor.gcn_dims_empty"),
+    pytest.param("predictor", "supplementary_dim", 13, "/predictor/supplementary_dim",
+                 id="predictor.supplementary_dim"),
+])
+def test_bad_config_reports_json_pointer(workspace, tmp_path, capsys, section, field, value, pointer):
+    """Bad or removed fields exit 3 and name their section; --seed is the only seed."""
     root, data, split, _, ckpt = workspace
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"version": 1, "train": {"lr": -1}}))
+    bad.write_text(json.dumps({"version": 1, section: {field: value}}))
+    capsys.readouterr()
     code = run([
         "pretrain", "--config", str(bad), "--latency", str(data / "latency.csv"),
         "--archs", str(data / "archs.jsonl"), "--split", str(split),
         "--out", str(tmp_path / "c.json"),
     ])
-    assert code == 3
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"{bad}: {pointer}: " in err, err
+    if field == "supplementary_dim":
+        assert "set by --encoding" in err, err
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_pretrain_takes_supplementary_dim_from_encoding(workspace, tmp_path):
+    _, data, split, _, _ = workspace
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"version": 1, "train": {"epochs": 1, "source_samples": 20}}))
+    ckpt = tmp_path / "c.json"
+    assert run([
+        "pretrain", "--config", str(config), "--latency", str(data / "latency.csv"),
+        "--archs", str(data / "archs.jsonl"), "--split", str(split),
+        "--encoding", str(data / "zcp.csv"), "--out", str(ckpt),
+    ]) == 0
+    state, _ = load_checkpoint(ckpt)
+    manifest = json.loads(Path(str(ckpt) + ".manifest.json").read_text())
+    assert state.config.supplementary_dim == 13
+    assert manifest["config"]["predictor"]["supplementary_dim"] == 13
+
+
+def test_transfer_manifest_records_the_checkpoint_predictor(workspace, tmp_path):
+    """transfer adapts the checkpoint's predictor, whatever the config's predictor section says."""
+    _, data, split, _, ckpt = workspace
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "version": 1, "train": {"transfer_epochs": 1}, "predictor": {"gcn_dims": [16, 16]},
+    }))
+    target = DeviceSplit.from_json(split.read_text()).target[0]
+    out_dir = tmp_path / "t"
+    assert run([
+        "transfer", "--config", str(config), "--latency", str(data / "latency.csv"),
+        "--archs", str(data / "archs.jsonl"), "--split", str(split), "--checkpoint", str(ckpt),
+        "--samples", "8", "--target", target, "--out-dir", str(out_dir),
+    ]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    meta = json.loads((out_dir / f"transfer_{target}.json.meta.json").read_text())
+    assert manifest["config"]["predictor"]["gcn_dims"] == [128, 128, 128]
+    assert manifest["config"]["predictor"] == meta["config"]
+
+
+def _split_as_list(split):
+    return [list(split.source), list(split.target)], "not a device split object"
+
+
+def _split_without_objective(split):
+    return {"source": list(split.source), "target": list(split.target)}, "device split is missing key 'objective'"
+
+
+def _split_with_unknown_source(split):
+    doc = {"source": [*split.source[:-1], "nope"], "target": list(split.target), "objective": 0.0}
+    return doc, "unknown device(s) ['nope']"
+
+
+def _split_with_unknown_target(split):
+    doc = {"source": list(split.source), "target": ["zz9", *split.target[1:]], "objective": 0.0}
+    return doc, "unknown device(s) ['zz9']"
+
+
+@pytest.mark.parametrize("corrupt", [
+    _split_as_list, _split_without_objective, _split_with_unknown_source, _split_with_unknown_target,
+], ids=lambda f: f.__name__.strip("_"))
+def test_bad_split_is_data_error(workspace, tmp_path, capsys, corrupt):
+    """pretrain and transfer exit 3 on a bad split file and name it, not 4 or a later symptom."""
+    _, data, split, config, ckpt = workspace
+    doc, why = corrupt(DeviceSplit.from_json(split.read_text()))
+    bad = tmp_path / "split.json"
+    bad.write_text(json.dumps(doc))
+    common = ["--config", str(config), "--latency", str(data / "latency.csv"),
+              "--archs", str(data / "archs.jsonl"), "--split", str(bad)]
+    for argv in (
+        ["pretrain", *common, "--out", str(tmp_path / "c.json")],
+        ["transfer", *common, "--checkpoint", str(ckpt), "--samples", "8",
+         "--out-dir", str(tmp_path / "t")],
+    ):
+        capsys.readouterr()
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert f"{bad}: {why}" in err, err
+    assert not (tmp_path / "c.json").exists() and not list(tmp_path.glob("t/transfer_*"))
 
 
 def test_missing_input_file_is_data_error(tmp_path):
     code = run(["partition", "--latency", str(tmp_path / "nope.csv"),
                 "--m", "1", "--n", "1", "--out", str(tmp_path / "s.json")])
     assert code == 3
+
+
+# --- every settable value changes the result -----------------------------------
+
+# A tiny model that still ranks. With a one-layer refinement and a one-layer
+# main stack the nb201 sink sees no op slot, every arch scores the same and
+# the hinge margin cannot matter.
+_KNOB_BASE = {
+    "train": {"epochs": 1, "transfer_epochs": 1},
+    "predictor": {
+        "op_embed_dim": 8, "node_embed_dim": 8, "hw_embed_dim": 8, "ophw_gcn_dims": [8],
+        "ophw_mlp_dims": [8], "gcn_dims": [8, 8], "head_mlp_dims": [8],
+    },
+}
+
+# One changed value per run-config field. supplementary_dim is not one: it
+# comes from --encoding.
+_KNOB_VARIANTS = {
+    "train": {
+        "lr": 0.01, "weight_decay": 0.1, "epochs": 2, "batch_size": 8, "transfer_epochs": 2,
+        "transfer_lr": 0.01, "hinge_margin": 1e-9, "source_samples": 30,
+    },
+    "predictor": {
+        "op_embed_dim": 4, "node_embed_dim": 4, "hw_embed_dim": 4, "ophw_gcn_dims": [4],
+        "ophw_mlp_dims": [4], "gcn_dims": [4, 4], "head_mlp_dims": [4], "gnn_kind": "dgf",
+        "leaky_slope": 0.01,
+    },
+}
+
+_KNOBS = [("train", f.name) for f in fields(TrainConfig)] + [
+    ("predictor", f.name) for f in fields(PredictorConfig) if f.name != "supplementary_dim"
+]
+
+
+@pytest.fixture(scope="module")
+def knob_world(tmp_path_factory):
+    """3 source devices and 1 target over 40 nb201 archs, plus the base config's transfer bytes."""
+    root = tmp_path_factory.mktemp("knobs")
+    data = root / "data"
+    assert run(["synth", "--space", "nb201", "--devices", "4", "--archs", "40",
+                "--seed", "11", "--out-dir", str(data)]) == 0
+    split = root / "split.json"
+    split.write_text(DeviceSplit(("d00", "d01", "d02"), ("d03",), 0.0).to_json())
+    return root, data, split, _knob_transfer_bytes(root / "base", data, split, _KNOB_BASE)
+
+
+def _knob_transfer_bytes(work, data, split, config_doc) -> bytes:
+    work.mkdir()
+    config = work / "run.json"
+    config.write_text(json.dumps({"version": 1, **config_doc}))
+    common = ["--config", str(config), "--latency", str(data / "latency.csv"),
+              "--archs", str(data / "archs.jsonl"), "--split", str(split), "--seed", "2"]
+    assert run(["pretrain", *common, "--out", str(work / "ckpt.json")]) == 0
+    assert run(["transfer", *common, "--checkpoint", str(work / "ckpt.json"),
+                "--samples", "8", "--out-dir", str(work)]) == 0
+    return (work / "transfer_d03.json").read_bytes()
+
+
+@pytest.mark.parametrize("section, field", _KNOBS, ids=[f"{s}.{f}" for s, f in _KNOBS])
+def test_no_run_config_field_is_dead(knob_world, section, field):
+    """Changing any one run-config field changes the transfer checkpoint's bytes."""
+    root, data, split, base = knob_world
+    doc = json.loads(json.dumps(_KNOB_BASE))
+    doc[section][field] = _KNOB_VARIANTS[section][field]
+    assert _knob_transfer_bytes(root / f"{section}.{field}", data, split, doc) != base

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import balanced_bipartitions, prune_oracle, spearman_oracle
+from oracles import balanced_bipartitions, cut_weight, prune_oracle, spearman_oracle
 
 from nasflat import devicesets as ds
 from nasflat.errors import (
@@ -191,10 +191,10 @@ def test_kl_perfect_pairs_split_apart():
     side_a, side_b = ds.kl_bisect(g, seed=0)
     # brute-force optimum of the cut objective over all balanced bipartitions
     best_cut = min(
-        ds.cut_weight(g.weights, a, b) for a, b in balanced_bipartitions(4)
+        cut_weight(g.weights, a, b) for a, b in balanced_bipartitions(4)
     )
     idx = {d: i for i, d in enumerate(g.devices)}
-    got = ds.cut_weight(g.weights, [idx[d] for d in side_a], [idx[d] for d in side_b])
+    got = cut_weight(g.weights, [idx[d] for d in side_a], [idx[d] for d in side_b])
     assert got == pytest.approx(best_cut)
     # the optimum separates each correlated pair
     assert ("d0" in side_a) != ("d1" in side_a)
@@ -212,8 +212,8 @@ def test_kl_beats_most_bipartitions_on_random_graphs():
         assert not set(side_a) & set(side_b)
         assert set(side_a) | set(side_b) == set(g.devices)
         idx = {d: i for i, d in enumerate(g.devices)}
-        got = ds.cut_weight(g.weights, [idx[d] for d in side_a], [idx[d] for d in side_b])
-        cuts = sorted(ds.cut_weight(g.weights, a, b) for a, b in balanced_bipartitions(n))
+        got = cut_weight(g.weights, [idx[d] for d in side_a], [idx[d] for d in side_b])
+        cuts = sorted(cut_weight(g.weights, a, b) for a, b in balanced_bipartitions(n))
         beaten = sum(1 for c in cuts if got <= c + 1e-12)
         assert beaten / len(cuts) >= 0.95
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import finite_diff_check
 
 from nasflat import archspace as asp
 from nasflat import autodiff as ad
@@ -69,7 +70,7 @@ def test_hinge_all_tied_targets_is_zero():
 
 
 def test_hinge_gradient_through_predictor(nb201):
-    st = pred.init_predictor(pred.PredictorConfig(seed=7), [nb201], ["d0"])
+    st = pred.init_predictor(pred.PredictorConfig(), [nb201], ["d0"], seed=7)
     archs = [asp.random_architecture(nb201, s) for s in range(5)]
     ops_rows = np.array([a.ops for a in archs], dtype=np.intp)
     targets = [3.0, 1.0, 4.0, 1.5, 2.5]
@@ -78,21 +79,21 @@ def test_hinge_gradient_through_predictor(nb201):
         preds = pred._forward(st, nb201, ops_rows, 0, None)
         return pl.pairwise_hinge_loss(preds, targets, margin=0.5)
 
-    report = ad.finite_diff_check(model_eval, st.params, n_samples=50, seed=1)
+    report = finite_diff_check(model_eval, st.params, n_samples=50, seed=1)
     assert report.max_rel_err < 1e-4, report.worst_param
 
 
 # --- pretrain --------------------------------------------------------------------
 
 def _fresh_state(nb201, sources, seed=0):
-    return pred.init_predictor(pred.PredictorConfig(seed=seed), [nb201], list(sources))
+    return pred.init_predictor(pred.PredictorConfig(), [nb201], list(sources), seed=seed)
 
 
 def test_pretrain_loss_decreases_and_ranks_train_device(nb201, small_world):
     table, archs, sources, _ = small_world
     st = _fresh_state(nb201, sources)
-    cfg = pl.TrainConfig(epochs=10, batch_size=16, source_samples=80, seed=1)
-    _, log = pl.pretrain(st, table, sources, archs, cfg)
+    cfg = pl.TrainConfig(epochs=10, batch_size=16, source_samples=80)
+    _, log = pl.pretrain(st, table, sources, archs, cfg, seed=1)
     assert len(log) == 10
     assert log[-1] < log[0]
     # scores must rank the oracle latencies on a device it trained on
@@ -104,18 +105,18 @@ def test_pretrain_zero_epochs_keeps_params(nb201, small_world):
     table, archs, sources, _ = small_world
     st = _fresh_state(nb201, sources)
     before = {k: t.data.copy() for k, t in st.params.items()}
-    pl.pretrain(st, table, sources, archs, pl.TrainConfig(epochs=0, seed=1))
+    pl.pretrain(st, table, sources, archs, pl.TrainConfig(epochs=0), seed=1)
     for k in before:
         assert np.array_equal(st.params[k].data, before[k])
 
 
 def test_pretrain_deterministic(nb201, small_world):
     table, archs, sources, _ = small_world
-    cfg = pl.TrainConfig(epochs=3, source_samples=50, seed=4)
+    cfg = pl.TrainConfig(epochs=3, source_samples=50)
     a = _fresh_state(nb201, sources, seed=2)
     b = _fresh_state(nb201, sources, seed=2)
-    pl.pretrain(a, table, sources, archs, cfg)
-    pl.pretrain(b, table, sources, archs, cfg)
+    pl.pretrain(a, table, sources, archs, cfg, seed=4)
+    pl.pretrain(b, table, sources, archs, cfg, seed=4)
     for k in a.params:
         assert np.array_equal(a.params[k].data, b.params[k].data)
 
@@ -125,7 +126,7 @@ def test_pretrain_insufficient_data(nb201, small_world):
     st = _fresh_state(nb201, sources)
     tiny = table.subset(arch_ids=list(archs)[:4])
     with pytest.raises(InsufficientData):
-        pl.pretrain(st, tiny, sources, archs, pl.TrainConfig(epochs=1, batch_size=16, seed=0))
+        pl.pretrain(st, tiny, sources, archs, pl.TrainConfig(epochs=1, batch_size=16), seed=0)
 
 
 def test_training_trajectory_scale_invariant(nb201, small_world):
@@ -136,11 +137,11 @@ def test_training_trajectory_scale_invariant(nb201, small_world):
         for arch_id in table.archs_for(dev):
             v = table.latency(arch_id, dev)
             scaled.add(arch_id, dev, v * (737.0 if dev == "s1" else 1.0))
-    cfg = pl.TrainConfig(epochs=3, source_samples=60, seed=9)
+    cfg = pl.TrainConfig(epochs=3, source_samples=60)
     a = _fresh_state(nb201, sources, seed=5)
     b = _fresh_state(nb201, sources, seed=5)
-    _, log_a = pl.pretrain(a, table, sources, archs, cfg)
-    _, log_b = pl.pretrain(b, scaled, sources, archs, cfg)
+    _, log_a = pl.pretrain(a, table, sources, archs, cfg, seed=9)
+    _, log_b = pl.pretrain(b, scaled, sources, archs, cfg, seed=9)
     assert log_a == log_b
     for k in a.params:
         assert np.array_equal(a.params[k].data, b.params[k].data)
@@ -151,17 +152,17 @@ def test_training_trajectory_scale_invariant(nb201, small_world):
 def test_transfer_improves_on_clone(nb201, small_world):
     table, archs, sources, target = small_world
     st = _fresh_state(nb201, sources, seed=3)
-    cfg = pl.TrainConfig(epochs=8, source_samples=60, transfer_epochs=20, seed=2)
-    pl.pretrain(st, table, sources, archs, cfg)
+    cfg = pl.TrainConfig(epochs=8, source_samples=60, transfer_epochs=20)
+    pl.pretrain(st, table, sources, archs, cfg, seed=2)
     sampled = sorted(archs)[:20]
 
     # warm-started but not fine-tuned baseline
     before_state, _ = pl.transfer(
-        st, target, table, sampled, sources, archs, replace(cfg, transfer_epochs=0)
+        st, target, table, sampled, sources, archs, replace(cfg, transfer_epochs=0), seed=2
     )
     before = pl.evaluate(before_state, target, table, archs, exclude=sampled).spearman
 
-    adapted, source = pl.transfer(st, target, table, sampled, sources, archs, cfg)
+    adapted, source = pl.transfer(st, target, table, sampled, sources, archs, cfg, seed=2)
     after = pl.evaluate(adapted, target, table, archs, exclude=sampled).spearman
     assert source in sources
     assert after >= before - 0.02
@@ -171,10 +172,10 @@ def test_transfer_improves_on_clone(nb201, small_world):
 def test_transfer_zero_epochs_only_touches_hw_row(nb201, small_world):
     table, archs, sources, target = small_world
     st = _fresh_state(nb201, sources, seed=3)
-    cfg = pl.TrainConfig(epochs=1, source_samples=40, transfer_epochs=0, seed=2)
-    pl.pretrain(st, table, sources, archs, cfg)
+    cfg = pl.TrainConfig(epochs=1, source_samples=40, transfer_epochs=0)
+    pl.pretrain(st, table, sources, archs, cfg, seed=2)
     sampled = sorted(archs)[:6]
-    adapted, source = pl.transfer(st, target, table, sampled, sources, archs, cfg)
+    adapted, source = pl.transfer(st, target, table, sampled, sources, archs, cfg, seed=2)
     for k, old in st.params.items():
         if k == "hw_embed":
             new = adapted.params[k].data
@@ -190,8 +191,8 @@ def test_transfer_leaves_base_unchanged(nb201, small_world):
     st = _fresh_state(nb201, sources, seed=3)
     before = {k: t.data.copy() for k, t in st.params.items()}
     devices = dict(st.device_index)
-    cfg = pl.TrainConfig(transfer_epochs=2, seed=2)
-    adapted, _ = pl.transfer(st, target, table, sorted(archs)[:8], sources, archs, cfg)
+    cfg = pl.TrainConfig(transfer_epochs=2)
+    adapted, _ = pl.transfer(st, target, table, sorted(archs)[:8], sources, archs, cfg, seed=2)
     assert st.device_index == devices and target not in st.device_index
     for k, old in before.items():
         assert np.array_equal(st.params[k].data, old)
@@ -203,7 +204,7 @@ def test_transfer_requires_two_samples(nb201, small_world):
     table, archs, sources, target = small_world
     st = _fresh_state(nb201, sources, seed=3)
     with pytest.raises(InsufficientData):
-        pl.transfer(st, target, table, sorted(archs)[:1], sources, archs, pl.TrainConfig(seed=0))
+        pl.transfer(st, target, table, sorted(archs)[:1], sources, archs, pl.TrainConfig(), seed=0)
 
 
 # --- non-finite guard --------------------------------------------------------------
@@ -212,21 +213,21 @@ def test_non_finite_loss_stops_pretrain_and_transfer(nb201, small_world):
     table, archs, sources, target = small_world
     st = _fresh_state(nb201, sources, seed=3)
     st.params["head0.w"].data[0, 0] = np.nan
-    cfg = pl.TrainConfig(epochs=2, source_samples=40, transfer_epochs=2, seed=2)
+    cfg = pl.TrainConfig(epochs=2, source_samples=40, transfer_epochs=2)
     with pytest.raises(NonFiniteValue, match=r"^pretrain: loss is nan at epoch 0, step 0, device 's[012]'$"):
-        pl.pretrain(st, table, sources, archs, cfg)
+        pl.pretrain(st, table, sources, archs, cfg, seed=2)
     with pytest.raises(NonFiniteValue, match=r"^transfer: loss is nan at epoch 0, step 0, device 't0'$"):
-        pl.transfer(st, target, table, sorted(archs)[:8], sources, archs, cfg)
+        pl.transfer(st, target, table, sorted(archs)[:8], sources, archs, cfg, seed=2)
 
 
 def test_non_finite_parameter_outside_every_loss_is_caught_after_training(nb201, small_world):
     """A NaN no loss reads (an idle device's hardware row) is caught once, after the last step."""
     table, archs, sources, _ = small_world
-    st = pred.init_predictor(pred.PredictorConfig(seed=0), [nb201], list(sources) + ["idle"])
+    st = pred.init_predictor(pred.PredictorConfig(), [nb201], list(sources) + ["idle"], seed=0)
     st.params["hw_embed"].data[st.device_row("idle"), 3] = np.inf
-    cfg = pl.TrainConfig(epochs=1, source_samples=40, seed=1)
+    cfg = pl.TrainConfig(epochs=1, source_samples=40)
     with pytest.raises(NonFiniteValue, match=r"^pretrain: parameter 'hw_embed' is non-finite after training$"):
-        pl.pretrain(st, table, sources, archs, cfg)
+        pl.pretrain(st, table, sources, archs, cfg, seed=1)
 
 
 # --- evaluate --------------------------------------------------------------------
@@ -236,9 +237,7 @@ def test_evaluate_oracle_and_negated(nb201, small_world):
     table, archs, sources, _ = small_world
     st = _fresh_state(nb201, sources, seed=6)
     ids = sorted(archs)[:50]
-    scores = {
-        a: pred.predict(st, archs[a], "s0") for a in ids
-    }
+    scores = dict(zip(ids, pred.predict_batch(st, [archs[a] for a in ids], "s0").tolist()))
     offset = 1.0 - min(scores.values())
     perfect = LatencyTable()
     inverted = LatencyTable()

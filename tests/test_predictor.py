@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import dgf_reference, gat_reference
+from oracles import dgf_reference, finite_diff_check, gat_reference
 
 from nasflat import archspace as asp
 from nasflat import autodiff as ad
@@ -32,15 +32,14 @@ def nb201():
 
 @pytest.fixture()
 def state(nb201):
-    config = pred.PredictorConfig(seed=3)
-    return pred.init_predictor(config, [nb201], ["d0", "d1", "d2"], seed=3)
+    return pred.init_predictor(pred.PredictorConfig(), [nb201], ["d0", "d1", "d2"], seed=3)
 
 
 def test_config_defaults_match_published_table():
     c = pred.PredictorConfig()
     assert c.op_embed_dim == 48
     assert c.node_embed_dim == 48
-    assert c.hidden_dim == 96
+    assert c.hw_embed_dim == 48
     assert c.ophw_gcn_dims == (128, 128)
     assert c.ophw_mlp_dims == (128,)
     assert c.gcn_dims == (128, 128, 128)
@@ -53,14 +52,14 @@ def test_config_validation():
         pred.PredictorConfig(gnn_kind="transformer")
     with pytest.raises(ValueError):
         pred.PredictorConfig(gcn_dims=(128, 0))
-    with pytest.raises(ValueError):
-        pred.PredictorConfig(hidden_dim=64)
+    with pytest.raises(ValueError, match="gcn_dims needs at least one layer"):
+        pred.PredictorConfig(gcn_dims=())
 
 
 def test_init_deterministic_and_shapes(nb201):
-    config = pred.PredictorConfig(seed=9)
-    a = pred.init_predictor(config, [nb201], ["d0", "d1", "d2", "d3", "d4"])
-    b = pred.init_predictor(config, [nb201], ["d0", "d1", "d2", "d3", "d4"])
+    config = pred.PredictorConfig()
+    a = pred.init_predictor(config, [nb201], ["d0", "d1", "d2", "d3", "d4"], seed=9)
+    b = pred.init_predictor(config, [nb201], ["d0", "d1", "d2", "d3", "d4"], seed=9)
     for name in a.params:
         assert np.array_equal(a.params[name].data, b.params[name].data)
     # 5 real ops + one reserved null-op row for structural nodes
@@ -217,7 +216,7 @@ def test_predict_deterministic_and_batch_independent(state, nb201):
     first = pred.predict_batch(state, archs[:2], "d0")
     rest = pred.predict_batch(state, archs[2:], "d0")
     assert np.allclose(np.concatenate([first, rest]), batch, rtol=0, atol=1e-12)
-    singles = np.array([pred.predict(state, a, "d0") for a in archs])
+    singles = np.array([pred.predict_batch(state, [a], "d0")[0] for a in archs])
     assert np.allclose(batch, singles, rtol=0, atol=1e-12)
 
 
@@ -235,7 +234,7 @@ def test_predict_batch_scores_in_fixed_chunks(state, nb201):
 
 def test_predict_unknown_device(state, nb201):
     with pytest.raises(UnknownDevice):
-        pred.predict(state, asp.random_architecture(nb201, 0), "nope")
+        pred.predict_batch(state, [asp.random_architecture(nb201, 0)], "nope")
 
 
 def test_predict_batch_rejects_archs_from_another_space(state, nb201):
@@ -244,7 +243,7 @@ def test_predict_batch_rejects_archs_from_another_space(state, nb201):
     nb = [asp.random_architecture(nb201, s) for s in range(2)]
     with pytest.raises(SpaceMismatch, match=r"\['fbnet'\]; predictor built for \['nb201'\]"):
         pred.predict_batch(state, fb, "d0")
-    both = pred.init_predictor(pred.PredictorConfig(seed=3), [nb201, fbnet], ["d0"])
+    both = pred.init_predictor(pred.PredictorConfig(), [nb201, fbnet], ["d0"], seed=3)
     with pytest.raises(SpaceMismatch, match=r"\['fbnet', 'nb201'\]; predictor built for"):
         pred.predict_batch(both, nb + fb, "d0")
     assert pred.predict_batch(both, fb, "d0").shape == (2,)
@@ -283,36 +282,46 @@ def test_inference_reuses_heap_memory_unless_malloc_is_configured():
 
 
 def test_supplementary_dim_zero_rejects_payload_but_not_empty(state, nb201):
-    arch = asp.random_architecture(nb201, 0)
-    base = pred.predict(state, arch, "d0")
-    assert pred.predict(state, arch, "d0", supplementary=np.zeros(0)) == base
+    archs = [asp.random_architecture(nb201, 0)]
+    base = pred.predict_batch(state, archs, "d0")
+    assert np.array_equal(pred.predict_batch(state, archs, "d0", np.zeros((1, 0))), base)
     with pytest.raises(BadSupplementaryDim):
-        pred.predict(state, arch, "d0", supplementary=np.ones(4))
+        pred.predict_batch(state, archs, "d0", np.ones((1, 4)))
 
 
-def test_supplementary_only_touches_head(nb201):
-    config = pred.PredictorConfig(seed=4, supplementary_dim=3)
-    st = pred.init_predictor(config, [nb201], ["d0"])
-    arch = asp.random_architecture(nb201, 5)
-    ops_rows = np.array([arch.ops], dtype=np.intp)
-    collect_a, collect_b = {}, {}
-    out_a = pred._forward(st, nb201, ops_rows, 0, np.array([[1.0, 2.0, 3.0]]), collect=collect_a)
-    out_b = pred._forward(st, nb201, ops_rows, 0, np.array([[-9.0, 0.0, 4.0]]), collect=collect_b)
-    assert np.array_equal(collect_a["sink"], collect_b["sink"])
-    assert out_a.data[0, 0] != out_b.data[0, 0]
+def test_supplementary_only_touches_head(nb201, monkeypatch):
+    """The supplementary rows join the sink embedding at the head's input and nowhere before."""
+    config = pred.PredictorConfig(supplementary_dim=3)
+    st = pred.init_predictor(config, [nb201], ["d0"], seed=4)
+    head_inputs = []
+    real = pred._mlp
+
+    def spy(x, layers, activate_last=False):
+        if layers is st._views.head:
+            head_inputs.append(ad._data(x).copy())
+        return real(x, layers, activate_last)
+
+    monkeypatch.setattr(pred, "_mlp", spy)
+    archs = [asp.random_architecture(nb201, 5)]
+    supps = np.array([[1.0, 2.0, 3.0]]), np.array([[-9.0, 0.0, 4.0]])
+    out_a, out_b = (pred.predict_batch(st, archs, "d0", supp) for supp in supps)
+    sink_a, sink_b = (x[:, : config.gcn_dims[-1]] for x in head_inputs)
+    assert np.array_equal(sink_a, sink_b)
+    assert [x[:, config.gcn_dims[-1]:].tolist() for x in head_inputs] == [s.tolist() for s in supps]
+    assert out_a[0] != out_b[0]
 
 
 def test_missing_supplementary_rejected(nb201):
-    config = pred.PredictorConfig(seed=4, supplementary_dim=3)
-    st = pred.init_predictor(config, [nb201], ["d0"])
+    config = pred.PredictorConfig(supplementary_dim=3)
+    st = pred.init_predictor(config, [nb201], ["d0"], seed=4)
     with pytest.raises(BadSupplementaryDim):
-        pred.predict(st, asp.random_architecture(nb201, 0), "d0")
+        pred.predict_batch(st, [asp.random_architecture(nb201, 0)], "d0")
 
 
 @pytest.mark.parametrize("kind", ["dgf", "gat", "ensemble"])
 def test_full_gradient_check_all_kinds(nb201, kind):
-    config = pred.PredictorConfig(seed=11, gnn_kind=kind, supplementary_dim=2)
-    st = pred.init_predictor(config, [nb201], ["d0", "d1"])
+    config = pred.PredictorConfig(gnn_kind=kind, supplementary_dim=2)
+    st = pred.init_predictor(config, [nb201], ["d0", "d1"], seed=11)
     archs = [asp.random_architecture(nb201, s) for s in range(5)]
     ops_rows = np.array([a.ops for a in archs], dtype=np.intp)
     supp = np.random.default_rng(0).normal(size=(5, 2))
@@ -322,7 +331,7 @@ def test_full_gradient_check_all_kinds(nb201, kind):
         out = pred._forward(st, nb201, ops_rows, 0, supp)
         return ad.sum_all(ad.mul(out, weights))
 
-    report = ad.finite_diff_check(model_eval, st.params, n_samples=60, seed=2)
+    report = finite_diff_check(model_eval, st.params, n_samples=60, seed=2)
     assert report.max_rel_err < 1e-4, report.worst_param
 
 
@@ -340,8 +349,8 @@ _SHAPE_CONFIGS = [
 @pytest.mark.parametrize("batch", [1, 5])
 def test_outputs_keep_batch_shape_with_finite_gradients(nb201, overrides, batch):
     small = dict(ophw_gcn_dims=(16, 16), ophw_mlp_dims=(16,), gcn_dims=(16, 16), head_mlp_dims=(8,))
-    config = pred.PredictorConfig(seed=5, **{**small, **overrides})
-    st = pred.init_predictor(config, [nb201], ["d0", "d1"])
+    config = pred.PredictorConfig(**{**small, **overrides})
+    st = pred.init_predictor(config, [nb201], ["d0", "d1"], seed=5)
     archs = [asp.random_architecture(nb201, s) for s in range(batch)]
     ops_rows = np.array([a.ops for a in archs], dtype=np.intp)
     supp = None
@@ -360,7 +369,7 @@ def test_outputs_keep_batch_shape_with_finite_gradients(nb201, overrides, batch)
 
 def test_first_layer_of_each_stack_runs_once_per_batch(nb201, monkeypatch):
     """Layer 0 starts from node rows shared by every arch: its projection is (1, N, d) @ W."""
-    st = pred.init_predictor(pred.PredictorConfig(seed=2), [nb201], ["d0"])
+    st = pred.init_predictor(pred.PredictorConfig(), [nb201], ["d0"], seed=2)
     first = {st.params[n]: n for n in ("ophw_gcn0.w_feat", "dgf0.w_feat", "gat0.w_proj")}
     later = {st.params[n]: n for n in ("ophw_gcn1.w_feat", "dgf1.w_feat", "gat1.w_proj")}
     seen = {}
@@ -450,8 +459,8 @@ def test_register_device_appends_zero_row(state):
 # --- checkpointing ------------------------------------------------------------
 
 def test_checkpoint_roundtrip(state, nb201, tmp_path):
-    arch = asp.random_architecture(nb201, 21)
-    before = pred.predict(state, arch, "d1")
+    archs = [asp.random_architecture(nb201, 21)]
+    before = pred.predict_batch(state, archs, "d1")
     path = tmp_path / "ckpt.json"
     pred.save_checkpoint(state, path, extra={"stage": "test"})
     doc = json.loads(path.read_text(encoding="utf-8"))
@@ -465,7 +474,7 @@ def test_checkpoint_roundtrip(state, nb201, tmp_path):
         got = loaded.params[name].data
         assert got.dtype == t.data.dtype and got.shape == t.data.shape
         assert got.tobytes() == t.data.tobytes()  # bitwise, signed zeros included
-    assert pred.predict(loaded, arch, "d1") == before
+    assert np.array_equal(pred.predict_batch(loaded, archs, "d1"), before)
     # byte-identical re-save
     second = tmp_path / "ckpt2.json"
     pred.save_checkpoint(loaded, second, extra={"stage": "test"})
