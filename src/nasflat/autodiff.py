@@ -178,7 +178,8 @@ def matmul(a, b) -> Tensor:
 
     Stacked rows times one matrix, (..., n, k) @ (k, m), run as a single
     (rows, k) @ (k, m) GEMM, and the matrix's gradient is one (rows, k)^T
-    @ (rows, m) GEMM rather than a sum of per-slice products.
+    @ (rows, m) GEMM rather than a sum of per-slice products. Each output
+    row then has the same bits however many rows are stacked.
     """
     ad, bd = _data(a), _data(b)
     if ad.ndim < 2 or bd.ndim < 2:
@@ -205,7 +206,13 @@ def matmul(a, b) -> Tensor:
 
 def _rows_matmul(a, b, ad: Array, bd: Array) -> Tensor:
     a2 = ad.reshape(-1, ad.shape[-1])
-    out = Tensor(np.matmul(a2, bd).reshape(ad.shape[:-1] + bd.shape[-1:]))
+    if len(a2) == 1:
+        # numpy sends a one-row product to GEMV, which rounds differently
+        # from GEMM; a duplicated row keeps it on GEMM.
+        o2 = np.matmul(np.concatenate([a2, a2]), bd)[:1]
+    else:
+        o2 = np.matmul(a2, bd)
+    out = Tensor(o2.reshape(ad.shape[:-1] + bd.shape[-1:]))
     tape = _tape()
     if tape is not None:
 
@@ -368,16 +375,20 @@ def gather(table, idx) -> Tensor:
     return out
 
 
-def take_node(x, index: int) -> Tensor:
-    """Select one row along the second-to-last axis: x[..., index, :]."""
+def take_rows(x, rows) -> Tensor:
+    """Select rows along the second-to-last axis: x[..., rows, :].
+
+    `rows` is one index, which drops that axis, or an array of distinct
+    indices. The backward pass scatters the gradient into zeros of x's shape.
+    """
     xd = _data(x)
-    out = Tensor(xd[..., index, :].copy())
+    out = Tensor(np.take(xd, rows, axis=-2))
     tape = _tape()
     if tape is not None and isinstance(x, Tensor):
 
         def bwd(g: Array, acc) -> None:
             gx = np.zeros_like(xd)
-            gx[..., index, :] = g
+            gx[..., rows, :] = g
             acc(x, gx)
 
         tape._record(out, bwd)

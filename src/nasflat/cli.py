@@ -252,12 +252,21 @@ def cmd_pretrain(args) -> int:
     archmap = {a.arch_id: a for a in archs}
     seed = stable_seed("pretrain", args.seed)
     state = init_predictor(pred_cfg, [space], list(split.source), seed=seed)
+    live = state.live_slots[space.space_id]
+    if not live:
+        raise NasflatError(
+            f"{args.config}: /predictor: no op slot of {space.space_id} "
+            f"reaches the score with ophw_gcn_dims {list(pred_cfg.ophw_gcn_dims)} and "
+            f"gcn_dims {list(pred_cfg.gcn_dims)}, so every architecture would score the same"
+        )
     state, log = pretrain(
         state, table, list(split.source), archmap, train_cfg, encodings=encodings, seed=seed,
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(state, out, extra={"stage": "pretrain", "source_devices": list(split.source)})
+    save_checkpoint(state, out, extra={
+        "stage": "pretrain", "source_devices": list(split.source), "live_slots": list(live),
+    })
     inputs = [Path(args.latency), Path(args.archs), Path(args.split)] + (
         [Path(args.config)] if args.config else []
     ) + ([Path(args.encoding)] if args.encoding else [])
@@ -316,6 +325,7 @@ def cmd_transfer(args) -> int:
                 "samples": args.samples,
                 "sampled_ids": sorted(picked),
                 "warm_start_source": warm_start,
+                "live_slots": list(state.live_slots[space.space_id]),
             },
         )
         outputs += [ckpt, checkpoint_meta_path(ckpt)]

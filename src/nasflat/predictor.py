@@ -19,6 +19,16 @@ Layers treat row i of the given adjacency as node i's aggregation mask, so
 the predictor feeds the transposed (edge-reversed) template: messages flow
 from the source toward the sink whose embedding is read out.
 
+Only the sink row is read out, so each layer computes only the rows that
+reach it. The row plan, built once per space from the adjacency and the
+config's depths, walks back from the sink: the last main layer outputs the
+sink row, and every earlier layer outputs the rows its successor reads,
+which are the successor's output rows plus their in-neighbours. The op+hw
+refinement ends at the rows main layer 0 gates on and is walked back the
+same way. Each layer gets a rectangular (output rows x input rows) slice of
+the adjacency. The op slots inside the refinement's first layer's output
+rows are the live slots: the only ones whose op can change a score.
+
 Scores are a deterministic function of (inputs, parameters): identical calls
 are bitwise reproducible. Different batch partitionings of the same inputs
 agree to ~1e-12 but not bitwise, because BLAS blocks matmuls differently per
@@ -108,22 +118,33 @@ class GatWeights:
     ln_bias: Tensor
 
 
-def dgf_layer(x, adjacency: np.ndarray, op_feat, weights: DgfWeights) -> Tensor:
-    """Gated dense graph flow: gate * (A x W) + x W + b, gate = sigmoid(O Wg)."""
+def dgf_layer(x, adjacency: np.ndarray, op_feat, weights: DgfWeights, self_rows=None) -> Tensor:
+    """Gated dense graph flow: gate * (A x W) + x W + b, gate = sigmoid(O Wg).
+
+    With `self_rows`, x holds the input rows and op_feat the output rows,
+    `adjacency` is (output rows x input rows), and self_rows[i] is output
+    row i's position among the input rows.
+    """
     gate = ad.sigmoid(ad.matmul(op_feat, weights.w_gate))
     h = ad.matmul(x, weights.w_feat)
     agg = ad.matmul(np.asarray(adjacency, dtype=np.float64), h)
+    if self_rows is not None:
+        h = ad.take_rows(h, self_rows)
     return ad.add(ad.add(ad.mul(gate, agg), h), weights.bias)
 
 
-def gat_layer(x, adjacency: np.ndarray, op_feat, weights: GatWeights, leaky_slope: float = 0.2) -> Tensor:
+def gat_layer(
+    x, adjacency: np.ndarray, op_feat, weights: GatWeights, leaky_slope: float = 0.2, self_rows=None
+) -> Tensor:
     """Attention aggregation over in-neighbors, op-gated, LayerNormed.
 
     Row i of `adjacency` marks the nodes i may attend to; rows with empty
-    support aggregate the zero vector.
+    support aggregate the zero vector. `self_rows` selects the query rows
+    among x's rows, as in `dgf_layer`.
     """
     h = ad.matmul(x, weights.w_proj)
-    scores = ad.matmul(ad.mul(h, weights.attn), ad.transpose_last2(h))
+    query = h if self_rows is None else ad.take_rows(h, self_rows)
+    scores = ad.matmul(ad.mul(query, weights.attn), ad.transpose_last2(h))
     scores = ad.leaky_relu(scores, leaky_slope)
     attn = ad.masked_softmax(scores, np.asarray(adjacency, dtype=bool))
     agg = ad.matmul(attn, h)
@@ -132,14 +153,56 @@ def gat_layer(x, adjacency: np.ndarray, op_feat, weights: GatWeights, leaky_slop
 
 
 @dataclass(frozen=True)
+class _LayerRows:
+    """The node rows one graph layer reads and writes under the row plan.
+
+    `self_pos` places the output rows among the input rows, and `gate_pos`
+    among the output rows of the stack's first layer, where the gate
+    features are computed. Each is None where the two row sets are equal.
+    """
+
+    out: np.ndarray    # node indices the layer outputs, ascending
+    inp: np.ndarray    # out plus their in-neighbours, ascending
+    agg: np.ndarray    # agg[out][:, inp]
+    self_pos: np.ndarray | None
+    gate_pos: np.ndarray | None
+
+
+def _plan_layers(agg: np.ndarray, last_out: np.ndarray, n_layers: int) -> tuple[_LayerRows, ...]:
+    """Rows of each layer of an n_layers stack whose last layer outputs `last_out`.
+
+    Walks back from the last layer: a layer reads its output rows plus their
+    in-neighbours, and those are the rows the layer before it outputs.
+    """
+    rows = []
+    out = np.asarray(last_out, dtype=np.intp)
+    for _ in range(n_layers):
+        inp = np.union1d(out, np.flatnonzero(agg[out].any(axis=0)))
+        rows.insert(0, (out, inp))
+        out = inp
+    first = rows[0][0] if rows else None
+    return tuple(
+        _LayerRows(
+            out=out,
+            inp=inp,
+            agg=agg[np.ix_(out, inp)],
+            self_pos=None if len(out) == len(inp) else np.searchsorted(inp, out),
+            gate_pos=None if len(out) == len(first) else np.searchsorted(first, out),
+        )
+        for out, inp in rows
+    )
+
+
+@dataclass(frozen=True)
 class _SpaceTemplate:
     """Per-space constants the forward pass needs."""
 
-    agg: np.ndarray          # transposed lowered adjacency: rows = in-neighbors
-    node_ops: np.ndarray     # per-node op index, null-op at structural nodes
-    slot_nodes: np.ndarray   # node position of each op slot
-    sink: int
-    n_nodes: int
+    agg: np.ndarray                # transposed lowered adjacency: rows = in-neighbors
+    node_ops: np.ndarray           # per-node op index, null-op at structural nodes
+    slot_nodes: np.ndarray         # node position of each op slot
+    main: tuple[_LayerRows, ...]   # row plan of the DGF/GAT stack
+    ophw: tuple[_LayerRows, ...]   # row plan of the op+hw refinement
+    live_slots: tuple[int, ...]    # slots whose op can change a score
 
 
 class PredictorState:
@@ -159,9 +222,14 @@ class PredictorState:
         self.device_index = device_index
         self.null_op_index = null_op_index
         self._templates: dict[str, _SpaceTemplate] = {
-            sid: _make_template(sp, null_op_index) for sid, sp in spaces.items()
+            sid: _make_template(sp, config, null_op_index) for sid, sp in spaces.items()
         }
         self._views = _build_views(config, params)
+
+    @property
+    def live_slots(self) -> dict[str, tuple[int, ...]]:
+        """Per space, the slot indices whose op can change a score."""
+        return {sid: tpl.live_slots for sid, tpl in self._templates.items()}
 
     def device_row(self, device_id: str) -> int:
         try:
@@ -179,16 +247,22 @@ class PredictorState:
         return self.spaces[ids.pop()]
 
 
-def _make_template(space: SearchSpace, null_op_index: int) -> _SpaceTemplate:
-    adj = space.template_adjacency()
+def _make_template(space: SearchSpace, config: PredictorConfig, null_op_index: int) -> _SpaceTemplate:
+    agg = np.asarray(space.template_adjacency().T, dtype=np.float64)
     n = space.graph_size
-    node_ops = np.full(n, null_op_index, dtype=np.intp)
+    slot_nodes = np.asarray(space.slot_nodes, dtype=np.intp)
+    main = _plan_layers(agg, [n - 1], len(config.gcn_dims))
+    ophw = _plan_layers(agg, main[0].out, len(config.ophw_gcn_dims))
+    # Ops enter only through the refinement's gates, and its first layer
+    # gates on the most rows.
+    live = np.flatnonzero(np.isin(slot_nodes, ophw[0].out)) if ophw else ()
     return _SpaceTemplate(
-        agg=np.asarray(adj.T, dtype=np.float64),
-        node_ops=node_ops,
-        slot_nodes=np.asarray(space.slot_nodes, dtype=np.intp),
-        sink=n - 1,
-        n_nodes=n,
+        agg=agg,
+        node_ops=np.full(n, null_op_index, dtype=np.intp),
+        slot_nodes=slot_nodes,
+        main=main,
+        ophw=ophw,
+        live_slots=tuple(int(s) for s in live),
     )
 
 
@@ -349,30 +423,34 @@ def _mlp(x, layers: list[tuple[Tensor, Tensor]], activate_last: bool = False) ->
     return x
 
 
-def _node_rows(state: PredictorState, tpl: _SpaceTemplate, batch: int) -> Tensor:
-    """The template's node_embed rows as a (batch, n_nodes, node_embed_dim) input.
-
-    Every arch starts from these rows, so at batch 1 a stack's first layer
-    runs its x @ W, A @ h and attention once and broadcasts against the
-    per-arch gate.
-    """
-    node_idx = np.broadcast_to(np.arange(tpl.n_nodes, dtype=np.intp), (batch, tpl.n_nodes))
-    return ad.gather(state.params["node_embed"], node_idx)
-
-
-def _refined_op_features(state: PredictorState, tpl: _SpaceTemplate, node_ops: np.ndarray, device_row: int) -> Tensor:
-    """Joint op+hw embedding refined over the DAG; one feature row per node."""
-    op_feat = ad.gather(state.params["op_embed"], node_ops)
-    hw_feat = ad.gather(
-        state.params["hw_embed"], np.full(node_ops.shape, device_row, dtype=np.intp)
-    )
-    joint = ad.concat([op_feat, hw_feat], axis=-1)
-    # Without an op-gated layer nothing would broadcast shared rows back to
-    # the batch, so the rows are then gathered once per arch.
-    layers = state._views.ophw_layers
-    x = _node_rows(state, tpl, 1 if layers else node_ops.shape[0])
-    for w in layers:
-        x = dgf_layer(x, tpl.agg, joint, w)
+def _refined_op_features(
+    state: PredictorState,
+    plan: tuple[_LayerRows, ...],
+    out_rows: np.ndarray,
+    node_ops: np.ndarray,
+    device_row: int,
+) -> Tensor:
+    """Joint op+hw embedding refined over the DAG, one feature row per node in
+    `out_rows`; `plan` holds the rows of each refinement layer."""
+    node_embed = state.params["node_embed"]
+    if not plan:
+        # Without an op-gated layer nothing would broadcast shared rows back
+        # to the batch, so the rows are then gathered once per arch.
+        return _mlp(
+            ad.gather(node_embed, np.broadcast_to(out_rows, (len(node_ops), len(out_rows)))),
+            state._views.ophw_mlp,
+        )
+    ops = node_ops[:, plan[0].out]
+    joint = ad.concat([
+        ad.gather(state.params["op_embed"], ops),
+        ad.gather(state.params["hw_embed"], np.full(ops.shape, device_row, dtype=np.intp)),
+    ], axis=-1)
+    # Layer 0 starts from node rows shared by every arch, so at batch 1 it
+    # runs its x @ W and A @ h once and broadcasts against the per-arch gate.
+    x = ad.gather(node_embed, plan[0].inp[None, :])
+    for rows, w in zip(plan, state._views.ophw_layers):
+        feats = joint if rows.gate_pos is None else ad.take_rows(joint, rows.gate_pos)
+        x = dgf_layer(x, rows.agg, feats, w, rows.self_pos)
     return _mlp(x, state._views.ophw_mlp)
 
 
@@ -383,26 +461,31 @@ def _forward(
     device_row: int,
     supplementary: np.ndarray | None,
 ) -> Tensor:
-    """Batched forward pass; ops_rows is (batch, slot_count) int indices."""
+    """Batched forward pass over the row plan; ops_rows is (batch, slot_count) int indices."""
     tpl = state._templates[space.space_id]
     batch = ops_rows.shape[0]
     node_ops = np.tile(tpl.node_ops, (batch, 1))
     node_ops[:, tpl.slot_nodes] = ops_rows
-    refined = _refined_op_features(state, tpl, node_ops, device_row)
+    refined = _refined_op_features(state, tpl.ophw, tpl.main[0].out, node_ops, device_row)
+    gate_feats = [
+        refined if rows.gate_pos is None else ad.take_rows(refined, rows.gate_pos)
+        for rows in tpl.main
+    ]
 
     # Layer 0 of each stack gates with the per-arch `refined`, so its output
-    # has the batch's leading dimension.
+    # has the batch's leading dimension. The last layer outputs the sink row.
+    x0 = ad.gather(state.params["node_embed"], tpl.main[0].inp[None, :])
     sinks = []
     if state.config.gnn_kind in ("dgf", "ensemble"):
-        x = _node_rows(state, tpl, 1)
-        for w in state._views.dgf_layers:
-            x = dgf_layer(x, tpl.agg, refined, w)
-        sinks.append(ad.take_node(x, tpl.sink))
+        x = x0
+        for rows, feats, w in zip(tpl.main, gate_feats, state._views.dgf_layers):
+            x = dgf_layer(x, rows.agg, feats, w, rows.self_pos)
+        sinks.append(ad.take_rows(x, 0))
     if state.config.gnn_kind in ("gat", "ensemble"):
-        x = _node_rows(state, tpl, 1)
-        for w in state._views.gat_layers:
-            x = gat_layer(x, tpl.agg, refined, w, state.config.leaky_slope)
-        sinks.append(ad.take_node(x, tpl.sink))
+        x = x0
+        for rows, feats, w in zip(tpl.main, gate_feats, state._views.gat_layers):
+            x = gat_layer(x, rows.agg, feats, w, state.config.leaky_slope, rows.self_pos)
+        sinks.append(ad.take_rows(x, 0))
     sink = sinks[0] if len(sinks) == 1 else ad.scale(ad.add(sinks[0], sinks[1]), 0.5)
 
     head_in = sink
@@ -451,9 +534,11 @@ def refine_op_embeddings(state: PredictorState, arch: Architecture, device_id: s
     space = state.space_for([arch])
     tpl = state._templates[space.space_id]
     row = state.device_row(device_id)
-    node_ops = np.tile(tpl.node_ops, (1, 1))
-    node_ops[:, tpl.slot_nodes] = np.asarray(arch.ops, dtype=np.intp)
-    refined = _refined_op_features(state, tpl, node_ops, row)
+    node_ops = tpl.node_ops.copy()
+    node_ops[tpl.slot_nodes] = arch.ops
+    every = np.arange(space.graph_size)
+    plan = _plan_layers(tpl.agg, every, len(state.config.ophw_gcn_dims))
+    refined = _refined_op_features(state, plan, every, node_ops[None, :], row)
     return refined.data[0, tpl.slot_nodes, :].copy()
 
 

@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately written straight-line (python loops, counting
-formulas) so it shares no code path with the implementations under test. The
-finite-difference checker is the one exception: it reuses the library's tape
-to get the analytic gradients it checks.
+formulas) so it shares no code path with the implementations under test. Two
+exceptions: the finite-difference checker reuses the library's tape to get the
+analytic gradients it checks, and the dense forward pass reuses the layer
+functions to check the row plan that `predictor._forward` runs them on.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from nasflat import autodiff as ad
+from nasflat import predictor as pred
 
 
 def rank_by_counting(x):
@@ -184,3 +186,46 @@ def finite_diff_check(
             report.worst_param = name
             report.worst_index = idx
     return report
+
+
+def dense_forward(state, space, ops_rows, device_row, supplementary=None):
+    """The predictor's forward pass computing every node row in every layer.
+
+    The reference for the row-planned `predictor._forward`: it runs each
+    layer over the full square adjacency and reads out the sink row at the
+    end. It shares the layer functions and primitives, not the row plan.
+    """
+    config, views, params = state.config, state._views, state.params
+    n = space.graph_size
+    agg = np.asarray(space.template_adjacency().T, dtype=np.float64)
+    batch = len(ops_rows)
+    node_ops = np.full((batch, n), state.null_op_index, dtype=np.intp)
+    node_ops[:, list(space.slot_nodes)] = ops_rows
+
+    def node_rows(b):
+        return ad.gather(params["node_embed"], np.broadcast_to(np.arange(n), (b, n)))
+
+    joint = ad.concat([
+        ad.gather(params["op_embed"], node_ops),
+        ad.gather(params["hw_embed"], np.full(node_ops.shape, device_row, dtype=np.intp)),
+    ], axis=-1)
+    x = node_rows(1 if views.ophw_layers else batch)
+    for w in views.ophw_layers:
+        x = pred.dgf_layer(x, agg, joint, w)
+    refined = pred._mlp(x, views.ophw_mlp)
+
+    sinks = []
+    if config.gnn_kind in ("dgf", "ensemble"):
+        x = node_rows(1)
+        for w in views.dgf_layers:
+            x = pred.dgf_layer(x, agg, refined, w)
+        sinks.append(ad.take_rows(x, n - 1))
+    if config.gnn_kind in ("gat", "ensemble"):
+        x = node_rows(1)
+        for w in views.gat_layers:
+            x = pred.gat_layer(x, agg, refined, w, config.leaky_slope)
+        sinks.append(ad.take_rows(x, n - 1))
+    sink = sinks[0] if len(sinks) == 1 else ad.scale(ad.add(sinks[0], sinks[1]), 0.5)
+    if config.supplementary_dim:
+        sink = ad.concat([sink, np.asarray(supplementary, dtype=np.float64)], axis=-1)
+    return pred._mlp(sink, views.head)

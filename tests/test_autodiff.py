@@ -120,8 +120,31 @@ def test_concat_gather_take_transpose_gradients():
     x = ad.param(RNG.normal(size=(2, 5, 3)))
     w3 = RNG.normal(size=(2, 3))
     w4 = RNG.normal(size=(2, 3, 5))
-    _fd_check(lambda: ad.sum_all(ad.mul(ad.take_node(x, 2), w3)), {"x": x})
+    _fd_check(lambda: ad.sum_all(ad.mul(ad.take_rows(x, 2), w3)), {"x": x})
     _fd_check(lambda: ad.sum_all(ad.mul(ad.transpose_last2(x), w4)), {"x": x})
+
+
+def test_take_rows_values_and_gradient():
+    x = ad.param(RNG.normal(size=(2, 5, 3)))
+    rows = np.array([4, 0, 2])
+    w = RNG.normal(size=(2, 3, 3))
+    assert np.array_equal(ad.take_rows(x, rows).data, x.data[:, rows, :])
+    assert ad.take_rows(x, 1).shape == (2, 3)
+    _fd_check(lambda: ad.sum_all(ad.mul(ad.take_rows(x, rows), w)), {"x": x})
+    with ad.recording() as tape:
+        loss = ad.sum_all(ad.mul(ad.take_rows(x, rows), w))
+    g = ad.backward(tape, loss)[x]
+    assert np.array_equal(g[:, rows, :], w)
+    assert np.all(g[:, [1, 3], :] == 0.0)  # unread rows get exact zeros
+
+
+def test_stacked_rows_matmul_bits_do_not_depend_on_row_count():
+    """A row's product has the same bits alone as among other rows (no GEMV for one row)."""
+    a = RNG.normal(size=(1, 6, 48))
+    w = RNG.normal(size=(48, 128))
+    full = ad.matmul(a, w).data
+    for r in range(6):
+        assert np.array_equal(ad.matmul(a[:, r : r + 1], w).data[0, 0], full[0, r])
 
 
 def test_sigmoid_at_zero():

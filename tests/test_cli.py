@@ -384,9 +384,36 @@ def _transfer_argv(workspace, out_dir, *extra):
 def test_transfer_records_warm_start_source(workspace, tmp_path):
     split = DeviceSplit.from_json(workspace[2].read_text())
     assert run(_transfer_argv(workspace, tmp_path)) == 0
+    pretrained = json.loads(Path(str(workspace[4]) + ".meta.json").read_text())
+    assert pretrained["extra"]["live_slots"] == [0, 1, 2, 3, 4, 5]
     for device in split.target:
         meta = json.loads((tmp_path / f"transfer_{device}.json.meta.json").read_text())
         assert meta["extra"]["warm_start_source"] in split.source
+        assert meta["extra"]["live_slots"] == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("space, predictor", [
+    ("nb201", {"ophw_gcn_dims": [16], "gcn_dims": [16]}),
+    ("fbnet", {"ophw_gcn_dims": []}),
+], ids=["nb201_one_layer_stacks", "fbnet_no_refinement"])
+def test_pretrain_without_live_slots_is_config_error(tmp_path, capsys, space, predictor):
+    """A predictor whose sink sees no op slot scores every arch the same: exit 3, no checkpoint."""
+    data = tmp_path / "data"
+    assert run(["synth", "--space", space, "--devices", "3", "--archs", "20",
+                "--seed", "1", "--out-dir", str(data)]) == 0
+    split = tmp_path / "split.json"
+    split.write_text(DeviceSplit(("d00", "d01"), ("d02",), 0.0).to_json())
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"version": 1, "train": {"epochs": 1}, "predictor": predictor}))
+    capsys.readouterr()
+    code = run(["pretrain", "--config", str(config), "--latency", str(data / "latency.csv"),
+                "--archs", str(data / "archs.jsonl"), "--split", str(split),
+                "--out", str(tmp_path / "c.json")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    dims = f"ophw_gcn_dims {predictor['ophw_gcn_dims']} and gcn_dims {predictor.get('gcn_dims', [128, 128, 128])}"
+    assert f"{config}: /predictor: no op slot of {space} reaches the score with {dims}" in err, err
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_transfer_one_call_matches_per_target_calls(workspace, tmp_path):

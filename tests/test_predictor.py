@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import dgf_reference, finite_diff_check, gat_reference
+from oracles import dense_forward, dgf_reference, finite_diff_check, gat_reference
 
 from nasflat import archspace as asp
 from nasflat import autodiff as ad
@@ -388,6 +388,106 @@ def test_first_layer_of_each_stack_runs_once_per_batch(nb201, monkeypatch):
         assert seen[name] == (1, n, d), name
     for name in later.values():
         assert seen[name][0] == 6, name
+
+
+# --- row plan ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def fbnet():
+    return asp.fbnet_space()
+
+
+def test_live_slots_are_the_sink_cone(nb201, fbnet):
+    both = pred.init_predictor(pred.PredictorConfig(), [nb201, fbnet], ["d0"], seed=0)
+    assert both.live_slots == {"fbnet": (18, 19, 20, 21), "nb201": (0, 1, 2, 3, 4, 5)}
+    shallow = pred.PredictorConfig(ophw_gcn_dims=(128,), gcn_dims=(128,))
+    assert pred.init_predictor(shallow, [nb201], ["d0"], seed=0).live_slots == {"nb201": ()}
+    no_refine = pred.PredictorConfig(ophw_gcn_dims=())
+    assert pred.init_predictor(no_refine, [fbnet], ["d0"], seed=0).live_slots == {"fbnet": ()}
+
+
+def test_fbnet_score_moves_exactly_with_live_slot_ops(fbnet):
+    """Changing the op at a dead slot keeps the score's bits; at a live slot it changes it."""
+    st = pred.init_predictor(pred.PredictorConfig(), [fbnet], ["d0"], seed=6)
+    live = set(st.live_slots["fbnet"])
+    arch = asp.random_architecture(fbnet, 3)
+    variants = []
+    for slot in range(fbnet.slot_count):
+        ops = list(arch.ops)
+        ops[slot] = (ops[slot] + 1) % len(fbnet.op_vocab)
+        variants.append(asp.make_architecture(fbnet, ops))
+    base = pred.predict_batch(st, [arch], "d0")[0]
+    scores = [pred.predict_batch(st, [v], "d0")[0] for v in variants]
+    assert [s != base for s in scores] == [slot in live for slot in range(fbnet.slot_count)]
+
+
+@pytest.mark.parametrize("kind", pred.GNN_KINDS)
+@pytest.mark.parametrize("supp_dim", [0, 3])
+def test_fbnet_forward_bitwise_equals_dense_oracle(fbnet, kind, supp_dim):
+    st = pred.init_predictor(pred.PredictorConfig(gnn_kind=kind, supplementary_dim=supp_dim),
+                             [fbnet], ["d0", "d1"], seed=8)
+    rng = np.random.default_rng(1)
+    ops = rng.integers(0, len(fbnet.op_vocab), size=(500, fbnet.slot_count))
+    supp = rng.normal(size=(500, supp_dim)) if supp_dim else None
+    for b in (1, 16, 64, 500):
+        s = None if supp is None else supp[:b]
+        got = pred._forward(st, fbnet, ops[:b], 1, s).data
+        assert got.tobytes() == dense_forward(st, fbnet, ops[:b], 1, s).data.tobytes(), b
+
+
+@pytest.mark.parametrize("kind", pred.GNN_KINDS)
+def test_nb201_forward_agrees_with_dense_oracle(nb201, kind):
+    st = pred.init_predictor(pred.PredictorConfig(gnn_kind=kind), [nb201], ["d0"], seed=8)
+    ops = np.random.default_rng(2).integers(0, len(nb201.op_vocab), size=(64, nb201.slot_count))
+    for b in (1, 16, 64):
+        got = pred._forward(st, nb201, ops[:b], 0, None).data
+        want = dense_forward(st, nb201, ops[:b], 0, None).data
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12, b
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(ophw_gcn_dims=(32,), gcn_dims=(32,))],
+                         ids=["default", "one_layer"])
+def test_nb201_gradients_agree_with_dense_oracle(nb201, overrides):
+    """Per-parameter gradients match within 1e-12, and rows no layer reads get exact zeros."""
+    st = pred.init_predictor(pred.PredictorConfig(**overrides), [nb201], ["d0", "d1"], seed=9)
+    ops = np.random.default_rng(3).integers(0, len(nb201.op_vocab), size=(16, nb201.slot_count))
+    weights = np.random.default_rng(4).normal(size=(16, 1))
+
+    def grads(forward):
+        with ad.recording() as tape:
+            loss = ad.sum_all(ad.mul(forward(st, nb201, ops, 1, None), weights))
+        return ad.named_grads(st.params, ad.backward(tape, loss))
+
+    got, want = grads(pred._forward), grads(dense_forward)
+    for name, w in want.items():
+        scale = max(np.max(np.abs(w)), 1e-300)
+        assert np.max(np.abs(got[name] - w)) <= 1e-12 * scale, name
+        assert np.all(got[name][w == 0.0] == 0.0), name
+    if overrides:  # the sink's cone misses nodes 0, 1, 2 and 4
+        assert np.all(got["node_embed"][[0, 1, 2, 4]] == 0.0)
+
+
+def test_layers_project_only_the_rows_the_readout_reads(nb201, fbnet, monkeypatch):
+    """The last main layer gates one row per arch; the fbnet refinement projects at most 5."""
+    rows = {}
+    real = ad.matmul
+
+    def spy(a, b):
+        rows.setdefault(id(b), set()).add(ad._data(a).shape[-2])
+        return real(a, b)
+
+    monkeypatch.setattr(ad, "matmul", spy)
+    for space in (nb201, fbnet):
+        rows.clear()
+        st = pred.init_predictor(pred.PredictorConfig(), [space], ["d0"], seed=2)
+        pred.predict_batch(st, [asp.random_architecture(space, s) for s in range(4)], "d0")
+        seen = {name: rows[id(t)] for name, t in st.params.items() if id(t) in rows}
+        assert seen["dgf2.w_gate"] == seen["gat2.w_gate"] == {1}, space.space_id
+        if space is fbnet:
+            for name, n in seen.items():
+                if name.startswith("ophw_gcn"):
+                    assert max(n) <= 5, name
+            assert seen["dgf2.w_feat"] == seen["gat2.w_proj"] == {2}
 
 
 # --- hardware embedding init ----------------------------------------------------
