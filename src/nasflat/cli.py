@@ -37,7 +37,7 @@ from .devicesets import (
     kl_bisect,
     prune_to_sizes,
 )
-from .errors import NasflatError
+from .errors import BadField, NasflatError
 from .pipeline import (
     EvalReport,
     TrainConfig,
@@ -119,6 +119,8 @@ def _load_run_config(
             raise NasflatError(f"{path}: /{key}: unknown section")
     try:
         train = TrainConfig.for_space(space, **doc.get("train", {}))
+    except BadField as e:
+        raise NasflatError(f"{path}: /train/{e}") from None
     except (TypeError, ValueError) as e:
         raise NasflatError(f"{path}: /train: {e}") from None
     pred_section = doc.get("predictor", {})
@@ -128,6 +130,8 @@ def _load_run_config(
         )
     try:
         predictor = PredictorConfig(**pred_section)
+    except BadField as e:
+        raise NasflatError(f"{path}: /predictor/{e}") from None
     except (TypeError, ValueError) as e:
         raise NasflatError(f"{path}: /predictor: {e}") from None
     sampler_section = doc.get("sampler", {})

@@ -12,6 +12,13 @@ class NasflatError(Exception):
     """Base class for all errors raised by this package."""
 
 
+# --- configs -----------------------------------------------------------------
+
+class BadField(NasflatError, TypeError):
+    """A config field holds a value of the wrong type. The message starts
+    with the field's JSON pointer relative to its config object."""
+
+
 # --- architecture / search space -----------------------------------------
 
 class ArchitectureError(NasflatError):

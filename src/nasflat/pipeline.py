@@ -38,6 +38,7 @@ from .predictor import (
     init_target_hw_embedding,
     predict_batch,
     register_device,
+    require_int_fields,
 )
 from .rng import rng_for
 
@@ -54,9 +55,12 @@ class TrainConfig:
     source_samples: int = 900  # per-device pretraining budget
 
     def __post_init__(self):
-        positive = (self.lr, self.transfer_lr, self.batch_size, self.hinge_margin)
+        require_int_fields(self)
+        positive = (self.lr, self.transfer_lr, self.hinge_margin, self.source_samples)
         if any(v <= 0 for v in positive):
-            raise ValueError("lr, transfer_lr, batch_size, hinge_margin must be positive")
+            raise ValueError("lr, transfer_lr, hinge_margin, source_samples must be positive")
+        if self.batch_size < 2:
+            raise ValueError("batch_size must be >= 2: a one-arch batch has no pair to rank")
         if self.epochs < 0 or self.transfer_epochs < 0 or self.weight_decay < 0:
             raise ValueError("epochs, transfer_epochs, weight_decay must be >= 0")
 
@@ -193,6 +197,11 @@ def pretrain(
         if len(ids) > config.source_samples:
             picks = budget_rng.permutation(len(ids))[: config.source_samples]
             ids = [ids[i] for i in sorted(picks)]
+        if len(ids) < 2:
+            raise InsufficientData(
+                f"/train/source_samples: a budget of {config.source_samples} leaves "
+                f"source device {device!r} no pair of archs to rank"
+            )
         ids_by_device[device] = ids
 
     adam = AdamState.for_params(state.params)

@@ -37,10 +37,10 @@ batch shape.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -52,6 +52,7 @@ from .archspace import Architecture, SearchSpace, get_space
 from .autodiff import Tensor
 from .devicesets import LatencyTable, spearman
 from .errors import (
+    BadField,
     BadSupplementaryDim,
     BadCheckpoint,
     ConstantInput,
@@ -60,11 +61,31 @@ from .errors import (
     UnknownDevice,
 )
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 PREDICT_CHUNK = 64  # archs per inference forward in predict_batch
 
 GNN_KINDS = ("dgf", "gat", "ensemble")
+
+
+def require_int_fields(config) -> None:
+    """Raise BadField unless each `int` field of dataclass `config` holds an
+    int and each `tuple[int, ...]` field a list or tuple of ints. Bools are
+    not ints here. (The annotations are strings under `from __future__
+    import annotations`.)"""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int":
+            items = [(f.name, value)]
+        elif f.type == "tuple[int, ...]":
+            if not isinstance(value, (list, tuple)):
+                raise BadField(f"{f.name}: must be a list of integers, got {value!r}")
+            items = [(f"{f.name}/{i}", v) for i, v in enumerate(value)]
+        else:
+            continue
+        for pointer, v in items:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise BadField(f"{pointer}: must be an integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +102,7 @@ class PredictorConfig:
     leaky_slope: float = 0.2
 
     def __post_init__(self):
+        require_int_fields(self)
         dims = (
             (self.op_embed_dim, self.node_embed_dim, self.hw_embed_dim)
             + tuple(self.ophw_gcn_dims)
@@ -177,7 +199,9 @@ def _plan_layers(agg: np.ndarray, last_out: np.ndarray, n_layers: int) -> tuple[
     rows = []
     out = np.asarray(last_out, dtype=np.intp)
     for _ in range(n_layers):
-        inp = np.union1d(out, np.flatnonzero(agg[out].any(axis=0)))
+        mask = agg[out].any(axis=0)
+        mask[out] = True
+        inp = np.flatnonzero(mask)
         rows.insert(0, (out, inp))
         out = inp
     first = rows[0][0] if rows else None
@@ -315,7 +339,7 @@ def _param_specs(
     """Name -> (init kind, shape, glorot fan_in + fan_out), in draw order.
 
     The one definition of the parameter layout: `init_predictor` draws from
-    it and `load_checkpoint` checks a file's names and shapes against it.
+    it and `load_checkpoint` lays a file's bytes out by it.
     """
     max_nodes = max(s.graph_size for s in spaces)
     specs: dict[str, tuple[str, tuple[int, ...], int]] = {}
@@ -592,39 +616,35 @@ def checkpoint_meta_path(path) -> Path:
 def save_checkpoint(state: PredictorState, path, extra: dict | None = None) -> None:
     """Write parameters to `path` and config/registry to its meta path.
 
-    Each parameter is stored as its shape plus the base64 of its row-major
-    little-endian float64 bytes, so loading returns the saved values bit for
-    bit. The meta records the SHA-256 of the parameter file. `extra` is an
+    `path` holds the parameters' row-major little-endian float64 bytes,
+    concatenated in `_param_specs` order, and nothing else: the meta's
+    config, spaces and device registry fix the layout, and loading returns
+    the saved values bit for bit. Each parameter's buffer goes to the file
+    and to the SHA-256 the meta records, with no copy. `extra` is an
     arbitrary JSON-serializable annotation block (e.g. the transfer stage's
     target device and sample list).
     """
     path = Path(path)
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "params": {
-            name: {
-                "shape": list(t.data.shape),
-                "f64le": base64.b64encode(np.asarray(t.data, dtype="<f8").tobytes()).decode("ascii"),
-            }
-            for name, t in state.params.items()
-        },
-    }
-    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    path.write_bytes(blob)
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        for name in _param_specs(state.config, list(state.spaces.values()), len(state.device_index)):
+            data = np.ascontiguousarray(state.params[name].data, dtype="<f8")
+            f.write(data)
+            digest.update(data)
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(state.config),
         "devices": state.device_index,
         "space_ids": sorted(state.spaces),
         "null_op_index": state.null_op_index,
-        "params_sha256": hashlib.sha256(blob).hexdigest(),
+        "params_sha256": digest.hexdigest(),
         "extra": extra or {},
     }
     checkpoint_meta_path(path).write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
 
 
-def _read_document(path: Path, keys: tuple[str, ...]) -> tuple[bytes, dict]:
-    """The bytes and parsed object of one checkpoint file, version and keys checked."""
+def _read_meta(path: Path, keys: tuple[str, ...]) -> dict:
+    """The parsed meta document at `path`, version and keys checked."""
     try:
         blob = path.read_bytes()
     except OSError as e:
@@ -643,22 +663,22 @@ def _read_document(path: Path, keys: tuple[str, ...]) -> tuple[bytes, dict]:
     missing = [k for k in keys if k not in doc]
     if missing:
         raise BadCheckpoint(f"{path}: missing keys {missing}")
-    return blob, doc
+    return doc
 
 
 def load_checkpoint(path) -> tuple[PredictorState, dict]:
     """Read a checkpoint written by `save_checkpoint`; returns (state, extra).
 
-    Raises BadCheckpoint naming the file, and the parameter where there is
-    one, if either document is unreadable, of another version or missing
-    keys (config fields included: a default would silently stand in for the
-    trained value); if the parameter file's SHA-256 differs from the meta's
-    `params_sha256`; or if a parameter's name, shape or byte length differs
-    from what the meta's config and device registry imply.
+    Raises BadCheckpoint naming the file if the meta is unreadable, of
+    another version or missing keys (config fields included: a default would
+    silently stand in for the trained value); if the parameter file's
+    SHA-256 differs from the meta's `params_sha256`; or if its byte length
+    differs from what the meta's config and device registry imply. The
+    parameters are views of one buffer holding the file.
     """
     path = Path(path)
     meta_path = checkpoint_meta_path(path)
-    _, meta = _read_document(
+    meta = _read_meta(
         meta_path, ("config", "devices", "space_ids", "null_op_index", "params_sha256", "extra")
     )
     try:
@@ -674,6 +694,8 @@ def load_checkpoint(path) -> tuple[PredictorState, dict]:
             raise TypeError("extra is not an object")
     except KeyError as e:
         raise BadCheckpoint(f"{meta_path}: key {e} missing or unknown") from None
+    except BadField as e:
+        raise BadCheckpoint(f"{meta_path}: /config/{e}") from None
     except (TypeError, ValueError, AttributeError) as e:
         raise BadCheckpoint(f"{meta_path}: {e}") from None
     if sorted(device_index.values()) != list(range(len(device_index))):
@@ -681,34 +703,22 @@ def load_checkpoint(path) -> tuple[PredictorState, dict]:
     if null_op_index != _null_op_index(list(spaces.values())):
         raise BadCheckpoint(f"{meta_path}: null_op_index {null_op_index} does not fit its spaces")
 
-    blob, payload = _read_document(path, ("params",))
-    if hashlib.sha256(blob).hexdigest() != meta["params_sha256"]:
+    try:
+        with open(path, "rb") as f:
+            buf = bytearray(os.fstat(f.fileno()).st_size)
+            f.readinto(buf)
+    except OSError as e:
+        raise BadCheckpoint(f"{path}: cannot read: {e.strerror or e}") from None
+    if hashlib.sha256(buf).hexdigest() != meta["params_sha256"]:
         raise BadCheckpoint(f"{path}: SHA-256 differs from params_sha256 in {meta_path}")
-    entries = payload["params"]
-    if not isinstance(entries, dict):
-        raise BadCheckpoint(f"{path}: params is not an object")
-    odd = sorted(set(expected).symmetric_difference(entries))
-    if odd:
-        how = "is missing" if odd[0] in expected else "is not in the layout"
-        raise BadCheckpoint(f"{path}: parameter {odd[0]!r} {how} that {meta_path} implies")
-    params = {}
-    for name, entry in entries.items():
-        shape = expected[name][1]
-        try:
-            if tuple(entry["shape"]) != shape:
-                raise BadCheckpoint(
-                    f"{path}: parameter {name!r} has shape {entry['shape']}, "
-                    f"{meta_path} implies {list(shape)}"
-                )
-            raw = base64.b64decode(entry["f64le"], validate=True)
-        except KeyError as e:
-            raise BadCheckpoint(f"{path}: parameter {name!r}: missing key {e}") from None
-        except (TypeError, ValueError) as e:
-            raise BadCheckpoint(f"{path}: parameter {name!r}: {e}") from None
-        if len(raw) != 8 * math.prod(shape):
-            raise BadCheckpoint(
-                f"{path}: parameter {name!r} holds {len(raw)} bytes, shape {list(shape)} "
-                f"needs {8 * math.prod(shape)}"
-            )
-        params[name] = ad.param(np.frombuffer(raw, dtype="<f8").reshape(shape))
+    sizes = [math.prod(shape) for _, shape, _ in expected.values()]
+    if len(buf) != 8 * sum(sizes):
+        raise BadCheckpoint(
+            f"{path}: holds {len(buf)} bytes, the layout {meta_path} implies needs {8 * sum(sizes)}"
+        )
+    flat = np.frombuffer(buf, dtype="<f8")
+    params, start = {}, 0
+    for (name, (_, shape, _)), size in zip(expected.items(), sizes):
+        params[name] = Tensor(flat[start : start + size].reshape(shape))
+        start += size
     return PredictorState(config, spaces, params, device_index, null_op_index), meta["extra"]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import shutil
@@ -213,86 +212,67 @@ def test_search_flow_and_timing(workspace, transfers):
     assert code == 3  # EmptyFeasibleSet is a data error
 
 
-def _resign(ckpt, doc):
-    """Rewrite the params document and record its new digest in the meta."""
-    ckpt.write_text(json.dumps(doc, sort_keys=True))
+def _edit_meta(ckpt, edit):
+    """Apply `edit` to the parsed meta of `ckpt` and write it back."""
     meta_path = Path(str(ckpt) + ".meta.json")
     meta = json.loads(meta_path.read_text())
-    meta["params_sha256"] = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+    edit(meta)
     meta_path.write_text(json.dumps(meta, sort_keys=True))
+    return meta_path
 
 
 def _as_version_1(ckpt, archs):
-    doc = json.loads(ckpt.read_text())
-    doc["version"] = 1
-    for entry in doc["params"].values():
-        entry["data"] = np.frombuffer(base64.b64decode(entry.pop("f64le")), "<f8").tolist()
-    ckpt.write_text(json.dumps(doc, sort_keys=True))
-    meta_path = Path(str(ckpt) + ".meta.json")
-    meta = json.loads(meta_path.read_text())
-    meta["version"] = 1
-    del meta["params_sha256"]
-    meta_path.write_text(json.dumps(meta, sort_keys=True))
-    return meta_path, "version 1"
+    def edit(meta):
+        meta["version"] = 1
+        del meta["params_sha256"]
+    return _edit_meta(ckpt, edit), "version 1"
 
 
 def _wrong_version(ckpt, archs):
-    doc = json.loads(ckpt.read_text())
-    doc["version"] = 9
-    ckpt.write_text(json.dumps(doc, sort_keys=True))
-    return ckpt, "version 9"
+    return _edit_meta(ckpt, lambda meta: meta.update(version=9)), "version 9"
 
 
 def _truncated(ckpt, archs):
     blob = ckpt.read_bytes()
     ckpt.write_bytes(blob[: len(blob) // 2])
-    return ckpt, "invalid JSON"
-
-
-def _digest_mismatch(ckpt, archs):
-    doc = json.loads(ckpt.read_text())
-    entry = doc["params"]["head0.b"]
-    values = np.frombuffer(base64.b64decode(entry["f64le"]), "<f8") + 1.0
-    entry["f64le"] = base64.b64encode(values.tobytes()).decode("ascii")
-    ckpt.write_text(json.dumps(doc, sort_keys=True))
     return ckpt, "params_sha256"
 
 
-def _wrong_shape(ckpt, archs):
-    doc = json.loads(ckpt.read_text())
-    doc["params"]["head0.b"]["shape"] = [1, 200]
-    _resign(ckpt, doc)
-    return ckpt, "'head0.b' has shape [1, 200]"
+def _digest_mismatch(ckpt, archs):
+    blob = bytearray(ckpt.read_bytes())
+    blob[len(blob) // 3] ^= 0x01
+    ckpt.write_bytes(blob)
+    return ckpt, "params_sha256"
 
 
 def _short_param(ckpt, archs):
-    doc = json.loads(ckpt.read_text())
-    entry = doc["params"]["head0.b"]
-    entry["f64le"] = base64.b64encode(base64.b64decode(entry["f64le"])[:-8]).decode("ascii")
-    _resign(ckpt, doc)
-    return ckpt, "'head0.b' holds 1592 bytes"
+    blob = ckpt.read_bytes()[:-8]
+    ckpt.write_bytes(blob)
+    _edit_meta(ckpt, lambda meta: meta.update(params_sha256=hashlib.sha256(blob).hexdigest()))
+    return ckpt, f"holds {len(blob)} bytes, the layout"
 
 
-def _renamed_param(ckpt, archs):
-    doc = json.loads(ckpt.read_text())
-    doc["params"]["head9.b"] = doc["params"].pop("head0.b")
-    _resign(ckpt, doc)
-    return ckpt, "'head0.b' is missing"
+def _config_implies_other_layout(ckpt, archs):
+    meta_path = _edit_meta(ckpt, lambda meta: meta["config"].update(head_mlp_dims=[200, 200, 199]))
+    return ckpt, f"the layout {meta_path} implies needs"
+
+
+def _devices_imply_other_layout(ckpt, archs):
+    meta_path = _edit_meta(ckpt, lambda meta: meta["devices"].update(extra=len(meta["devices"])))
+    return ckpt, f"the layout {meta_path} implies needs"
+
+
+def _float_dims_in_meta(ckpt, archs):
+    meta_path = _edit_meta(ckpt, lambda meta: meta["config"].update(gcn_dims=[128, 128, 128.5]))
+    return meta_path, "/config/gcn_dims/2: must be an integer, got 128.5"
 
 
 def _missing_key(ckpt, archs):
-    meta_path = Path(str(ckpt) + ".meta.json")
-    meta = json.loads(meta_path.read_text())
-    del meta["config"]
-    meta_path.write_text(json.dumps(meta, sort_keys=True))
-    return meta_path, "missing keys ['config']"
+    return _edit_meta(ckpt, lambda meta: meta.pop("config")), "missing keys ['config']"
 
 
 def _missing_config_field(ckpt, archs):
-    meta_path = Path(str(ckpt) + ".meta.json")
-    meta = json.loads(meta_path.read_text())
-    del meta["config"]["leaky_slope"]
-    meta_path.write_text(json.dumps(meta, sort_keys=True))
+    meta_path = _edit_meta(ckpt, lambda meta: meta["config"].pop("leaky_slope"))
     return meta_path, "config is missing ['leaky_slope']"
 
 
@@ -312,9 +292,9 @@ def _op_index_out_of_vocab(ckpt, archs):
 
 
 @pytest.mark.parametrize("corrupt", [
-    _as_version_1, _wrong_version, _truncated, _digest_mismatch, _wrong_shape,
-    _short_param, _renamed_param, _missing_key, _missing_config_field, _missing_meta,
-    _op_index_out_of_vocab,
+    _as_version_1, _wrong_version, _truncated, _digest_mismatch, _short_param,
+    _config_implies_other_layout, _devices_imply_other_layout, _float_dims_in_meta,
+    _missing_key, _missing_config_field, _missing_meta, _op_index_out_of_vocab,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_unreadable_input_is_data_error(workspace, transfers, tmp_path, capsys, corrupt):
     """Bad checkpoints and JSONL archs exit 3 and name the file, not 4 or 0."""
@@ -509,7 +489,13 @@ def test_config_sampler_section_used_when_flags_absent(workspace, tmp_path):
     pytest.param("train", "trials", 5, "/train", id="train.trials"),
     pytest.param("predictor", "seed", 99, "/predictor", id="predictor.seed"),
     pytest.param("predictor", "hidden_dim", 96, "/predictor", id="predictor.hidden_dim"),
-    pytest.param("predictor", "gcn_dims", 5, "/predictor", id="predictor.gcn_dims"),
+    pytest.param("train", "epochs", 1.5, "/train/epochs", id="train.epochs_float"),
+    pytest.param("train", "batch_size", 2.5, "/train/batch_size", id="train.batch_size_float"),
+    pytest.param("train", "batch_size", 1, "/train", id="train.batch_size_one"),
+    pytest.param("train", "source_samples", True, "/train/source_samples", id="train.source_samples_bool"),
+    pytest.param("predictor", "gcn_dims", [64.5], "/predictor/gcn_dims/0", id="predictor.gcn_dims_float"),
+    pytest.param("predictor", "op_embed_dim", True, "/predictor/op_embed_dim", id="predictor.op_embed_dim_bool"),
+    pytest.param("predictor", "gcn_dims", 5, "/predictor/gcn_dims", id="predictor.gcn_dims"),
     pytest.param("predictor", "gcn_dims", [], "/predictor", id="predictor.gcn_dims_empty"),
     pytest.param("predictor", "supplementary_dim", 13, "/predictor/supplementary_dim",
                  id="predictor.supplementary_dim"),
@@ -530,6 +516,23 @@ def test_bad_config_reports_json_pointer(workspace, tmp_path, capsys, section, f
     assert f"{bad}: {pointer}: " in err, err
     if field == "supplementary_dim":
         assert "set by --encoding" in err, err
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_pretrain_budget_without_a_pair_is_data_error(workspace, tmp_path, capsys):
+    """A one-arch per-device budget would train zero steps: exit 3 naming the field."""
+    _, data, split, _, _ = workspace
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"version": 1, "train": {"epochs": 1, "source_samples": 1}}))
+    capsys.readouterr()
+    code = run([
+        "pretrain", "--config", str(config), "--latency", str(data / "latency.csv"),
+        "--archs", str(data / "archs.jsonl"), "--split", str(split),
+        "--out", str(tmp_path / "c.json"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "/train/source_samples: a budget of 1 leaves source device" in err, err
     assert not (tmp_path / "c.json").exists()
 
 

@@ -7,10 +7,14 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import dense_forward, dgf_reference, finite_diff_check, gat_reference
 
 from nasflat import archspace as asp
@@ -18,6 +22,7 @@ from nasflat import autodiff as ad
 from nasflat import predictor as pred
 from nasflat.devicesets import LatencyTable
 from nasflat.errors import (
+    BadCheckpoint,
     BadSupplementaryDim,
     InsufficientOverlap,
     SpaceMismatch,
@@ -563,9 +568,11 @@ def test_checkpoint_roundtrip(state, nb201, tmp_path):
     before = pred.predict_batch(state, archs, "d1")
     path = tmp_path / "ckpt.json"
     pred.save_checkpoint(state, path, extra={"stage": "test"})
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert doc["version"] == pred.CHECKPOINT_VERSION
-    assert set(doc["params"]) == set(state.params)
+    meta = json.loads(pred.checkpoint_meta_path(path).read_text(encoding="utf-8"))
+    assert meta["version"] == pred.CHECKPOINT_VERSION
+    # The file is the parameters' float64 bytes in layout order, nothing else.
+    order = pred._param_specs(state.config, [nb201], len(state.device_index))
+    assert path.read_bytes() == b"".join(state.params[name].data.tobytes() for name in order)
     loaded, extra = pred.load_checkpoint(path)
     assert extra == {"stage": "test"}
     assert loaded.config == state.config
@@ -579,3 +586,98 @@ def test_checkpoint_roundtrip(state, nb201, tmp_path):
     second = tmp_path / "ckpt2.json"
     pred.save_checkpoint(loaded, second, extra={"stage": "test"})
     assert path.read_bytes() == second.read_bytes()
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc (numpy buffers included) while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkpoint_io_copies_no_parameters(state, tmp_path):
+    """Saving streams each parameter's own buffer; loading holds the file once."""
+    path = tmp_path / "ckpt.json"
+    pred.save_checkpoint(state, path)
+    assert _traced_peak(lambda: pred.save_checkpoint(state, path)) < 64 * 1024
+    assert _traced_peak(lambda: pred.load_checkpoint(path)) <= 1.1 * path.stat().st_size
+
+
+_SETUP_IMPORTS = """
+import sys
+import nasflat.cli
+from nasflat import archspace, predictor
+spaces = [archspace.get_space("nb201"), archspace.get_space("fbnet")]
+state = predictor.init_predictor(predictor.PredictorConfig(), spaces, ["d0"], seed=0)
+predictor.save_checkpoint(state, sys.argv[1])
+predictor.load_checkpoint(sys.argv[1])
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_predictor_setup_does_not_import_numpy_ma(tmp_path):
+    """numpy.ma is slow to import, and every CLI call builds a predictor: that must not pull it in."""
+    env = dict(os.environ)
+    src = str(Path(pred.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", _SETUP_IMPORTS, str(tmp_path / "c.json")],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.split()[-1] == "False"
+
+
+_DIMS = st.lists(st.integers(1, 4), max_size=2)
+
+
+@st.composite
+def _checkpoint_cases(draw):
+    """A tiny random predictor over one or both spaces, 1-3 devices, maybe one registered later."""
+    config = pred.PredictorConfig(
+        op_embed_dim=draw(st.integers(1, 4)),
+        node_embed_dim=draw(st.integers(1, 4)),
+        hw_embed_dim=draw(st.integers(1, 4)),
+        ophw_gcn_dims=tuple(draw(_DIMS)),
+        ophw_mlp_dims=tuple(draw(_DIMS)),
+        gcn_dims=tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))),
+        head_mlp_dims=tuple(draw(_DIMS)),
+        gnn_kind=draw(st.sampled_from(pred.GNN_KINDS)),
+        supplementary_dim=draw(st.integers(0, 3)),
+    )
+    space_ids = draw(st.sampled_from([["nb201"], ["fbnet"], ["nb201", "fbnet"]]))
+    devices = [f"d{i}" for i in range(draw(st.integers(1, 3)))]
+    state = pred.init_predictor(config, [asp.get_space(s) for s in space_ids], devices,
+                                seed=draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pred.register_device(state, "target")
+    return state
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(state=_checkpoint_cases(), data=st.data())
+def test_checkpoint_roundtrip_property(state, data):
+    """Random small predictors: save -> load is bitwise, re-saving is byte-identical,
+    and any one flipped byte of the parameter file is a BadCheckpoint."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        pred.save_checkpoint(state, path, extra={"n": 1})
+        loaded, extra = pred.load_checkpoint(path)
+        assert extra == {"n": 1}
+        assert loaded.config == state.config and loaded.device_index == state.device_index
+        assert list(loaded.params) == list(state.params)
+        for name, t in state.params.items():
+            assert loaded.params[name].data.shape == t.data.shape
+            assert loaded.params[name].data.tobytes() == t.data.tobytes()
+        again = Path(tmp) / "again.json"
+        pred.save_checkpoint(loaded, again, extra={"n": 1})
+        assert again.read_bytes() == path.read_bytes()
+        meta_of = pred.checkpoint_meta_path
+        assert meta_of(again).read_bytes() == meta_of(path).read_bytes()
+
+        blob = bytearray(path.read_bytes())
+        blob[data.draw(st.integers(0, len(blob) - 1), label="byte")] ^= data.draw(
+            st.integers(1, 255), label="mask")
+        path.write_bytes(blob)
+        with pytest.raises(BadCheckpoint, match="params_sha256"):
+            pred.load_checkpoint(path)
