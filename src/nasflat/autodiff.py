@@ -10,17 +10,22 @@ constants (adjacency masks, index arrays, pair matrices) are passed as plain
 numpy arrays and never receive gradients; learnable values are Tensors.
 
 Everything is float64. Tapes are single-owner: build one forward pass per
-tape from one thread.
+tape from one thread. Each thread has its own stack of active tapes, so
+threads that record at the same time never record onto each other's tape.
 
 On glibc, importing this module raises the allocator's mmap and trim
 thresholds once for the process (see `_keep_freed_memory_in_heap`).
+`blas_thread_setter` finds the thread-count setter of the OpenBLAS that
+numpy has loaded, for worker processes that pin BLAS to one thread.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -65,6 +70,44 @@ def _keep_freed_memory_in_heap() -> None:
 
 _keep_freed_memory_in_heap()
 
+# Exported by OpenBLAS builds: plain, ILP64-suffixed, and the scipy-openblas
+# wheels numpy bundles (prefixed, with or without the ILP64 suffix).
+_BLAS_THREAD_SETTERS = (
+    "openblas_set_num_threads", "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
+)
+
+
+@functools.cache
+def blas_thread_setter() -> Callable[[int], None] | None:
+    """The `set_num_threads(n)` of the OpenBLAS numpy has loaded, or None.
+
+    The library is found among the shared objects mapped into this process
+    (`/proc/self/maps`, so Linux only); dlopen of a mapped path returns the
+    loaded copy. None when no mapped OpenBLAS exports a known setter.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            paths = sorted({
+                fields[5] for fields in (line.rstrip("\n").split(None, 5) for line in fh)
+                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower()
+                and ".so" in fields[5]
+            })
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = (ctypes.c_int,)
+                setter.restype = None
+                return setter
+    return None
+
 
 class Tensor:
     """A float64 array tracked by the autodiff engine."""
@@ -103,22 +146,31 @@ class Tape:
         self._records.append((out, bwd))
 
 
-_ACTIVE: list[Tape] = []
+class _ActiveTapes(threading.local):
+    """This thread's stack of active tapes, innermost last."""
+
+    def __init__(self):
+        self.stack: list[Tape] = []
+
+
+_ACTIVE = _ActiveTapes()
 
 
 @contextmanager
 def recording(tape: Tape | None = None) -> Iterator[Tape]:
-    """Activate a tape; primitives called inside record onto it."""
+    """Activate a tape on this thread; primitives this thread calls inside record onto it."""
     tape = tape if tape is not None else Tape()
-    _ACTIVE.append(tape)
+    stack = _ACTIVE.stack
+    stack.append(tape)
     try:
         yield tape
     finally:
-        _ACTIVE.pop()
+        stack.pop()
 
 
 def _tape() -> Tape | None:
-    return _ACTIVE[-1] if _ACTIVE else None
+    stack = _ACTIVE.stack
+    return stack[-1] if stack else None
 
 
 def _data(x) -> Array:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -30,6 +31,7 @@ from .archspace import (
     read_architectures,
     save_encoding_table,
 )
+from .autodiff import blas_thread_setter
 from .devicesets import (
     CorrelationGraph,
     DeviceSplit,
@@ -37,7 +39,7 @@ from .devicesets import (
     kl_bisect,
     prune_to_sizes,
 )
-from .errors import BadField, NasflatError
+from .errors import BadField, BudgetTooSmall, NasflatError
 from .pipeline import (
     EvalReport,
     TrainConfig,
@@ -163,6 +165,8 @@ def _load_split(path: str, table: LatencyTable, latency_path: str) -> DeviceSpli
         split = DeviceSplit.from_json(text)
     except KeyError as e:
         raise NasflatError(f"{path}: device split is missing key {e}") from None
+    except BadField as e:
+        raise NasflatError(f"{path}: {e}") from None
     except (TypeError, ValueError) as e:
         raise NasflatError(f"{path}: not a device split object: {e}") from None
     unknown = sorted(set(split.source + split.target) - set(table.devices()))
@@ -182,6 +186,63 @@ def _load_encoding_arg(args) -> EncodingTable | None:
     if not getattr(args, "encoding", None):
         return None
     return load_encoding_table(args.encoding, getattr(args, "encoding_kind", "custom"), None)
+
+
+def _transfer_workers(n_targets: int) -> int:
+    """Worker processes for `n_targets` transfer jobs; 0 runs them in this process.
+
+    One worker per usable CPU, when there is more than one target and CPU and
+    the workers can pin their BLAS to one thread. Unpinned, each worker would
+    start the parent's BLAS thread pool and oversubscribe the cores.
+    """
+    if n_targets < 2 or blas_thread_setter() is None:
+        return 0
+    cpus = len(os.sched_getaffinity(0))
+    return min(n_targets, cpus) if cpus > 1 else 0
+
+
+_worker_job = None  # set in each transfer worker by _start_worker
+
+
+def _start_worker(job) -> None:
+    global _worker_job
+    setter = blas_thread_setter()
+    if setter is not None:
+        setter(1)
+    _worker_job = job
+
+
+def _run_in_worker(target: str):
+    return _worker_job(target)
+
+
+def _map_targets(job, targets: list[str]) -> list:
+    """`[job(t) for t in targets]`, run in forked workers when that helps.
+
+    The workers are forks of this process, so they share the loaded inputs
+    and `job` reaches them without pickling; only targets and results cross
+    processes. Each worker's BLAS runs on one thread; this process's BLAS is
+    left as it is. A job's exception is re-raised here, for the first failing
+    target in order, as a serial run would; a worker that dies raises
+    BrokenProcessPool.
+    """
+    workers = _transfer_workers(len(targets))
+    if not workers:
+        return [job(t) for t in targets]
+    # Imported here: eval and search never start workers. fork, not spawn:
+    # a spawned worker re-imports numpy and nasflat and reloads the inputs,
+    # which costs about what the parallel targets save.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker, initargs=(job,),
+    )
+    try:
+        return list(pool.map(_run_in_worker, targets))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # --- subcommands ----------------------------------------------------------
@@ -263,9 +324,12 @@ def cmd_pretrain(args) -> int:
             f"reaches the score with ophw_gcn_dims {list(pred_cfg.ophw_gcn_dims)} and "
             f"gcn_dims {list(pred_cfg.gcn_dims)}, so every architecture would score the same"
         )
-    state, log = pretrain(
-        state, table, list(split.source), archmap, train_cfg, encodings=encodings, seed=seed,
-    )
+    try:
+        state, log = pretrain(
+            state, table, list(split.source), archmap, train_cfg, encodings=encodings, seed=seed,
+        )
+    except BudgetTooSmall as e:
+        raise NasflatError(f"{args.config}: {e}") from None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(state, out, extra={
@@ -306,8 +370,8 @@ def cmd_transfer(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     base, _ = load_checkpoint(args.checkpoint)
     reference = table.subset(device_ids=split.source)
-    outputs = []
-    for device in targets:
+
+    def adapt(device: str) -> list[Path]:
         pool = [a for a in archs if table.has(a.arch_id, device)]
         picked = run_sampler(
             args.sampler, pool, args.samples,
@@ -332,7 +396,9 @@ def cmd_transfer(args) -> int:
                 "live_slots": list(state.live_slots[space.space_id]),
             },
         )
-        outputs += [ckpt, checkpoint_meta_path(ckpt)]
+        return [ckpt, checkpoint_meta_path(ckpt)]
+
+    outputs = [path for paths in _map_targets(adapt, targets) for path in paths]
     inputs = [Path(args.latency), Path(args.archs), Path(args.split), Path(args.checkpoint)] + (
         [Path(args.config)] if args.config else []
     )

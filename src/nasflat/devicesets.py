@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    BadField,
     ConstantInput,
     InsufficientOverlap,
     LengthMismatch,
@@ -214,8 +215,31 @@ class DeviceSplit:
 
     @classmethod
     def from_json(cls, text: str) -> "DeviceSplit":
+        """Parse `to_json` output. A missing key raises KeyError; a field that
+        is not a non-empty list of distinct device ids, a device in both
+        pools, or an objective that is not a finite number raises BadField
+        with the value's JSON pointer."""
         obj = json.loads(text)
-        return cls(tuple(obj["source"]), tuple(obj["target"]), float(obj["objective"]))
+        pools = {key: _device_ids(obj[key], key) for key in ("source", "target")}
+        for i, device in enumerate(pools["target"]):
+            if device in pools["source"]:
+                raise BadField(f"/target/{i}: device {device!r} is also a source device")
+        objective = obj["objective"]
+        if isinstance(objective, bool) or not isinstance(objective, (int, float)) \
+                or not math.isfinite(objective):
+            raise BadField(f"/objective: must be a finite number, got {objective!r}")
+        return cls(pools["source"], pools["target"], float(objective))
+
+
+def _device_ids(value, key: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not value:
+        raise BadField(f"/{key}: must be a non-empty list of device ids, got {value!r}")
+    for i, device in enumerate(value):
+        if not isinstance(device, str):
+            raise BadField(f"/{key}/{i}: must be a device id string, got {device!r}")
+        if device in value[:i]:
+            raise BadField(f"/{key}/{i}: device {device!r} is listed twice")
+    return tuple(value)
 
 
 def _kl_pass(weights: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, float]:

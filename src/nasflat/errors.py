@@ -15,8 +15,9 @@ class NasflatError(Exception):
 # --- configs -----------------------------------------------------------------
 
 class BadField(NasflatError, TypeError):
-    """A config field holds a value of the wrong type. The message starts
-    with the field's JSON pointer relative to its config object."""
+    """A config or split field holds a value of the wrong type or one its
+    document rules out. The message starts with the field's JSON pointer
+    relative to its object."""
 
 
 # --- architecture / search space -----------------------------------------
@@ -51,6 +52,11 @@ class InvalidArchitecture(ArchitectureError):
     def __init__(self, errors: list[ArchitectureError]):
         self.errors = list(errors)
         super().__init__("; ".join(str(e) for e in errors))
+
+    def __reduce__(self):
+        # Rebuild from the errors, not from the joined message, so that the
+        # error survives pickling (a transfer worker's error is pickled).
+        return type(self), (self.errors,)
 
 
 # --- encoding tables -------------------------------------------------------
@@ -147,6 +153,11 @@ class TooFewSamples(NasflatError):
 
 class InsufficientData(NasflatError):
     pass
+
+
+class BudgetTooSmall(InsufficientData):
+    """A run-config budget leaves too little data to train on. The message
+    starts with the budget's JSON pointer in the run config."""
 
 
 class EmptyFeasibleSet(NasflatError):

@@ -26,6 +26,7 @@ from .archspace import Architecture, EncodingTable, SearchSpace
 from .autodiff import AdamState, Tensor
 from .devicesets import LatencyTable, spearman
 from .errors import (
+    BudgetTooSmall,
     EmptyFeasibleSet,
     InsufficientData,
     LengthMismatch,
@@ -198,7 +199,7 @@ def pretrain(
             picks = budget_rng.permutation(len(ids))[: config.source_samples]
             ids = [ids[i] for i in sorted(picks)]
         if len(ids) < 2:
-            raise InsufficientData(
+            raise BudgetTooSmall(
                 f"/train/source_samples: a budget of {config.source_samples} leaves "
                 f"source device {device!r} no pair of archs to rank"
             )

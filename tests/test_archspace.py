@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import re
 
 import numpy as np
@@ -74,6 +75,15 @@ def test_validate_cycle(nb201):
     with pytest.raises(InvalidArchitecture) as exc:
         asp.validate(arch, nb201)
     assert any(isinstance(e, CycleDetected) for e in exc.value.errors)
+
+
+def test_invalid_architecture_survives_pickling(nb201):
+    arch = asp.make_architecture(nb201, [0, 1, 2, 3, 4, 5])
+    with pytest.raises(InvalidArchitecture) as exc:
+        asp.validate(arch, nb201)
+    again = pickle.loads(pickle.dumps(exc.value))
+    assert str(again) == str(exc.value)
+    assert [str(e) for e in again.errors] == [str(e) for e in exc.value.errors]
 
 
 def test_validate_bad_op_index(nb201):

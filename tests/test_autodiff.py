@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from oracles import finite_diff_check
@@ -353,3 +356,30 @@ def test_finite_diff_on_linear_model_is_exact():
     x = np.asarray(RNG.normal(size=(6,)))
     report = finite_diff_check(lambda: ad.sum_all(ad.mul(w, x)), {"w": w}, n_samples=6)
     assert report.max_rel_err < 1e-9
+
+
+def test_active_tape_is_per_thread():
+    """A thread records only onto a tape it activated itself."""
+    x = ad.param(np.ones(3))
+    other_lens = []
+
+    def other():
+        ad.sum_all(x)  # no tape active on this thread: not recorded
+        with ad.recording() as own:
+            ad.sum_all(x)
+        other_lens.append(len(own))
+
+    with ad.recording() as main:
+        ad.sum_all(x)
+        thread = threading.Thread(target=other)
+        thread.start()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert len(main) == 1 and other_lens == [1]
+
+
+def test_blas_thread_setter_finds_numpys_openblas():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if sys.platform != "linux" or "openblas" not in blas:
+        pytest.skip(f"looks for OpenBLAS on Linux; numpy uses {blas} on {sys.platform}")
+    assert callable(ad.blas_thread_setter())

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -407,6 +410,121 @@ def test_transfer_one_call_matches_per_target_calls(workspace, tmp_path):
             assert (tmp_path / "all" / name).read_bytes() == (tmp_path / device / name).read_bytes()
 
 
+# --- transfer adapts targets in forked workers -------------------------------------
+
+@pytest.fixture(scope="module")
+def wide_split(workspace):
+    """The workspace's sources, with every other device (three) as a target."""
+    root, data, split, _, _ = workspace
+    sources = DeviceSplit.from_json(split.read_text()).source
+    devices = LatencyTable.load_csv(data / "latency.csv").devices()
+    path = root / "wide_split.json"
+    path.write_text(DeviceSplit(sources, tuple(d for d in devices if d not in sources), 0.0).to_json())
+    return path
+
+
+def _wide_transfer_argv(workspace, wide_split, out_dir, samples="8"):
+    argv = _transfer_argv(workspace, out_dir)
+    argv[argv.index("--split") + 1] = str(wide_split)
+    argv[argv.index("--samples") + 1] = samples
+    return argv
+
+
+def _transfer_outputs(out_dir) -> dict:
+    """Every output's bytes; the manifest without its timestamp or output directory."""
+    files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    manifest = json.loads(files.pop("manifest.json"))
+    del manifest["timestamp"]
+    manifest["outputs"] = [Path(p).name for p in manifest["outputs"]]
+    files["manifest.json"] = manifest
+    return files
+
+
+@pytest.fixture(scope="module")
+def wide_transfer(workspace, wide_split, tmp_path_factory):
+    """The outputs of a default `cli.main` transfer to the three wide-split targets."""
+    out = tmp_path_factory.mktemp("wide")
+    assert run(_wide_transfer_argv(workspace, wide_split, out)) == 0
+    return _transfer_outputs(out)
+
+
+def _record_transfer_pids(monkeypatch, log: Path) -> None:
+    real = cli.transfer
+
+    def spy(*args, **kwargs):
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "transfer", spy)
+
+
+_FAN_OUT = {
+    "serial": ("_transfer_workers", lambda n: 0),
+    "1_worker": ("_transfer_workers", lambda n: 1),
+    "2_workers": ("_transfer_workers", lambda n: 2),
+    "no_blas_setter": ("blas_thread_setter", lambda: None),
+}
+
+
+@pytest.mark.parametrize("mode", list(_FAN_OUT))
+def test_transfer_bytes_do_not_depend_on_workers(workspace, wide_split, wide_transfer,
+                                                 tmp_path, monkeypatch, mode):
+    """Forced worker counts and the in-process fallback write the default run's bytes."""
+    assert len(DeviceSplit.from_json(wide_split.read_text()).target) >= 3
+    monkeypatch.setattr(cli, *_FAN_OUT[mode])
+    pids = tmp_path / "pids"
+    _record_transfer_pids(monkeypatch, pids)
+    out = tmp_path / "out"
+    assert run(_wide_transfer_argv(workspace, wide_split, out)) == 0
+    assert _transfer_outputs(out) == wide_transfer
+    adapted_in = pids.read_text().split()
+    assert len(adapted_in) == 3
+    in_workers = mode in ("1_worker", "2_workers")
+    assert all((pid != str(os.getpid())) == in_workers for pid in adapted_in), adapted_in
+
+
+def test_each_worker_pins_its_blas_to_one_thread(workspace, wide_split, tmp_path, monkeypatch):
+    calls = tmp_path / "calls"
+
+    def setter(n):
+        with calls.open("a") as fh:
+            fh.write(f"{os.getpid()} {n}\n")
+
+    monkeypatch.setattr(cli, "blas_thread_setter", lambda: setter)
+    monkeypatch.setattr(cli, "_transfer_workers", lambda n: 2)
+    assert run(_wide_transfer_argv(workspace, wide_split, tmp_path / "out")) == 0
+    pinned = [line.split() for line in calls.read_text().splitlines()]
+    assert pinned and all(n == "1" and pid != str(os.getpid()) for pid, n in pinned), pinned
+
+
+def test_failing_target_in_a_worker_is_the_serial_data_error(workspace, wide_split, tmp_path,
+                                                             monkeypatch, capsys):
+    errors = []
+    for workers in (0, 2):
+        monkeypatch.setattr(cli, "_transfer_workers", lambda n, w=workers: w)
+        out = tmp_path / f"w{workers}"
+        capsys.readouterr()
+        code = run(_wide_transfer_argv(workspace, wide_split, out, samples="1"))
+        errors.append(capsys.readouterr().err)
+        assert code == 3, errors[-1]
+        assert not (out / "manifest.json").exists()
+    assert errors[0] == errors[1] == "error: need >= 2 target samples, got 1\n"
+
+
+def test_transfer_with_one_blas_thread_matches_default(workspace, wide_split, wide_transfer,
+                                                       tmp_path):
+    """A fresh process with OPENBLAS_NUM_THREADS=1 writes the in-process default run's bytes."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    out = tmp_path / "out"
+    subprocess.run([sys.executable, "-m", "nasflat.cli",
+                    *_wide_transfer_argv(workspace, wide_split, out)],
+                   env=env, check=True, capture_output=True, timeout=300)
+    assert _transfer_outputs(out) == wide_transfer
+
+
 def test_eval_ignores_rows_for_archs_not_in_file(workspace, transfers, tmp_path):
     _, data, _, _, _ = workspace
     tdir = transfers
@@ -532,7 +650,7 @@ def test_pretrain_budget_without_a_pair_is_data_error(workspace, tmp_path, capsy
     ])
     err = capsys.readouterr().err
     assert code == 3, err
-    assert "/train/source_samples: a budget of 1 leaves source device" in err, err
+    assert f"{config}: /train/source_samples: a budget of 1 leaves source device" in err, err
     assert not (tmp_path / "c.json").exists()
 
 
@@ -590,8 +708,46 @@ def _split_with_unknown_target(split):
     return doc, "unknown device(s) ['zz9']"
 
 
+def _split_with_string_source(split):
+    doc = {"source": split.source[0], "target": list(split.target), "objective": 0.0}
+    return doc, f"/source: must be a non-empty list of device ids, got {split.source[0]!r}"
+
+
+def _split_with_empty_target(split):
+    doc = {"source": list(split.source), "target": [], "objective": 0.0}
+    return doc, "/target: must be a non-empty list of device ids, got []"
+
+
+def _split_with_numeric_device(split):
+    doc = {"source": [split.source[0], 3], "target": list(split.target), "objective": 0.0}
+    return doc, "/source/1: must be a device id string, got 3"
+
+
+def _split_with_repeated_device(split):
+    doc = {"source": [split.source[0], split.source[0]], "target": list(split.target), "objective": 0.0}
+    return doc, f"/source/1: device {split.source[0]!r} is listed twice"
+
+
+def _split_with_shared_device(split):
+    doc = {"source": [*split.source, split.target[0]], "target": list(split.target), "objective": 0.0}
+    return doc, f"/target/0: device {split.target[0]!r} is also a source device"
+
+
+def _split_with_string_objective(split):
+    doc = {"source": list(split.source), "target": list(split.target), "objective": "0.5"}
+    return doc, "/objective: must be a finite number, got '0.5'"
+
+
+def _split_with_nan_objective(split):
+    doc = {"source": list(split.source), "target": list(split.target), "objective": float("nan")}
+    return doc, "/objective: must be a finite number, got nan"
+
+
 @pytest.mark.parametrize("corrupt", [
     _split_as_list, _split_without_objective, _split_with_unknown_source, _split_with_unknown_target,
+    _split_with_string_source, _split_with_empty_target, _split_with_numeric_device,
+    _split_with_repeated_device, _split_with_shared_device, _split_with_string_objective,
+    _split_with_nan_objective,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_bad_split_is_data_error(workspace, tmp_path, capsys, corrupt):
     """pretrain and transfer exit 3 on a bad split file and name it, not 4 or a later symptom."""

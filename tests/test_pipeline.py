@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -205,6 +208,33 @@ def test_transfer_requires_two_samples(nb201, small_world):
     st = _fresh_state(nb201, sources, seed=3)
     with pytest.raises(InsufficientData):
         pl.transfer(st, target, table, sorted(archs)[:1], sources, archs, pl.TrainConfig(), seed=0)
+
+
+def test_concurrent_transfers_on_threads_match_serial(nb201, small_world):
+    """Each thread records onto its own tape: three transfers at once give the serial bytes."""
+    table, archs, sources, target = small_world
+    st = _fresh_state(nb201, sources, seed=3)
+    cfg = pl.TrainConfig(transfer_epochs=10)
+    ids = sorted(archs)
+    jobs = [(ids[:12], 2), (ids[40:52], 5), (ids[20:32], 7)]
+
+    def adapt(job, start=None):
+        if start is not None:
+            start.wait()
+        picked, seed = job
+        state, _ = pl.transfer(st, target, table, picked, sources, archs, cfg, seed=seed)
+        return b"".join(state.params[k].data.tobytes() for k in sorted(state.params))
+
+    serial = [adapt(job) for job in jobs]
+    start = threading.Barrier(len(jobs), timeout=60)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(jobs)) as pool:
+            threaded = list(pool.map(lambda job: adapt(job, start), jobs, timeout=300))
+    finally:
+        sys.setswitchinterval(switch)
+    assert threaded == serial
 
 
 # --- non-finite guard --------------------------------------------------------------
