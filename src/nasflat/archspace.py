@@ -400,6 +400,8 @@ def load_encoding_table(path, kind: str, expected_dim: int | None = None) -> Enc
                 raise ParseError(f"{path}:{lineno}: {e}") from None
             if not np.all(np.isfinite(vec)):
                 raise NonFiniteValue(f"{path}:{lineno}: non-finite value")
+            if parts[0] in rows:
+                raise ParseError(f"{path}:{lineno}: second row for arch {parts[0]!r}")
             rows[parts[0]] = vec
     return EncodingTable(kind=kind, dim=dim, rows=rows)
 

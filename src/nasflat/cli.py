@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 
@@ -31,7 +31,6 @@ from .archspace import (
     read_architectures,
     save_encoding_table,
 )
-from .autodiff import blas_thread_setter
 from .devicesets import (
     CorrelationGraph,
     DeviceSplit,
@@ -45,6 +44,7 @@ from .pipeline import (
     TrainConfig,
     evaluate,
     latency_constrained_search,
+    map_targets,
     pretrain,
     transfer,
 )
@@ -64,6 +64,7 @@ EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
 CONFIG_VERSION = 1
+SAMPLER_DEFAULTS = {"method": "random", "samples": 20}
 
 
 def _sha256(path: Path) -> str:
@@ -95,19 +96,28 @@ def _write_manifest(
     _write_json(manifest_path, manifest)
 
 
+def _config_section(path: str, name: str, build, section):
+    """`build(**section)`; a bad field exits 3 with its JSON pointer."""
+    try:
+        return build(**section)
+    except BadField as e:
+        raise NasflatError(f"{path}: /{name}/{e}") from None
+    except (TypeError, ValueError) as e:
+        raise NasflatError(f"{path}: /{name}: {e}") from None
+
+
 def _load_run_config(
     path: str | None, space_id: str
 ) -> tuple[TrainConfig, PredictorConfig, dict]:
-    """Resolve the run config document (train/predictor/sampler sections).
+    """Resolve the run config: (train, predictor, sampler with its defaults).
 
-    Returns (train, predictor, sampler_section); schema violations are
-    reported with JSON pointer paths. CLI flags override the sampler section.
-    The predictor's supplementary_dim is not a run-config field: `pretrain`
-    takes it from --encoding.
+    Schema violations are reported with JSON pointer paths. A `space` key must
+    be `space_id`, the architectures' space. supplementary_dim is not a field:
+    `pretrain` takes it from --encoding. CLI flags override the sampler.
     """
     space = get_space(space_id)
     if path is None:
-        return TrainConfig.for_space(space), PredictorConfig(), {}
+        return TrainConfig.for_space(space), PredictorConfig(), dict(SAMPLER_DEFAULTS)
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
@@ -119,34 +129,28 @@ def _load_run_config(
     for key in doc:
         if key not in ("version", "train", "predictor", "sampler", "space"):
             raise NasflatError(f"{path}: /{key}: unknown section")
-    try:
-        train = TrainConfig.for_space(space, **doc.get("train", {}))
-    except BadField as e:
-        raise NasflatError(f"{path}: /train/{e}") from None
-    except (TypeError, ValueError) as e:
-        raise NasflatError(f"{path}: /train: {e}") from None
+    if doc.get("space", space_id) != space_id:
+        raise NasflatError(f"{path}: /space: {doc['space']!r} is not the archs' space {space_id!r}")
+    train = _config_section(path, "train", partial(TrainConfig.for_space, space), doc.get("train", {}))
     pred_section = doc.get("predictor", {})
     if isinstance(pred_section, dict) and "supplementary_dim" in pred_section:
         raise NasflatError(
             f"{path}: /predictor/supplementary_dim: set by --encoding (its width, 0 without it)"
         )
-    try:
-        predictor = PredictorConfig(**pred_section)
-    except BadField as e:
-        raise NasflatError(f"{path}: /predictor/{e}") from None
-    except (TypeError, ValueError) as e:
-        raise NasflatError(f"{path}: /predictor: {e}") from None
+    predictor = _config_section(path, "predictor", PredictorConfig, pred_section)
     sampler_section = doc.get("sampler", {})
     if not isinstance(sampler_section, dict):
         raise NasflatError(f"{path}: /sampler: must be an object")
     for key in sampler_section:
-        if key not in ("method", "samples"):
+        if key not in SAMPLER_DEFAULTS:
             raise NasflatError(f"{path}: /sampler/{key}: unknown field")
-    if "method" in sampler_section and sampler_section["method"] not in METHODS:
-        raise NasflatError(
-            f"{path}: /sampler/method: {sampler_section['method']!r} not in {METHODS}"
-        )
-    return train, predictor, sampler_section
+    sampler = {**SAMPLER_DEFAULTS, **sampler_section}
+    if sampler["method"] not in METHODS:
+        raise NasflatError(f"{path}: /sampler/method: {sampler['method']!r} not in {METHODS}")
+    samples = sampler["samples"]
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+        raise NasflatError(f"{path}: /sampler/samples: must be an integer >= 1, got {samples!r}")
+    return train, predictor, sampler
 
 
 def _resolved_config(train: TrainConfig, predictor: PredictorConfig, space_id: str) -> dict:
@@ -186,63 +190,6 @@ def _load_encoding_arg(args) -> EncodingTable | None:
     if not getattr(args, "encoding", None):
         return None
     return load_encoding_table(args.encoding, getattr(args, "encoding_kind", "custom"), None)
-
-
-def _transfer_workers(n_targets: int) -> int:
-    """Worker processes for `n_targets` transfer jobs; 0 runs them in this process.
-
-    One worker per usable CPU, when there is more than one target and CPU and
-    the workers can pin their BLAS to one thread. Unpinned, each worker would
-    start the parent's BLAS thread pool and oversubscribe the cores.
-    """
-    if n_targets < 2 or blas_thread_setter() is None:
-        return 0
-    cpus = len(os.sched_getaffinity(0))
-    return min(n_targets, cpus) if cpus > 1 else 0
-
-
-_worker_job = None  # set in each transfer worker by _start_worker
-
-
-def _start_worker(job) -> None:
-    global _worker_job
-    setter = blas_thread_setter()
-    if setter is not None:
-        setter(1)
-    _worker_job = job
-
-
-def _run_in_worker(target: str):
-    return _worker_job(target)
-
-
-def _map_targets(job, targets: list[str]) -> list:
-    """`[job(t) for t in targets]`, run in forked workers when that helps.
-
-    The workers are forks of this process, so they share the loaded inputs
-    and `job` reaches them without pickling; only targets and results cross
-    processes. Each worker's BLAS runs on one thread; this process's BLAS is
-    left as it is. A job's exception is re-raised here, for the first failing
-    target in order, as a serial run would; a worker that dies raises
-    BrokenProcessPool.
-    """
-    workers = _transfer_workers(len(targets))
-    if not workers:
-        return [job(t) for t in targets]
-    # Imported here: eval and search never start workers. fork, not spawn:
-    # a spawned worker re-imports numpy and nasflat and reloads the inputs,
-    # which costs about what the parallel targets save.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker, initargs=(job,),
-    )
-    try:
-        return list(pool.map(_run_in_worker, targets))
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 # --- subcommands ----------------------------------------------------------
@@ -335,9 +282,7 @@ def cmd_pretrain(args) -> int:
     save_checkpoint(state, out, extra={
         "stage": "pretrain", "source_devices": list(split.source), "live_slots": list(live),
     })
-    inputs = [Path(args.latency), Path(args.archs), Path(args.split)] + (
-        [Path(args.config)] if args.config else []
-    ) + ([Path(args.encoding)] if args.encoding else [])
+    inputs = [Path(p) for p in (args.latency, args.archs, args.split, args.config, args.encoding) if p]
     _write_manifest(
         "pretrain", Path(str(out) + ".manifest.json"),
         _resolved_config(train_cfg, pred_cfg, space.space_id), inputs, args.seed,
@@ -354,10 +299,9 @@ def cmd_transfer(args) -> int:
     archs = read_architectures(args.archs)
     space = get_space(_arch_space_id(archs))
     train_cfg, _, sampler_cfg = _load_run_config(args.config, space.space_id)
-    if args.sampler is None:
-        args.sampler = sampler_cfg.get("method", "random")
+    args.sampler = args.sampler or sampler_cfg["method"]
     if args.samples is None:
-        args.samples = int(sampler_cfg.get("samples", 20))
+        args.samples = sampler_cfg["samples"]
     table = LatencyTable.load_csv(args.latency)
     split = _load_split(args.split, table, args.latency)
     encodings = _load_encoding_arg(args)
@@ -398,10 +342,8 @@ def cmd_transfer(args) -> int:
         )
         return [ckpt, checkpoint_meta_path(ckpt)]
 
-    outputs = [path for paths in _map_targets(adapt, targets) for path in paths]
-    inputs = [Path(args.latency), Path(args.archs), Path(args.split), Path(args.checkpoint)] + (
-        [Path(args.config)] if args.config else []
-    )
+    outputs = [path for paths in map_targets(adapt, targets) for path in paths]
+    inputs = [Path(p) for p in (args.latency, args.archs, args.split, args.checkpoint, args.config) if p]
     _write_manifest(
         "transfer", out_dir / "manifest.json",
         _resolved_config(train_cfg, base.config, space.space_id), inputs, args.seed, outputs,

@@ -15,6 +15,7 @@ latencies by a positive constant leaves training trajectories bit-identical.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .archspace import Architecture, EncodingTable, SearchSpace
-from .autodiff import AdamState, Tensor
+from .autodiff import AdamState, Tensor, blas_thread_setter
 from .devicesets import LatencyTable, spearman
 from .errors import (
     BudgetTooSmall,
@@ -271,6 +272,60 @@ def transfer(
             _require_finite_loss(loss, "transfer", epoch, step, device)
     _require_finite_params(state, "transfer")
     return state, warm_start
+
+
+def _transfer_workers(n_targets: int) -> int:
+    """Worker processes for `n_targets` jobs (0: run them here): one per usable
+    CPU, if there are 2+ targets and CPUs and the workers can pin their BLAS to
+    one thread. Unpinned, each would start a BLAS thread pool and oversubscribe."""
+    if n_targets < 2 or blas_thread_setter() is None:
+        return 0
+    cpus = len(os.sched_getaffinity(0))
+    return min(n_targets, cpus) if cpus > 1 else 0
+
+
+_worker_job = None  # set in each map_targets worker by _start_worker
+
+
+def _start_worker(job) -> None:
+    global _worker_job
+    setter = blas_thread_setter()
+    if setter is not None:
+        setter(1)
+    _worker_job = job
+
+
+def _run_in_worker(target):
+    return _worker_job(target)
+
+
+def map_targets(job: Callable, targets: Sequence) -> list:
+    """`[job(t) for t in targets]` for independent jobs, in forked workers when that helps.
+
+    The workers are forks of this process, so they share its loaded inputs
+    and `job` reaches them without pickling; only targets and results cross
+    processes. Each worker's BLAS runs on one thread; this process's BLAS is
+    left as it is. A job's exception is re-raised here, for the first failing
+    target in order, as a serial run would; a worker that dies raises
+    BrokenProcessPool.
+    """
+    workers = _transfer_workers(len(targets))
+    if not workers:
+        return [job(t) for t in targets]
+    # Imported here: most callers never start workers. fork, not spawn: a
+    # spawned worker re-imports numpy and nasflat and reloads the inputs,
+    # which costs about what the parallel targets save.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker, initargs=(job,),
+    )
+    try:
+        return list(pool.map(_run_in_worker, targets))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass

@@ -193,6 +193,14 @@ def test_load_encoding_parse_error(tmp_path):
         asp.load_encoding_table(path, "custom")
 
 
+def test_load_encoding_second_row_for_an_arch_is_parse_error(tmp_path):
+    """A repeated arch id fails at its line instead of replacing the first row's values."""
+    path = tmp_path / "dup.csv"
+    path.write_text("arch_id,e0,e1\nabc,1.0,2.0\nxyz,0.0,0.0\nabc,3.0,4.0\n")
+    with pytest.raises(ParseError, match=f"{path}:4: second row for arch 'abc'"):
+        asp.load_encoding_table(path, "custom")
+
+
 def _table(kind, dim, keys, offset=0.0):
     return asp.EncodingTable(
         kind=kind, dim=dim,

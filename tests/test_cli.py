@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nasflat import cli
+from nasflat import cli, pipeline
 from nasflat.devicesets import DeviceSplit, LatencyTable
 from nasflat.pipeline import TrainConfig
 from nasflat.predictor import PredictorConfig, load_checkpoint, save_checkpoint
@@ -472,7 +472,7 @@ def test_transfer_bytes_do_not_depend_on_workers(workspace, wide_split, wide_tra
                                                  tmp_path, monkeypatch, mode):
     """Forced worker counts and the in-process fallback write the default run's bytes."""
     assert len(DeviceSplit.from_json(wide_split.read_text()).target) >= 3
-    monkeypatch.setattr(cli, *_FAN_OUT[mode])
+    monkeypatch.setattr(pipeline, *_FAN_OUT[mode])
     pids = tmp_path / "pids"
     _record_transfer_pids(monkeypatch, pids)
     out = tmp_path / "out"
@@ -491,8 +491,8 @@ def test_each_worker_pins_its_blas_to_one_thread(workspace, wide_split, tmp_path
         with calls.open("a") as fh:
             fh.write(f"{os.getpid()} {n}\n")
 
-    monkeypatch.setattr(cli, "blas_thread_setter", lambda: setter)
-    monkeypatch.setattr(cli, "_transfer_workers", lambda n: 2)
+    monkeypatch.setattr(pipeline, "blas_thread_setter", lambda: setter)
+    monkeypatch.setattr(pipeline, "_transfer_workers", lambda n: 2)
     assert run(_wide_transfer_argv(workspace, wide_split, tmp_path / "out")) == 0
     pinned = [line.split() for line in calls.read_text().splitlines()]
     assert pinned and all(n == "1" and pid != str(os.getpid()) for pid, n in pinned), pinned
@@ -502,7 +502,7 @@ def test_failing_target_in_a_worker_is_the_serial_data_error(workspace, wide_spl
                                                              monkeypatch, capsys):
     errors = []
     for workers in (0, 2):
-        monkeypatch.setattr(cli, "_transfer_workers", lambda n, w=workers: w)
+        monkeypatch.setattr(pipeline, "_transfer_workers", lambda n, w=workers: w)
         out = tmp_path / f"w{workers}"
         capsys.readouterr()
         code = run(_wide_transfer_argv(workspace, wide_split, out, samples="1"))
@@ -599,6 +599,72 @@ def test_config_sampler_section_used_when_flags_absent(workspace, tmp_path):
     extra = json.loads(metas[0].read_text())["extra"]
     assert extra["sampler"] == "random"
     assert extra["samples"] == 6
+
+
+@pytest.mark.parametrize("samples", ["abc", [5], 2.7, True, 0, None])
+def test_bad_sampler_samples_is_data_error(workspace, tmp_path, capsys, samples):
+    """/sampler/samples takes a JSON integer >= 1; transfer exits 3 and names it."""
+    _, data, split, _, ckpt = workspace
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"version": 1, "sampler": {"samples": samples}}))
+    capsys.readouterr()
+    code = run(["transfer", "--config", str(config), "--latency", str(data / "latency.csv"),
+                "--archs", str(data / "archs.jsonl"), "--split", str(split),
+                "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "t")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"{config}: /sampler/samples: must be an integer >= 1, got {samples!r}" in err, err
+    assert not (tmp_path / "t").exists()
+
+
+def test_config_space_must_be_the_archs_space(workspace, tmp_path, capsys):
+    """A run config's `space` key is checked against the architecture file's space."""
+    _, data, split, _, ckpt = workspace
+    common = ["--latency", str(data / "latency.csv"), "--archs", str(data / "archs.jsonl"),
+              "--split", str(split)]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"version": 1, "space": "fbnet", "train": {"epochs": 1}}))
+    for argv in (
+        ["pretrain", "--config", str(config), *common, "--out", str(tmp_path / "c.json")],
+        ["transfer", "--config", str(config), *common, "--checkpoint", str(ckpt),
+         "--samples", "8", "--out-dir", str(tmp_path / "t")],
+    ):
+        capsys.readouterr()
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert f"{config}: /space: 'fbnet' is not the archs' space 'nb201'" in err, err
+    assert not (tmp_path / "c.json").exists() and not (tmp_path / "t").exists()
+
+
+def test_manifest_config_loads_as_a_run_config(workspace, tmp_path):
+    """The resolved config a manifest records passes the `space` check.
+
+    The manifest's predictor section also records supplementary_dim, which
+    only --encoding sets, so that one field is dropped here.
+    """
+    _, data, split, _, ckpt = workspace
+    doc = json.loads(Path(str(ckpt) + ".manifest.json").read_text())["config"]
+    assert doc["space"] == "nb201"
+    del doc["predictor"]["supplementary_dim"]
+    config = tmp_path / "resolved.json"
+    config.write_text(json.dumps(doc))
+    assert run(["transfer", "--config", str(config), "--latency", str(data / "latency.csv"),
+                "--archs", str(data / "archs.jsonl"), "--split", str(split),
+                "--checkpoint", str(ckpt), "--samples", "8", "--target",
+                DeviceSplit.from_json(split.read_text()).target[0],
+                "--out-dir", str(tmp_path / "t")]) == 0
+
+
+def test_cli_import_starts_no_worker_machinery():
+    """Only transfer's fan-out needs multiprocessing; importing the CLI must not load it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, nasflat.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]", out.stdout
 
 
 @pytest.mark.parametrize("section, field, value, pointer", [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -235,6 +236,52 @@ def test_concurrent_transfers_on_threads_match_serial(nb201, small_world):
     finally:
         sys.setswitchinterval(switch)
     assert threaded == serial
+
+
+# --- map_targets ----------------------------------------------------------------------
+
+def test_map_targets_worker_count_rule(monkeypatch):
+    """One worker per usable CPU, at most one per target; none for one target or CPU
+    or without a BLAS thread setter."""
+    monkeypatch.setattr(pl.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert [pl._transfer_workers(n) for n in (1, 2, 3, 8)] == [0, 2, 3, 4]
+    monkeypatch.setattr(pl.os, "sched_getaffinity", lambda pid: {0})
+    assert pl._transfer_workers(8) == 0
+    monkeypatch.setattr(pl.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(pl, "blas_thread_setter", lambda: None)
+    assert pl._transfer_workers(8) == 0
+
+
+def test_map_targets_in_two_workers_returns_results_in_target_order(monkeypatch):
+    monkeypatch.setattr(pl, "_transfer_workers", lambda n: 2)
+    targets = [f"t{i}" for i in range(7)]
+    # A lambda cannot be pickled: the job reaches the forked workers as it is.
+    results = pl.map_targets(lambda t: (t, os.getpid()), targets)
+    assert [t for t, _ in results] == targets
+    assert all(pid != os.getpid() for _, pid in results), results
+
+
+def test_map_targets_in_two_workers_reraises_the_serial_error(monkeypatch):
+    def job(target):
+        if target in ("t2", "t4"):
+            raise InsufficientData(f"no rows for {target}")
+        return target
+
+    errors = []
+    for workers in (0, 2):
+        monkeypatch.setattr(pl, "_transfer_workers", lambda n, w=workers: w)
+        with pytest.raises(InsufficientData) as exc:
+            pl.map_targets(job, [f"t{i}" for i in range(6)])
+        errors.append(str(exc.value))
+    assert errors == ["no rows for t2"] * 2
+
+
+def test_map_targets_worker_that_dies_raises_broken_process_pool(monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    monkeypatch.setattr(pl, "_transfer_workers", lambda n: 2)
+    with pytest.raises(BrokenProcessPool):
+        pl.map_targets(lambda t: os._exit(1), ["a", "b"])
 
 
 # --- non-finite guard --------------------------------------------------------------
