@@ -26,7 +26,6 @@ from .errors import (
     CycleDetected,
     DimMismatch,
     InvalidArchitecture,
-    KeyMismatch,
     MultipleSinks,
     MultipleSources,
     NonFiniteValue,
@@ -36,9 +35,6 @@ from .errors import (
 
 MICRO_CELL = "micro_cell"
 MACRO_CHAIN = "macro_chain"
-
-# Default widths for encoding tables loaded from files.
-ENCODING_DIMS = {"zcp": 13, "arch2vec": 32, "cate": 32}
 
 GRAPH_PROXY_DIM = 13
 
@@ -342,7 +338,6 @@ def graph_proxies(arch: Architecture, space: SearchSpace) -> np.ndarray:
 class EncodingTable:
     """Fixed-width per-architecture real vectors keyed by arch_id."""
 
-    kind: str
     dim: int
     rows: dict[str, np.ndarray]
 
@@ -361,20 +356,15 @@ class EncodingTable:
     def __contains__(self, arch_id: str) -> bool:
         return arch_id in self.rows
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 def proxy_table(archs: Iterable[Architecture], space: SearchSpace) -> EncodingTable:
-    """Graph-proxy encoding table for a pool of architectures (kind 'zcp')."""
+    """Graph-proxy encoding table for a pool of architectures."""
     rows = {a.arch_id: graph_proxies(a, space) for a in archs}
-    return EncodingTable(kind="zcp", dim=GRAPH_PROXY_DIM, rows=rows)
+    return EncodingTable(dim=GRAPH_PROXY_DIM, rows=rows)
 
 
-def load_encoding_table(path, kind: str, expected_dim: int | None = None) -> EncodingTable:
-    """Read an encoding CSV (header arch_id,e0,e1,...) into a validated table."""
-    if expected_dim is None:
-        expected_dim = ENCODING_DIMS.get(kind)
+def load_encoding_table(path) -> EncodingTable:
+    """Read an encoding CSV (header arch_id,e0,e1,...) of any width into a validated table."""
     path = Path(path)
     rows: dict[str, np.ndarray] = {}
     with path.open("r", encoding="utf-8") as fh:
@@ -385,8 +375,6 @@ def load_encoding_table(path, kind: str, expected_dim: int | None = None) -> Enc
         dim = len(cols) - 1
         if dim < 1:
             raise ParseError(f"{path}: no encoding columns")
-        if expected_dim is not None and dim != expected_dim:
-            raise DimMismatch(f"{path}: {dim} columns declared {kind} (expected {expected_dim})")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -403,7 +391,7 @@ def load_encoding_table(path, kind: str, expected_dim: int | None = None) -> Enc
             if parts[0] in rows:
                 raise ParseError(f"{path}:{lineno}: second row for arch {parts[0]!r}")
             rows[parts[0]] = vec
-    return EncodingTable(kind=kind, dim=dim, rows=rows)
+    return EncodingTable(dim=dim, rows=rows)
 
 
 def save_encoding_table(table: EncodingTable, path) -> None:
@@ -414,19 +402,6 @@ def save_encoding_table(table: EncodingTable, path) -> None:
         for arch_id in sorted(table.rows):
             vec = table.rows[arch_id]
             fh.write(arch_id + "," + ",".join(repr(float(v)) for v in vec) + "\n")
-
-
-def concat_caz(zcp: EncodingTable, arch2vec: EncodingTable, cate: EncodingTable) -> EncodingTable:
-    """Concatenate per-architecture rows in the order [cate | arch2vec | zcp]."""
-    keys = set(zcp.rows)
-    if set(arch2vec.rows) != keys or set(cate.rows) != keys:
-        raise KeyMismatch("encoding tables cover different architecture sets")
-    dim = cate.dim + arch2vec.dim + zcp.dim
-    rows = {
-        k: np.concatenate([cate.rows[k], arch2vec.rows[k], zcp.rows[k]])
-        for k in keys
-    }
-    return EncodingTable(kind="caz", dim=dim, rows=rows)
 
 
 def write_architectures(archs: Iterable[Architecture], path) -> None:

@@ -538,6 +538,7 @@ def adam_step(
     never enters the moments. The textbook step lr * (m/c1) / (sqrt(v/c2) + eps)
     is computed as (lr*sqrt(c2)/c1) * m / (sqrt(v) + eps*sqrt(c2)): the same
     value up to rounding, in place, with one scratch array per parameter.
+    `grads` holds one array per parameter, as `named_grads` returns.
     """
     state.step += 1
     t = state.step
@@ -547,9 +548,7 @@ def adam_step(
     step_size = lr * root_c2 / c1
     eps = state.eps * root_c2
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
+        g = grads[name]
         if g.shape != p.data.shape:
             raise ShapeMismatch(f"grad for {name}: {g.shape} vs param {p.data.shape}")
         if weight_decay:

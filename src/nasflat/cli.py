@@ -50,6 +50,7 @@ from .pipeline import (
 )
 from .predictor import (
     PredictorConfig,
+    PredictorState,
     checkpoint_meta_path,
     init_predictor,
     load_checkpoint,
@@ -148,17 +149,19 @@ def _load_run_config(
     if sampler["method"] not in METHODS:
         raise NasflatError(f"{path}: /sampler/method: {sampler['method']!r} not in {METHODS}")
     samples = sampler["samples"]
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
-        raise NasflatError(f"{path}: /sampler/samples: must be an integer >= 1, got {samples!r}")
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
+        raise NasflatError(f"{path}: /sampler/samples: must be an integer >= 2, got {samples!r}")
     return train, predictor, sampler
 
 
 def _resolved_config(train: TrainConfig, predictor: PredictorConfig, space_id: str) -> dict:
+    """The run config a manifest records; given back as --config, it replays the run.
+    It leaves out supplementary_dim, which is not a config field but the --encoding width."""
     return {
         "version": CONFIG_VERSION,
         "space": space_id,
         "train": asdict(train),
-        "predictor": asdict(predictor),
+        "predictor": {k: v for k, v in asdict(predictor).items() if k != "supplementary_dim"},
     }
 
 
@@ -186,10 +189,17 @@ def _arch_space_id(archs: list[Architecture]) -> str:
     return ids.pop()
 
 
-def _load_encoding_arg(args) -> EncodingTable | None:
-    if not getattr(args, "encoding", None):
-        return None
-    return load_encoding_table(args.encoding, getattr(args, "encoding_kind", "custom"), None)
+def _load_encoding(path: str | None) -> EncodingTable | None:
+    return None if path is None else load_encoding_table(path)
+
+
+def _check_width(path: str | None, encodings: EncodingTable | None, state: PredictorState, ckpt) -> None:
+    """--encoding must be as wide as the checkpoint's supplementary input; no file is width 0."""
+    width = 0 if encodings is None else encodings.dim
+    want = state.config.supplementary_dim
+    if width != want:
+        given = f"--encoding {path} has width {width}" if path else "no --encoding (width 0)"
+        raise NasflatError(f"{given}, but checkpoint {ckpt} has supplementary_dim {want}")
 
 
 # --- subcommands ----------------------------------------------------------
@@ -236,7 +246,7 @@ def cmd_partition(args) -> int:
 def cmd_sample(args) -> int:
     archs = read_architectures(args.archs)
     space = get_space(_arch_space_id(archs))
-    encoding = _load_encoding_arg(args)
+    encoding = _load_encoding(args.encoding)
     reference = LatencyTable.load_csv(args.latency) if args.latency else None
     picked = run_sampler(
         args.method, archs, args.n, args.seed,
@@ -259,7 +269,7 @@ def cmd_pretrain(args) -> int:
     train_cfg, pred_cfg, _ = _load_run_config(args.config, space.space_id)
     table = LatencyTable.load_csv(args.latency)
     split = _load_split(args.split, table, args.latency)
-    encodings = _load_encoding_arg(args)
+    encodings = _load_encoding(args.encoding)
     pred_cfg = replace(pred_cfg, supplementary_dim=0 if encodings is None else encodings.dim)
     archmap = {a.arch_id: a for a in archs}
     seed = stable_seed("pretrain", args.seed)
@@ -300,19 +310,19 @@ def cmd_transfer(args) -> int:
     space = get_space(_arch_space_id(archs))
     train_cfg, _, sampler_cfg = _load_run_config(args.config, space.space_id)
     args.sampler = args.sampler or sampler_cfg["method"]
-    if args.samples is None:
-        args.samples = sampler_cfg["samples"]
+    args.samples = args.samples or sampler_cfg["samples"]  # a flag is >= 2, never 0
+    if args.sampler in ("cosine", "kmeans") and not args.sampler_encoding:
+        raise NasflatError(f"--sampler {args.sampler} needs --sampler-encoding")
     table = LatencyTable.load_csv(args.latency)
     split = _load_split(args.split, table, args.latency)
-    encodings = _load_encoding_arg(args)
-    sampler_encoding = encodings
-    if args.sampler_encoding:
-        sampler_encoding = load_encoding_table(args.sampler_encoding, "custom", None)
+    base, _ = load_checkpoint(args.checkpoint)
+    encodings = _load_encoding(args.encoding)
+    _check_width(args.encoding, encodings, base, args.checkpoint)
+    sampler_encoding = _load_encoding(args.sampler_encoding)
     archmap = {a.arch_id: a for a in archs}
     targets = [args.target] if args.target else list(split.target)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base, _ = load_checkpoint(args.checkpoint)
     reference = table.subset(device_ids=split.source)
 
     def adapt(device: str) -> list[Path]:
@@ -344,10 +354,9 @@ def cmd_transfer(args) -> int:
 
     outputs = [path for paths in map_targets(adapt, targets) for path in paths]
     inputs = [Path(p) for p in (args.latency, args.archs, args.split, args.checkpoint, args.config) if p]
-    _write_manifest(
-        "transfer", out_dir / "manifest.json",
-        _resolved_config(train_cfg, base.config, space.space_id), inputs, args.seed, outputs,
-    )
+    config = _resolved_config(train_cfg, base.config, space.space_id)
+    config["sampler"] = {"method": args.sampler, "samples": args.samples}
+    _write_manifest("transfer", out_dir / "manifest.json", config, inputs, args.seed, outputs)
     print(f"transferred to {len(targets)} device(s) with {args.samples} samples each -> {out_dir}")
     return EXIT_OK
 
@@ -356,7 +365,7 @@ def cmd_eval(args) -> int:
     archs = read_architectures(args.archs)
     table = LatencyTable.load_csv(args.latency)
     archmap = {a.arch_id: a for a in archs}
-    encodings = _load_encoding_arg(args)
+    encodings = _load_encoding(args.encoding)
     ckpt_path = Path(args.checkpoint)
     ckpts = sorted(ckpt_path.glob("transfer_*.json")) if ckpt_path.is_dir() else [ckpt_path]
     metas = {checkpoint_meta_path(p) for p in ckpts}
@@ -367,13 +376,14 @@ def cmd_eval(args) -> int:
     scatter_lines = ["device_id,arch_id,pred,truth"]
     for ckpt in ckpts:
         state, extra = load_checkpoint(ckpt)
+        _check_width(args.encoding, encodings, state, ckpt)
         device = args.device or extra.get("target_device")
         if device is None:
             raise NasflatError(f"{ckpt}: no target device recorded; pass --device")
         entry = evaluate(
             state, device, table, archmap, encodings=encodings,
             trial=args.trial, n_target_samples=int(extra.get("samples", 0)),
-            exclude=() if args.include_sampled else extra.get("sampled_ids", []),
+            exclude=extra.get("sampled_ids", []),
         )
         for arch_id, pred, truth in zip(entry.arch_ids, entry.preds, entry.truths):
             scatter_lines.append(f"{device},{arch_id},{repr(float(pred))},{repr(float(truth))}")
@@ -410,10 +420,11 @@ def cmd_search(args) -> int:
     archs = read_architectures(args.archs)
     _arch_space_id(archs)
     state, extra = load_checkpoint(args.checkpoint)
+    encodings = _load_encoding(args.encoding)
+    _check_width(args.encoding, encodings, state, args.checkpoint)
     device = args.device or extra.get("target_device")
     if device is None:
         raise NasflatError("no target device recorded in checkpoint; pass --device")
-    encodings = _load_encoding_arg(args)
     calibration = None
     if args.latency:
         table = LatencyTable.load_csv(args.latency)
@@ -453,6 +464,15 @@ def cmd_search(args) -> int:
 
 # --- parser -----------------------------------------------------------------
 
+def _at_least(low: int):
+    """argparse type: an integer >= low."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nasflat",
@@ -481,10 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="select architectures to measure")
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--archs", required=True, help="candidate pool (JSONL)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--encoding", help="encoding CSV for cosine/kmeans")
-    p.add_argument("--encoding-kind", default="custom")
     p.add_argument("--latency", help="reference latency CSV for latency_oracle")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
@@ -495,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--archs", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--encoding", help="supplementary encoding CSV")
-    p.add_argument("--encoding-kind", default="custom")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.set_defaults(func=cmd_pretrain)
@@ -508,11 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="pretrained checkpoint")
     p.add_argument("--sampler", default=None, choices=METHODS,
                    help="overrides the config's sampler section (default random)")
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=_at_least(2), default=None,
                    help="overrides the config's sampler section (default 20)")
-    p.add_argument("--encoding", help="supplementary encoding CSV")
-    p.add_argument("--encoding-kind", default="custom")
-    p.add_argument("--sampler-encoding", help="encoding CSV for the sampler only")
+    p.add_argument("--encoding", help="supplementary encoding CSV, as wide as the checkpoint's")
+    p.add_argument("--sampler-encoding", help="encoding CSV for the cosine/kmeans sampler")
     p.add_argument("--target", help="single target device (default: all in split)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
@@ -523,10 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--archs", required=True)
     p.add_argument("--checkpoint", required=True, help="transfer checkpoint file or directory")
     p.add_argument("--encoding", help="supplementary encoding CSV")
-    p.add_argument("--encoding-kind", default="custom")
     p.add_argument("--device", help="override the device recorded in the checkpoint")
-    p.add_argument("--include-sampled", action="store_true",
-                   help="do not exclude transfer samples from the held-out set")
     p.add_argument("--trial", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-prefix", required=True)
@@ -538,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latency", help="measured samples CSV for score->ms calibration")
     p.add_argument("--device")
     p.add_argument("--encoding", help="supplementary encoding CSV")
-    p.add_argument("--encoding-kind", default="custom")
     p.add_argument("--constraint-ms", type=float, required=True)
     p.add_argument("--top-k", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)

@@ -288,13 +288,13 @@ def _kl_pass(weights: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, float]:
     return side, best_gain
 
 
-def kl_bisect(graph: CorrelationGraph, seed: int, restarts: int = 8) -> tuple[list[str], list[str]]:
+def kl_bisect(graph: CorrelationGraph, seed: int) -> tuple[list[str], list[str]]:
     """Balanced bipartition locally minimizing cut weight.
 
     Weights are negative correlations, so minimizing the cut maximizes the
     correlation severed between the two sides and leaves each side internally
     decorrelated. Odd device counts are handled with a phantom zero-weight
-    vertex. Several seeded restarts are run and the best final cut kept.
+    vertex. Eight seeded restarts are run and the best final cut kept.
     """
     devices = graph.devices
     n = len(devices)
@@ -307,7 +307,7 @@ def kl_bisect(graph: CorrelationGraph, seed: int, restarts: int = 8) -> tuple[li
         n += 1
 
     best_side, best_cut = None, np.inf
-    for r in range(restarts):
+    for r in range(8):
         rng = rng_for("kl", seed, r)
         side = np.zeros(n, dtype=bool)
         side[rng.permutation(n)[: n // 2]] = True

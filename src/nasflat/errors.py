@@ -73,10 +73,6 @@ class NonFiniteValue(NasflatError):
     pass
 
 
-class KeyMismatch(NasflatError):
-    pass
-
-
 # --- autodiff ----------------------------------------------------------------
 
 class ShapeMismatch(NasflatError):

@@ -112,8 +112,9 @@ class PredictorConfig:
         )
         if any(d <= 0 for d in dims):
             raise ValueError("all layer dims must be positive")
-        if not self.gcn_dims:
-            raise ValueError("gcn_dims needs at least one layer")
+        for name in ("gcn_dims", "ophw_gcn_dims"):  # ops and devices enter through ophw_gcn
+            if not getattr(self, name):
+                raise ValueError(f"{name} needs at least one layer")
         if self.gnn_kind not in GNN_KINDS:
             raise ValueError(f"gnn_kind must be one of {GNN_KINDS}")
         if self.supplementary_dim < 0:
@@ -204,7 +205,7 @@ def _plan_layers(agg: np.ndarray, last_out: np.ndarray, n_layers: int) -> tuple[
         inp = np.flatnonzero(mask)
         rows.insert(0, (out, inp))
         out = inp
-    first = rows[0][0] if rows else None
+    first = rows[0][0]
     return tuple(
         _LayerRows(
             out=out,
@@ -279,7 +280,7 @@ def _make_template(space: SearchSpace, config: PredictorConfig, null_op_index: i
     ophw = _plan_layers(agg, main[0].out, len(config.ophw_gcn_dims))
     # Ops enter only through the refinement's gates, and its first layer
     # gates on the most rows.
-    live = np.flatnonzero(np.isin(slot_nodes, ophw[0].out)) if ophw else ()
+    live = np.flatnonzero(np.isin(slot_nodes, ophw[0].out))
     return _SpaceTemplate(
         agg=agg,
         node_ops=np.full(n, null_op_index, dtype=np.intp),
@@ -439,10 +440,10 @@ def register_device(state: PredictorState, device_id: str) -> int:
     return idx
 
 
-def _mlp(x, layers: list[tuple[Tensor, Tensor]], activate_last: bool = False) -> Tensor:
+def _mlp(x, layers: list[tuple[Tensor, Tensor]]) -> Tensor:
     for i, (w, b) in enumerate(layers):
         x = ad.add(ad.matmul(x, w), b)
-        if activate_last or i + 1 < len(layers):
+        if i + 1 < len(layers):
             x = ad.relu(x)
     return x
 
@@ -450,20 +451,11 @@ def _mlp(x, layers: list[tuple[Tensor, Tensor]], activate_last: bool = False) ->
 def _refined_op_features(
     state: PredictorState,
     plan: tuple[_LayerRows, ...],
-    out_rows: np.ndarray,
     node_ops: np.ndarray,
     device_row: int,
 ) -> Tensor:
-    """Joint op+hw embedding refined over the DAG, one feature row per node in
-    `out_rows`; `plan` holds the rows of each refinement layer."""
-    node_embed = state.params["node_embed"]
-    if not plan:
-        # Without an op-gated layer nothing would broadcast shared rows back
-        # to the batch, so the rows are then gathered once per arch.
-        return _mlp(
-            ad.gather(node_embed, np.broadcast_to(out_rows, (len(node_ops), len(out_rows)))),
-            state._views.ophw_mlp,
-        )
+    """Joint op+hw embedding refined over the DAG along the row plan `plan`:
+    one feature row per output row of its last layer."""
     ops = node_ops[:, plan[0].out]
     joint = ad.concat([
         ad.gather(state.params["op_embed"], ops),
@@ -471,7 +463,7 @@ def _refined_op_features(
     ], axis=-1)
     # Layer 0 starts from node rows shared by every arch, so at batch 1 it
     # runs its x @ W and A @ h once and broadcasts against the per-arch gate.
-    x = ad.gather(node_embed, plan[0].inp[None, :])
+    x = ad.gather(state.params["node_embed"], plan[0].inp[None, :])
     for rows, w in zip(plan, state._views.ophw_layers):
         feats = joint if rows.gate_pos is None else ad.take_rows(joint, rows.gate_pos)
         x = dgf_layer(x, rows.agg, feats, w, rows.self_pos)
@@ -490,7 +482,7 @@ def _forward(
     batch = ops_rows.shape[0]
     node_ops = np.tile(tpl.node_ops, (batch, 1))
     node_ops[:, tpl.slot_nodes] = ops_rows
-    refined = _refined_op_features(state, tpl.ophw, tpl.main[0].out, node_ops, device_row)
+    refined = _refined_op_features(state, tpl.ophw, node_ops, device_row)
     gate_feats = [
         refined if rows.gate_pos is None else ad.take_rows(refined, rows.gate_pos)
         for rows in tpl.main
@@ -551,19 +543,6 @@ def predict_batch(
         supp = None if supplementary is None else supplementary[start:stop]
         out[start:stop] = _forward(state, space, ops_rows, row, supp).data[:, 0]
     return out
-
-
-def refine_op_embeddings(state: PredictorState, arch: Architecture, device_id: str) -> np.ndarray:
-    """Per-slot refined operation features for one (arch, device) pair."""
-    space = state.space_for([arch])
-    tpl = state._templates[space.space_id]
-    row = state.device_row(device_id)
-    node_ops = tpl.node_ops.copy()
-    node_ops[tpl.slot_nodes] = arch.ops
-    every = np.arange(space.graph_size)
-    plan = _plan_layers(tpl.agg, every, len(state.config.ophw_gcn_dims))
-    refined = _refined_op_features(state, plan, every, node_ops[None, :], row)
-    return refined.data[0, tpl.slot_nodes, :].copy()
 
 
 def init_target_hw_embedding(

@@ -54,7 +54,6 @@ def gen_device(
     seed: int,
     space: SearchSpace,
     device_id: str | None = None,
-    cost_range: tuple[float, float] = (0.1, 8.0),
     max_discount: float = 0.2,
     sigma: float = 0.0,
     clone_of: SyntheticDevice | None = None,
@@ -74,8 +73,7 @@ def gen_device(
             costs = costs * np.exp(rng.normal(0.0, cost_jitter, size=vocab))
         discounts = clone_of.fusion_discounts.copy()
     else:
-        lo, hi = cost_range
-        costs = np.exp(rng.uniform(math.log(lo), math.log(hi), size=vocab))
+        costs = np.exp(rng.uniform(math.log(0.1), math.log(8.0), size=vocab))  # ms
         discounts = rng.uniform(0.0, max_discount, size=(vocab, vocab))
     if device_id is None:
         device_id = f"dev_{seed}"

@@ -198,30 +198,29 @@ def dense_forward(state, space, ops_rows, device_row, supplementary=None):
     config, views, params = state.config, state._views, state.params
     n = space.graph_size
     agg = np.asarray(space.template_adjacency().T, dtype=np.float64)
-    batch = len(ops_rows)
-    node_ops = np.full((batch, n), state.null_op_index, dtype=np.intp)
+    node_ops = np.full((len(ops_rows), n), state.null_op_index, dtype=np.intp)
     node_ops[:, list(space.slot_nodes)] = ops_rows
 
-    def node_rows(b):
-        return ad.gather(params["node_embed"], np.broadcast_to(np.arange(n), (b, n)))
+    def node_rows():
+        return ad.gather(params["node_embed"], np.arange(n)[None, :])
 
     joint = ad.concat([
         ad.gather(params["op_embed"], node_ops),
         ad.gather(params["hw_embed"], np.full(node_ops.shape, device_row, dtype=np.intp)),
     ], axis=-1)
-    x = node_rows(1 if views.ophw_layers else batch)
+    x = node_rows()
     for w in views.ophw_layers:
         x = pred.dgf_layer(x, agg, joint, w)
     refined = pred._mlp(x, views.ophw_mlp)
 
     sinks = []
     if config.gnn_kind in ("dgf", "ensemble"):
-        x = node_rows(1)
+        x = node_rows()
         for w in views.dgf_layers:
             x = pred.dgf_layer(x, agg, refined, w)
         sinks.append(ad.take_rows(x, n - 1))
     if config.gnn_kind in ("gat", "ensemble"):
-        x = node_rows(1)
+        x = node_rows()
         for w in views.gat_layers:
             x = pred.gat_layer(x, agg, refined, w, config.leaky_slope)
         sinks.append(ad.take_rows(x, n - 1))

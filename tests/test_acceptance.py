@@ -232,7 +232,7 @@ def test_criterion_5_sampler_properties():
     rng = np.random.default_rng(505)
     vectors = rng.normal(size=(60, 10))
     encoding = asp.EncodingTable(
-        kind="custom", dim=10, rows={a.arch_id: vectors[i] for i, a in enumerate(pool)}
+        dim=10, rows={a.arch_id: vectors[i] for i, a in enumerate(pool)}
     )
     strict_wins = 0
     for seed in range(20):
@@ -249,7 +249,7 @@ def test_criterion_5_sampler_properties():
     )
     blob_pool = pool[: n_blobs * members]
     blob_encoding = asp.EncodingTable(
-        kind="custom", dim=6,
+        dim=6,
         rows={a.arch_id: blob_vectors[i] for i, a in enumerate(blob_pool)},
     )
     blob_of = {blob_pool[i].arch_id: i // members for i in range(len(blob_pool))}
@@ -261,7 +261,7 @@ def test_criterion_5_sampler_properties():
     blobs_ok = blob_hits == 20
 
     degenerate = asp.EncodingTable(
-        kind="custom", dim=4, rows={a.arch_id: np.ones(4) for a in pool[:10]}
+        dim=4, rows={a.arch_id: np.ones(4) for a in pool[:10]}
     )
     try:
         smp.sample_kmeans(pool[:10], degenerate, 2, seed=0)

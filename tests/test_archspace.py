@@ -12,9 +12,7 @@ from nasflat import archspace as asp
 from nasflat.errors import (
     BadOpIndex,
     CycleDetected,
-    DimMismatch,
     InvalidArchitecture,
-    KeyMismatch,
     MultipleSinks,
     NonFiniteValue,
     ParseError,
@@ -157,40 +155,24 @@ def test_proxy_table_and_csv_roundtrip(nb201, tmp_path):
     assert table.dim == 13
     path = tmp_path / "zcp.csv"
     asp.save_encoding_table(table, path)
-    loaded = asp.load_encoding_table(path, "zcp")
+    loaded = asp.load_encoding_table(path)
     assert set(loaded.rows) == set(table.rows)
     for key in table.rows:
         assert np.array_equal(loaded.rows[key], table.rows[key])
-
-
-def test_load_encoding_arch2vec_width(tmp_path):
-    path = tmp_path / "a2v.csv"
-    header = "arch_id," + ",".join(f"e{i}" for i in range(32))
-    path.write_text(header + "\nabc," + ",".join(["0.5"] * 32) + "\n")
-    table = asp.load_encoding_table(path, "arch2vec")
-    assert table.dim == 32
-
-
-def test_load_encoding_dim_mismatch(tmp_path):
-    path = tmp_path / "bad.csv"
-    header = "arch_id," + ",".join(f"e{i}" for i in range(13))
-    path.write_text(header + "\nabc," + ",".join(["1.0"] * 13) + "\n")
-    with pytest.raises(DimMismatch):
-        asp.load_encoding_table(path, "arch2vec")
 
 
 def test_load_encoding_non_finite(tmp_path):
     path = tmp_path / "inf.csv"
     path.write_text("arch_id,e0,e1\nabc,1.0,inf\n")
     with pytest.raises(NonFiniteValue):
-        asp.load_encoding_table(path, "custom")
+        asp.load_encoding_table(path)
 
 
 def test_load_encoding_parse_error(tmp_path):
     path = tmp_path / "garbled.csv"
     path.write_text("arch_id,e0\nabc,notanumber\n")
     with pytest.raises(ParseError):
-        asp.load_encoding_table(path, "custom")
+        asp.load_encoding_table(path)
 
 
 def test_load_encoding_second_row_for_an_arch_is_parse_error(tmp_path):
@@ -198,32 +180,7 @@ def test_load_encoding_second_row_for_an_arch_is_parse_error(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("arch_id,e0,e1\nabc,1.0,2.0\nxyz,0.0,0.0\nabc,3.0,4.0\n")
     with pytest.raises(ParseError, match=f"{path}:4: second row for arch 'abc'"):
-        asp.load_encoding_table(path, "custom")
-
-
-def _table(kind, dim, keys, offset=0.0):
-    return asp.EncodingTable(
-        kind=kind, dim=dim,
-        rows={k: np.arange(dim, dtype=float) + offset + i for i, k in enumerate(keys)},
-    )
-
-
-def test_concat_caz_dims_and_order():
-    keys = ["a", "b"]
-    zcp = _table("zcp", 13, keys, offset=100.0)
-    a2v = _table("arch2vec", 32, keys, offset=200.0)
-    cate = _table("cate", 32, keys, offset=300.0)
-    caz = asp.concat_caz(zcp, a2v, cate)
-    assert caz.dim == 77
-    row = caz.rows["a"]
-    assert np.array_equal(row[:32], cate.rows["a"])
-    assert np.array_equal(row[32:64], a2v.rows["a"])
-    assert np.array_equal(row[64:], zcp.rows["a"])
-
-
-def test_concat_caz_key_mismatch():
-    with pytest.raises(KeyMismatch):
-        asp.concat_caz(_table("zcp", 13, ["a"]), _table("arch2vec", 32, ["a", "b"]), _table("cate", 32, ["a"]))
+        asp.load_encoding_table(path)
 
 
 def test_architecture_jsonl_roundtrip(nb201, tmp_path):

@@ -375,11 +375,12 @@ def test_transfer_records_warm_start_source(workspace, tmp_path):
         assert meta["extra"]["live_slots"] == [0, 1, 2, 3, 4, 5]
 
 
-@pytest.mark.parametrize("space, predictor", [
-    ("nb201", {"ophw_gcn_dims": [16], "gcn_dims": [16]}),
-    ("fbnet", {"ophw_gcn_dims": []}),
+@pytest.mark.parametrize("space, predictor, why", [
+    ("nb201", {"ophw_gcn_dims": [16], "gcn_dims": [16]},
+     "/predictor: no op slot of nb201 reaches the score with ophw_gcn_dims [16] and gcn_dims [16]"),
+    ("fbnet", {"ophw_gcn_dims": []}, "/predictor: ophw_gcn_dims needs at least one layer"),
 ], ids=["nb201_one_layer_stacks", "fbnet_no_refinement"])
-def test_pretrain_without_live_slots_is_config_error(tmp_path, capsys, space, predictor):
+def test_pretrain_without_live_slots_is_config_error(tmp_path, capsys, space, predictor, why):
     """A predictor whose sink sees no op slot scores every arch the same: exit 3, no checkpoint."""
     data = tmp_path / "data"
     assert run(["synth", "--space", space, "--devices", "3", "--archs", "20",
@@ -394,8 +395,7 @@ def test_pretrain_without_live_slots_is_config_error(tmp_path, capsys, space, pr
                 "--out", str(tmp_path / "c.json")])
     err = capsys.readouterr().err
     assert code == 3, err
-    dims = f"ophw_gcn_dims {predictor['ophw_gcn_dims']} and gcn_dims {predictor.get('gcn_dims', [128, 128, 128])}"
-    assert f"{config}: /predictor: no op slot of {space} reaches the score with {dims}" in err, err
+    assert f"{config}: {why}" in err, err
     assert not (tmp_path / "c.json").exists()
 
 
@@ -505,11 +505,11 @@ def test_failing_target_in_a_worker_is_the_serial_data_error(workspace, wide_spl
         monkeypatch.setattr(pipeline, "_transfer_workers", lambda n, w=workers: w)
         out = tmp_path / f"w{workers}"
         capsys.readouterr()
-        code = run(_wide_transfer_argv(workspace, wide_split, out, samples="1"))
+        code = run(_wide_transfer_argv(workspace, wide_split, out, samples="81"))
         errors.append(capsys.readouterr().err)
         assert code == 3, errors[-1]
         assert not (out / "manifest.json").exists()
-    assert errors[0] == errors[1] == "error: need >= 2 target samples, got 1\n"
+    assert errors[0] == errors[1] == "error: requested 81 from a pool of 80\n"
 
 
 def test_transfer_with_one_blas_thread_matches_default(workspace, wide_split, wide_transfer,
@@ -603,7 +603,7 @@ def test_config_sampler_section_used_when_flags_absent(workspace, tmp_path):
 
 @pytest.mark.parametrize("samples", ["abc", [5], 2.7, True, 0, None])
 def test_bad_sampler_samples_is_data_error(workspace, tmp_path, capsys, samples):
-    """/sampler/samples takes a JSON integer >= 1; transfer exits 3 and names it."""
+    """/sampler/samples takes a JSON integer >= 2; transfer exits 3 and names it."""
     _, data, split, _, ckpt = workspace
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"version": 1, "sampler": {"samples": samples}}))
@@ -613,7 +613,54 @@ def test_bad_sampler_samples_is_data_error(workspace, tmp_path, capsys, samples)
                 "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "t")])
     err = capsys.readouterr().err
     assert code == 3, err
-    assert f"{config}: /sampler/samples: must be an integer >= 1, got {samples!r}" in err, err
+    assert f"{config}: /sampler/samples: must be an integer >= 2, got {samples!r}" in err, err
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("command, config_samples, flag, code, why", [
+    ("transfer", 1, None, 3, "/sampler/samples: must be an integer >= 2, got 1"),
+    ("transfer", 20, "0", 2, "argument --samples: must be at least 2, got 0"),
+    ("transfer", 20, "-3", 2, "argument --samples: must be at least 2, got -3"),
+    ("transfer", 20, "1", 2, "argument --samples: must be at least 2, got 1"),
+    ("sample", None, "0", 2, "argument --n: must be at least 1, got 0"),
+], ids=["config_1", "samples_0", "samples_-3", "samples_1", "sample_n_0"])
+def test_too_few_samples_is_rejected_where_it_enters(workspace, tmp_path, capsys,
+                                                     command, config_samples, flag, code, why):
+    """A sample count the run cannot use names its config pointer (exit 3) or flag (exit 2)."""
+    _, data, split, _, ckpt = workspace
+    out = tmp_path / "out"
+    if command == "sample":
+        argv = ["sample", "--method", "random", "--archs", str(data / "archs.jsonl"),
+                "--n", flag, "--out", str(out)]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"version": 1, "sampler": {"samples": config_samples}}))
+        argv = ["transfer", "--config", str(config), "--latency", str(data / "latency.csv"),
+                "--archs", str(data / "archs.jsonl"), "--split", str(split),
+                "--checkpoint", str(ckpt), "--out-dir", str(out)]
+        argv += ["--samples", flag] if flag else []
+    capsys.readouterr()
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+    else:
+        assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert why in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["cosine", "kmeans"])
+def test_encoding_sampler_needs_sampler_encoding(workspace, tmp_path, capsys, method):
+    """transfer's sampler reads --sampler-encoding only; --encoding is the predictor's input."""
+    data = workspace[1]
+    capsys.readouterr()
+    code = run(_transfer_argv(workspace, tmp_path / "t", "--sampler", method,
+                              "--encoding", str(data / "zcp.csv")))
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"--sampler {method} needs --sampler-encoding" in err, err
     assert not (tmp_path / "t").exists()
 
 
@@ -638,15 +685,10 @@ def test_config_space_must_be_the_archs_space(workspace, tmp_path, capsys):
 
 
 def test_manifest_config_loads_as_a_run_config(workspace, tmp_path):
-    """The resolved config a manifest records passes the `space` check.
-
-    The manifest's predictor section also records supplementary_dim, which
-    only --encoding sets, so that one field is dropped here.
-    """
+    """The resolved config a manifest records passes the `space` check."""
     _, data, split, _, ckpt = workspace
     doc = json.loads(Path(str(ckpt) + ".manifest.json").read_text())["config"]
     assert doc["space"] == "nb201"
-    del doc["predictor"]["supplementary_dim"]
     config = tmp_path / "resolved.json"
     config.write_text(json.dumps(doc))
     assert run(["transfer", "--config", str(config), "--latency", str(data / "latency.csv"),
@@ -731,9 +773,11 @@ def test_pretrain_takes_supplementary_dim_from_encoding(workspace, tmp_path):
         "--encoding", str(data / "zcp.csv"), "--out", str(ckpt),
     ]) == 0
     state, _ = load_checkpoint(ckpt)
+    meta = json.loads(Path(str(ckpt) + ".meta.json").read_text())
     manifest = json.loads(Path(str(ckpt) + ".manifest.json").read_text())
     assert state.config.supplementary_dim == 13
-    assert manifest["config"]["predictor"]["supplementary_dim"] == 13
+    assert meta["config"]["supplementary_dim"] == 13
+    assert "supplementary_dim" not in manifest["config"]["predictor"]
 
 
 def test_transfer_manifest_records_the_checkpoint_predictor(workspace, tmp_path):
@@ -753,7 +797,9 @@ def test_transfer_manifest_records_the_checkpoint_predictor(workspace, tmp_path)
     manifest = json.loads((out_dir / "manifest.json").read_text())
     meta = json.loads((out_dir / f"transfer_{target}.json.meta.json").read_text())
     assert manifest["config"]["predictor"]["gcn_dims"] == [128, 128, 128]
-    assert manifest["config"]["predictor"] == meta["config"]
+    assert meta["config"]["supplementary_dim"] == 0
+    assert {**manifest["config"]["predictor"], "supplementary_dim": 0} == meta["config"]
+    assert manifest["config"]["sampler"] == {"method": "random", "samples": 8}
 
 
 def _split_as_list(split):
@@ -905,3 +951,79 @@ def test_no_run_config_field_is_dead(knob_world, section, field):
     doc = json.loads(json.dumps(_KNOB_BASE))
     doc[section][field] = _KNOB_VARIANTS[section][field]
     assert _knob_transfer_bytes(root / f"{section}.{field}", data, split, doc) != base
+
+
+# --- manifests replay; --encoding matches the checkpoint ---------------------------
+
+def _knob_argv(data, split, config, *extra):
+    return ["--config", str(config), "--latency", str(data / "latency.csv"),
+            "--archs", str(data / "archs.jsonl"), "--split", str(split), "--seed", "2", *extra]
+
+
+def test_manifest_configs_replay_the_run(knob_world, tmp_path):
+    """Each manifest's `config`, given back as --config without --samples, rewrites the same bytes."""
+    _, data, split, _ = knob_world
+    encoding = ("--encoding", str(data / "zcp.csv"))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"version": 1, **_KNOB_BASE}))
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(["pretrain", *_knob_argv(data, split, config, *encoding),
+                "--out", str(first / "ckpt.json")]) == 0
+    assert run(["transfer", *_knob_argv(data, split, config, *encoding), "--samples", "8",
+                "--checkpoint", str(first / "ckpt.json"), "--out-dir", str(first)]) == 0
+    pretrain_doc = json.loads((first / "ckpt.json.manifest.json").read_text())["config"]
+    transfer_doc = json.loads((first / "manifest.json").read_text())["config"]
+    assert transfer_doc["sampler"] == {"method": "random", "samples": 8}
+    (tmp_path / "pretrain.json").write_text(json.dumps(pretrain_doc))
+    (tmp_path / "transfer.json").write_text(json.dumps(transfer_doc))
+    assert run(["pretrain", *_knob_argv(data, split, tmp_path / "pretrain.json", *encoding),
+                "--out", str(again / "ckpt.json")]) == 0
+    assert run(["transfer", *_knob_argv(data, split, tmp_path / "transfer.json", *encoding),
+                "--checkpoint", str(again / "ckpt.json"), "--out-dir", str(again)]) == 0
+    for name in ("ckpt.json", "ckpt.json.meta.json", "transfer_d03.json", "transfer_d03.json.meta.json"):
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def encoded_ckpts(knob_world):
+    """Checkpoints with supplementary_dim 13 and 0, a 13-wide and a 12-wide encoding CSV."""
+    root, data, split, _ = knob_world
+    work = root / "encoded"
+    work.mkdir()
+    config = work / "run.json"
+    config.write_text(json.dumps({"version": 1, **_KNOB_BASE}))
+    assert run(["pretrain", *_knob_argv(data, split, config, "--encoding", str(data / "zcp.csv")),
+                "--out", str(work / "ckpt.json")]) == 0
+    narrow = work / "zcp12.csv"
+    narrow.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                              for line in (data / "zcp.csv").read_text().splitlines()))
+    return {13: work / "ckpt.json", 0: root / "base" / "ckpt.json"}, {13: data / "zcp.csv", 12: narrow}
+
+
+@pytest.mark.parametrize("command, ckpt_width, file_width", [
+    ("eval", 13, 12), ("eval", 13, 0), ("eval", 0, 13), ("search", 0, 13), ("transfer", 13, 12),
+])
+def test_encoding_width_must_match_the_checkpoint(knob_world, encoded_ckpts, tmp_path, capsys,
+                                                  command, ckpt_width, file_width):
+    """An --encoding of another width than the checkpoint's supplementary_dim exits 3 naming both."""
+    _, data, split, _ = knob_world
+    ckpts, files = encoded_ckpts
+    ckpt, out = ckpts[ckpt_width], tmp_path / "out"
+    common = ["--archs", str(data / "archs.jsonl"), "--checkpoint", str(ckpt)]
+    argv = {
+        "eval": ["eval", *common, "--latency", str(data / "latency.csv"), "--device", "d03",
+                 "--out-prefix", str(out / "report")],
+        "search": ["search", *common, "--constraint-ms", "1e9", "--out", str(out / "r.csv")],
+        "transfer": ["transfer", *common, "--latency", str(data / "latency.csv"),
+                     "--split", str(split), "--samples", "8", "--out-dir", str(out)],
+    }[command]
+    given = "no --encoding (width 0)"
+    if file_width:
+        argv += ["--encoding", str(files[file_width])]
+        given = f"--encoding {files[file_width]} has width {file_width}"
+    capsys.readouterr()
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"{given}, but checkpoint {ckpt} has supplementary_dim {ckpt_width}" in err, err
+    assert not out.exists()

@@ -57,8 +57,10 @@ def test_config_validation():
         pred.PredictorConfig(gnn_kind="transformer")
     with pytest.raises(ValueError):
         pred.PredictorConfig(gcn_dims=(128, 0))
-    with pytest.raises(ValueError, match="gcn_dims needs at least one layer"):
+    with pytest.raises(ValueError, match="^gcn_dims needs at least one layer"):
         pred.PredictorConfig(gcn_dims=())
+    with pytest.raises(ValueError, match="^ophw_gcn_dims needs at least one layer"):
+        pred.PredictorConfig(ophw_gcn_dims=())
 
 
 def test_init_deterministic_and_shapes(nb201):
@@ -183,31 +185,32 @@ def test_gat_isolated_node_gets_layernormed_zero():
 # --- refinement -------------------------------------------------------------------
 
 def test_refine_identical_hw_rows_identical_features(state, nb201):
+    """The device enters only through its hardware row: equal rows give equal scores."""
     hw = state.params["hw_embed"].data
     hw[1] = hw[0]
-    arch = asp.random_architecture(nb201, 0)
-    a = pred.refine_op_embeddings(state, arch, "d0")
-    b = pred.refine_op_embeddings(state, arch, "d1")
-    assert np.array_equal(a, b)
-    assert a.shape == (6, 128)
+    archs = [asp.random_architecture(nb201, s) for s in range(8)]
+    scores = pred.predict_batch(state, archs, "d0")
+    assert len(set(scores)) == len(archs)
+    assert scores.tobytes() == pred.predict_batch(state, archs, "d1").tobytes()
+    assert not np.array_equal(scores, pred.predict_batch(state, archs, "d2"))
 
 
 def test_refine_zeroed_mlp_gives_zero_features(state, nb201):
+    """Ops and the device enter only through the refined features: zeroed, every arch scores the same."""
     state.params["ophw_mlp0.w"].data[:] = 0.0
     state.params["ophw_mlp0.b"].data[:] = 0.0
-    arch = asp.random_architecture(nb201, 1)
-    assert np.all(pred.refine_op_embeddings(state, arch, "d0") == 0.0)
+    archs = [asp.random_architecture(nb201, s) for s in range(8)]
+    scores = {pred.predict_batch(state, [a], d)[0] for a in archs for d in ("d0", "d1")}
+    assert len(scores) == 1
 
 
 def test_refine_perturbation_is_device_local(state, nb201):
-    arch = asp.random_architecture(nb201, 2)
-    before_d0 = pred.refine_op_embeddings(state, arch, "d0")
-    before_d1 = pred.refine_op_embeddings(state, arch, "d1")
+    """Moving d0's hardware row changes every d0 score and no bit of d1's."""
+    archs = [asp.random_architecture(nb201, s) for s in range(8)]
+    before = {d: pred.predict_batch(state, archs, d) for d in ("d0", "d1")}
     state.params["hw_embed"].data[0] += 0.5
-    after_d0 = pred.refine_op_embeddings(state, arch, "d0")
-    after_d1 = pred.refine_op_embeddings(state, arch, "d1")
-    assert not np.array_equal(before_d0, after_d0)
-    assert np.array_equal(before_d1, after_d1)
+    assert np.all(pred.predict_batch(state, archs, "d0") != before["d0"])
+    assert pred.predict_batch(state, archs, "d1").tobytes() == before["d1"].tobytes()
 
 
 # --- predict ---------------------------------------------------------------------
@@ -301,10 +304,10 @@ def test_supplementary_only_touches_head(nb201, monkeypatch):
     head_inputs = []
     real = pred._mlp
 
-    def spy(x, layers, activate_last=False):
+    def spy(x, layers):
         if layers is st._views.head:
             head_inputs.append(ad._data(x).copy())
-        return real(x, layers, activate_last)
+        return real(x, layers)
 
     monkeypatch.setattr(pred, "_mlp", spy)
     archs = [asp.random_architecture(nb201, 5)]
@@ -344,8 +347,6 @@ _SHAPE_CONFIGS = [
     dict(gnn_kind="dgf"),
     dict(gnn_kind="gat"),
     dict(gnn_kind="ensemble"),
-    dict(gnn_kind="ensemble", ophw_gcn_dims=(), ophw_mlp_dims=(), supplementary_dim=2),
-    dict(gnn_kind="dgf", ophw_gcn_dims=(), supplementary_dim=2),
     dict(gnn_kind="gat", ophw_mlp_dims=()),
 ]
 
@@ -407,8 +408,6 @@ def test_live_slots_are_the_sink_cone(nb201, fbnet):
     assert both.live_slots == {"fbnet": (18, 19, 20, 21), "nb201": (0, 1, 2, 3, 4, 5)}
     shallow = pred.PredictorConfig(ophw_gcn_dims=(128,), gcn_dims=(128,))
     assert pred.init_predictor(shallow, [nb201], ["d0"], seed=0).live_slots == {"nb201": ()}
-    no_refine = pred.PredictorConfig(ophw_gcn_dims=())
-    assert pred.init_predictor(no_refine, [fbnet], ["d0"], seed=0).live_slots == {"fbnet": ()}
 
 
 def test_fbnet_score_moves_exactly_with_live_slot_ops(fbnet):
@@ -638,7 +637,7 @@ def _checkpoint_cases(draw):
         op_embed_dim=draw(st.integers(1, 4)),
         node_embed_dim=draw(st.integers(1, 4)),
         hw_embed_dim=draw(st.integers(1, 4)),
-        ophw_gcn_dims=tuple(draw(_DIMS)),
+        ophw_gcn_dims=tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))),
         ophw_mlp_dims=tuple(draw(_DIMS)),
         gcn_dims=tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))),
         head_mlp_dims=tuple(draw(_DIMS)),

@@ -34,9 +34,9 @@ def pool(nb201):
     return archs
 
 
-def _encoding_for(pool, vectors, kind="custom"):
+def _encoding_for(pool, vectors):
     return asp.EncodingTable(
-        kind=kind, dim=vectors.shape[1],
+        dim=vectors.shape[1],
         rows={a.arch_id: vectors[i] for i, a in enumerate(pool)},
     )
 
