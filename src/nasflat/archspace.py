@@ -1,4 +1,4 @@
-"""Architecture search spaces, validation, serialization, and encodings.
+"""Architecture search spaces, serialization, and encodings.
 
 Two space kinds are supported. Micro-cell spaces put operations on the edges
 of a small complete DAG; they are lowered to a line-graph form where each
@@ -6,13 +6,17 @@ original edge becomes an operation slot node, bracketed by explicit input and
 output nodes so the lowered DAG has a single source and a single sink.
 Macro-chain spaces are a fixed linear chain with one operation per position.
 
-Architectures are immutable; arch_id is a content hash over the canonical
-serialization (space_id, row-major adjacency, ops) and is the join key used
-by every table in the package.
+The space owns the topology: every architecture of a space has the same
+lowered DAG, and an architecture is only its per-slot op indices (a missing
+micro-cell edge is its `none` op). Ops are checked once, where an
+Architecture is built. arch_id is a content hash over the canonical
+serialization (space_id, row-major template adjacency, ops) and is the join
+key used by every table in the package.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -21,17 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadOpIndex,
-    CycleDetected,
-    DimMismatch,
-    InvalidArchitecture,
-    MultipleSinks,
-    MultipleSources,
-    NonFiniteValue,
-    ParseError,
-    UnreachableSink,
-)
+from .errors import BadOpIndex, DimMismatch, NonFiniteValue, ParseError
 
 MICRO_CELL = "micro_cell"
 MACRO_CHAIN = "macro_chain"
@@ -62,7 +56,8 @@ class SearchSpace:
 
     node_count is the cell node count for micro-cell spaces and the chain
     length for macro chains. The lowered graph template (adjacency, slot
-    positions) is derived once at construction.
+    positions, slot-to-slot edges, the arch_id hash prefix) is derived once
+    at construction.
     """
 
     space_id: str
@@ -72,8 +67,10 @@ class SearchSpace:
     slot_count: int
     param_costs: tuple[float, ...]
     flop_costs: tuple[float, ...]
-    _template: np.ndarray = field(repr=False, compare=False, default=None)
-    _slot_nodes: tuple[int, ...] = field(repr=False, compare=False, default=None)
+    _template: np.ndarray = field(init=False, repr=False, compare=False)
+    _slot_nodes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _slot_edges: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _id_prefix: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (MICRO_CELL, MACRO_CHAIN):
@@ -90,8 +87,16 @@ class SearchSpace:
                 raise ValueError("macro chain slot_count must equal node_count")
             adj, slots = _macro_chain_template(self.node_count)
         adj.flags.writeable = False
+        slot_of = {node: slot for slot, node in enumerate(slots)}
+        edges = zip(*(nz.tolist() for nz in np.nonzero(adj)))  # row-major
         object.__setattr__(self, "_template", adj)
         object.__setattr__(self, "_slot_nodes", slots)
+        object.__setattr__(self, "_slot_edges", tuple(
+            (slot_of[u], slot_of[v]) for u, v in edges if u in slot_of and v in slot_of
+        ))
+        object.__setattr__(self, "_id_prefix", "{};{};".format(
+            self.space_id, ",".join(str(int(v)) for v in adj.reshape(-1))
+        ))
 
     @property
     def graph_size(self) -> int:
@@ -102,6 +107,12 @@ class SearchSpace:
     def slot_nodes(self) -> tuple[int, ...]:
         """Indices of lowered-DAG nodes that carry an operation, slot order."""
         return self._slot_nodes
+
+    @property
+    def slot_edges(self) -> tuple[tuple[int, int], ...]:
+        """(slot u, slot v) for each lowered-DAG edge joining two slot nodes,
+        in row-major order of the adjacency."""
+        return self._slot_edges
 
     def template_adjacency(self) -> np.ndarray:
         """The fixed, strictly upper-triangular lowered adjacency (read-only)."""
@@ -175,104 +186,55 @@ def fbnet_space() -> SearchSpace:
 _REGISTRY = {"nb201": nb201_space, "fbnet": fbnet_space}
 
 
+@functools.cache
 def get_space(space_id: str) -> SearchSpace:
+    """The one shared SearchSpace for space_id."""
     try:
-        return _REGISTRY[space_id]()
+        factory = _REGISTRY[space_id]
     except KeyError:
         raise KeyError(f"unknown space {space_id!r}; known: {sorted(_REGISTRY)}") from None
+    return factory()
 
 
 @dataclass(frozen=True, eq=False)
 class Architecture:
-    """An immutable architecture: lowered adjacency + per-slot op indices."""
+    """An immutable architecture: per-slot op indices on its space's fixed topology.
+
+    The ops must fit the space, one index within the vocabulary per slot;
+    anything else raises BadOpIndex naming each bad slot.
+    """
 
     space_id: str
-    adjacency: np.ndarray
     ops: tuple[int, ...]
-    arch_id: str = ""
+    arch_id: str = field(init=False)
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=np.int8)
-        adj.flags.writeable = False
-        object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(self, "ops", tuple(int(o) for o in self.ops))
-        object.__setattr__(self, "arch_id", _content_hash(self.space_id, adj, self.ops))
-
-
-def _content_hash(space_id: str, adj: np.ndarray, ops: tuple[int, ...]) -> str:
-    payload = "{};{};{}".format(
-        space_id,
-        ",".join(str(int(v)) for v in adj.reshape(-1)),
-        ",".join(str(o) for o in ops),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+        space = get_space(self.space_id)
+        ops = tuple(self.ops)
+        vocab = len(space.op_vocab)
+        if len(ops) != space.slot_count:
+            raise BadOpIndex(f"{len(ops)} ops, expected {space.slot_count}")
+        bad = [
+            f"op {op!r} at slot {slot}" for slot, op in enumerate(ops)
+            if isinstance(op, bool) or not isinstance(op, (int, np.integer)) or not 0 <= op < vocab
+        ]
+        if bad:
+            raise BadOpIndex(f"{', '.join(bad)}: not an op index in 0..{vocab - 1}")
+        ops = tuple(int(o) for o in ops)
+        payload = space._id_prefix + ",".join(str(o) for o in ops)
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "arch_id", hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32])
 
 
 def make_architecture(space: SearchSpace, ops: Sequence[int]) -> Architecture:
     """Build an architecture on the space's fixed topology from op indices."""
-    return Architecture(space.space_id, space.template_adjacency().copy(), tuple(ops))
+    return Architecture(space.space_id, ops)
 
 
 def random_architecture(space: SearchSpace, seed: int) -> Architecture:
     """Uniformly sample op indices on the space's fixed topology."""
     rng = np.random.default_rng(seed)
-    ops = rng.integers(0, len(space.op_vocab), size=space.slot_count)
-    return make_architecture(space, [int(o) for o in ops])
-
-
-def validation_errors(arch: Architecture, space: SearchSpace) -> list:
-    """All invariant violations for arch within space (empty list = valid)."""
-    errors = []
-    adj = np.asarray(arch.adjacency)
-    n = space.graph_size
-    if adj.shape != (n, n):
-        errors.append(CycleDetected(f"adjacency shape {adj.shape}, expected {(n, n)}"))
-        return errors
-    if np.any(np.tril(adj) != 0):
-        errors.append(CycleDetected("adjacency has entries on or below the diagonal"))
-    in_deg = adj.sum(axis=0)
-    out_deg = adj.sum(axis=1)
-    sources = np.flatnonzero(in_deg == 0)
-    sinks = np.flatnonzero(out_deg == 0)
-    if len(sources) != 1:
-        errors.append(MultipleSources(f"{len(sources)} source nodes, expected 1"))
-    if len(sinks) != 1:
-        errors.append(MultipleSinks(f"{len(sinks)} sink nodes, expected 1"))
-    if len(sources) >= 1 and len(sinks) >= 1:
-        reach = _reachable(adj, int(sources[0]))
-        if not reach[int(sinks[-1])]:
-            errors.append(UnreachableSink("sink not reachable from source"))
-    if len(arch.ops) != space.slot_count:
-        errors.append(BadOpIndex(f"{len(arch.ops)} ops, expected {space.slot_count}"))
-    else:
-        vocab = len(space.op_vocab)
-        for slot, op in enumerate(arch.ops):
-            if not (0 <= op < vocab):
-                errors.append(BadOpIndex(f"op {op} at slot {slot} outside vocab of {vocab}"))
-    return errors
-
-
-def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
-    # Plain lists: on graphs this small, a numpy call per node costs more
-    # than the whole search.
-    rows = adj.tolist()
-    seen = [False] * len(rows)
-    stack = [start]
-    seen[start] = True
-    while stack:
-        u = stack.pop()
-        for v, edge in enumerate(rows[u]):
-            if edge and not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return np.array(seen)
-
-
-def validate(arch: Architecture, space: SearchSpace) -> None:
-    """Raise InvalidArchitecture if any invariant fails."""
-    errors = validation_errors(arch, space)
-    if errors:
-        raise InvalidArchitecture(errors)
+    return make_architecture(space, rng.integers(0, len(space.op_vocab), size=space.slot_count))
 
 
 def graph_proxies(arch: Architecture, space: SearchSpace) -> np.ndarray:
@@ -282,8 +244,7 @@ def graph_proxies(arch: Architecture, space: SearchSpace) -> np.ndarray:
     shape statistics plus parameter/FLOP estimates from the space's per-op
     cost table. Depends only on architecture content.
     """
-    validate(arch, space)
-    adj = np.asarray(arch.adjacency, dtype=np.int64)
+    adj = np.asarray(space.template_adjacency(), dtype=np.int64)
     n = adj.shape[0]
     n_edges = int(adj.sum())
     ops = arch.ops
@@ -405,7 +366,8 @@ def save_encoding_table(table: EncodingTable, path) -> None:
 
 
 def write_architectures(archs: Iterable[Architecture], path) -> None:
-    """JSON-lines serialization: {"space", "adj", "ops"} per line."""
+    """JSON-lines serialization: {"space", "adj", "ops"} per line, "adj" being
+    the space's template adjacency."""
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for arch in archs:
@@ -413,7 +375,7 @@ def write_architectures(archs: Iterable[Architecture], path) -> None:
                 json.dumps(
                     {
                         "space": arch.space_id,
-                        "adj": [[int(v) for v in row] for row in arch.adjacency],
+                        "adj": get_space(arch.space_id).template_adjacency().tolist(),
                         "ops": list(arch.ops),
                     },
                     separators=(",", ":"),
@@ -423,25 +385,25 @@ def write_architectures(archs: Iterable[Architecture], path) -> None:
 
 
 def read_architectures(path) -> list[Architecture]:
-    """Parse a JSONL architecture file, validating each line against its space.
+    """Parse a JSONL architecture file.
 
-    Any malformed or invalid line raises ParseError with `path:line`.
+    Each line's "adj" must be its space's template adjacency and its ops must
+    fit the space. Any malformed or invalid line raises ParseError with
+    `path:line`.
     """
     path = Path(path)
     archs = []
-    spaces: dict[str, SearchSpace] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                arch = Architecture(obj["space"], np.array(obj["adj"]), tuple(obj["ops"]))
-                if arch.space_id not in spaces:
-                    spaces[arch.space_id] = get_space(arch.space_id)
-                validate(arch, spaces[arch.space_id])
-            except (KeyError, TypeError, ValueError, InvalidArchitecture) as e:
+                obj = json.loads(line.decode("utf-8"))
+                space = get_space(obj["space"])
+                if obj["adj"] != space.template_adjacency().tolist():
+                    raise ValueError(f"adj is not the fixed topology of space {space.space_id!r}")
+                archs.append(Architecture(space.space_id, obj["ops"]))
+            except (KeyError, TypeError, ValueError, BadOpIndex) as e:
                 raise ParseError(f"{path}:{lineno}: {e}") from None
-            archs.append(arch)
     return archs

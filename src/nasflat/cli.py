@@ -353,7 +353,8 @@ def cmd_transfer(args) -> int:
         return [ckpt, checkpoint_meta_path(ckpt)]
 
     outputs = [path for paths in map_targets(adapt, targets) for path in paths]
-    inputs = [Path(p) for p in (args.latency, args.archs, args.split, args.checkpoint, args.config) if p]
+    inputs = [Path(p) for p in (args.latency, args.archs, args.split, args.checkpoint, args.config,
+                                args.encoding, args.sampler_encoding) if p]
     config = _resolved_config(train_cfg, base.config, space.space_id)
     config["sampler"] = {"method": args.sampler, "samples": args.samples}
     _write_manifest("transfer", out_dir / "manifest.json", config, inputs, args.seed, outputs)
@@ -397,7 +398,7 @@ def cmd_eval(args) -> int:
     csv_path.write_text(report.csv_text(), encoding="utf-8")
     _write_json(json_path, report.summary())
     scatter_path.write_text("\n".join(scatter_lines) + "\n", encoding="utf-8")
-    inputs = [Path(args.latency), Path(args.archs)] + ckpts
+    inputs = [Path(p) for p in (args.latency, args.archs, args.encoding) if p] + ckpts
     _write_manifest(
         "eval", Path(str(prefix) + ".manifest.json"),
         {"checkpoints": [str(c) for c in ckpts]}, inputs, args.seed,
@@ -450,7 +451,7 @@ def cmd_search(args) -> int:
         "total_time_s": result.total_time_s,
     }
     _write_json(Path(str(out) + ".timing.json"), timing)
-    inputs = [Path(args.archs), Path(args.checkpoint)] + ([Path(args.latency)] if args.latency else [])
+    inputs = [Path(p) for p in (args.archs, args.checkpoint, args.latency, args.encoding) if p]
     _write_manifest(
         "search", Path(str(out) + ".manifest.json"),
         {"constraint_ms": args.constraint_ms, "top_k": args.top_k, "device": device},

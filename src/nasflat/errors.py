@@ -22,41 +22,9 @@ class BadField(NasflatError, TypeError):
 
 # --- architecture / search space -----------------------------------------
 
-class ArchitectureError(NasflatError):
-    """An architecture violates a search-space invariant."""
-
-
-class CycleDetected(ArchitectureError):
-    pass
-
-
-class BadOpIndex(ArchitectureError):
-    pass
-
-
-class MultipleSinks(ArchitectureError):
-    pass
-
-
-class MultipleSources(ArchitectureError):
-    pass
-
-
-class UnreachableSink(ArchitectureError):
-    pass
-
-
-class InvalidArchitecture(ArchitectureError):
-    """Aggregate of all invariant violations found by validate()."""
-
-    def __init__(self, errors: list[ArchitectureError]):
-        self.errors = list(errors)
-        super().__init__("; ".join(str(e) for e in errors))
-
-    def __reduce__(self):
-        # Rebuild from the errors, not from the joined message, so that the
-        # error survives pickling (a transfer worker's error is pickled).
-        return type(self), (self.errors,)
+class BadOpIndex(NasflatError):
+    """An architecture's ops do not fit its space: the wrong count, or an
+    entry that is not an index into the op vocabulary."""
 
 
 # --- encoding tables -------------------------------------------------------

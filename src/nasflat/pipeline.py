@@ -27,6 +27,7 @@ from .archspace import Architecture, EncodingTable, SearchSpace
 from .autodiff import AdamState, Tensor, blas_thread_setter
 from .devicesets import LatencyTable, spearman
 from .errors import (
+    BadSupplementaryDim,
     BudgetTooSmall,
     EmptyFeasibleSet,
     InsufficientData,
@@ -105,6 +106,11 @@ def _supplementary_rows(
     encodings: EncodingTable | None, arch_ids: Sequence[str], state: PredictorState
 ) -> np.ndarray | None:
     if state.config.supplementary_dim == 0:
+        if encodings is not None:
+            raise BadSupplementaryDim(
+                f"an encodings table of width {encodings.dim} was given, "
+                "but the predictor has supplementary_dim 0"
+            )
         return None
     if encodings is None:
         raise InsufficientData("predictor expects supplementary encodings but none were given")

@@ -3,9 +3,10 @@
 Stands in for on-device measurement benches at desk scale. A device is a
 per-op base cost vector plus a pairwise fusion-discount matrix: an
 architecture's latency is the layerwise cost sum minus a discount for every
-adjacent op pair (two slot nodes joined by a lowered-DAG edge), scaled by
-multiplicative log-normal noise. Noise is keyed by (device seed, arch_id) so
-repeated queries return identical values regardless of call order.
+adjacent op pair (two slot nodes joined by an edge of the space's lowered
+DAG), scaled by multiplicative log-normal noise. Noise is keyed by (device
+seed, arch_id) so repeated queries return identical values regardless of
+call order.
 
 Families of correlated devices are built by cloning: a clone shares the
 parent's cost structure, optionally jittered, which plants a controllable
@@ -92,13 +93,8 @@ def latency_of(arch: Architecture, device: SyntheticDevice, space: SearchSpace) 
     costs = device.base_costs
     ops = arch.ops
     total = float(costs[list(ops)].sum())
-    slot_of = {node: slot for slot, node in enumerate(space.slot_nodes)}
-    adj = arch.adjacency
     discount = 0.0
-    for u, v in zip(*np.nonzero(adj)):
-        su, sv = slot_of.get(int(u)), slot_of.get(int(v))
-        if su is None or sv is None:
-            continue  # edge touches a structural (non-slot) node
+    for su, sv in space.slot_edges:
         a, b = ops[su], ops[sv]
         discount += device.fusion_discounts[a, b] * min(costs[a], costs[b])
     value = total - discount

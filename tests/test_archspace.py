@@ -2,22 +2,15 @@
 
 from __future__ import annotations
 
-import pickle
+import json
 import re
 
 import numpy as np
 import pytest
 
 from nasflat import archspace as asp
-from nasflat.errors import (
-    BadOpIndex,
-    CycleDetected,
-    InvalidArchitecture,
-    MultipleSinks,
-    NonFiniteValue,
-    ParseError,
-    UnreachableSink,
-)
+from nasflat import synthbench as sb
+from nasflat.errors import BadOpIndex, NonFiniteValue, ParseError
 
 
 @pytest.fixture(scope="module")
@@ -62,59 +55,87 @@ def test_random_architecture_covers_all_ops_per_slot(nb201):
     assert seen.all(), "10k draws must hit every op value at every slot"
 
 
-def test_validate_accepts_valid(nb201):
-    asp.validate(asp.random_architecture(nb201, 0), nb201)
+def test_validate_accepts_valid(nb201, tmp_path):
+    arch = asp.random_architecture(nb201, 0)
+    path = tmp_path / "archs.jsonl"
+    asp.write_architectures([arch], path)
+    assert json.loads(path.read_text())["adj"] == nb201.template_adjacency().tolist()
+    assert [a.arch_id for a in asp.read_architectures(path)] == [arch.arch_id]
 
 
-def test_validate_cycle(nb201):
-    adj = nb201.template_adjacency().copy()
-    adj[4, 1] = 1  # below the diagonal
-    arch = asp.Architecture("nb201", adj, (0,) * 6)
-    with pytest.raises(InvalidArchitecture) as exc:
-        asp.validate(arch, nb201)
-    assert any(isinstance(e, CycleDetected) for e in exc.value.errors)
-
-
-def test_invalid_architecture_survives_pickling(nb201):
-    arch = asp.make_architecture(nb201, [0, 1, 2, 3, 4, 5])
-    with pytest.raises(InvalidArchitecture) as exc:
-        asp.validate(arch, nb201)
-    again = pickle.loads(pickle.dumps(exc.value))
-    assert str(again) == str(exc.value)
-    assert [str(e) for e in again.errors] == [str(e) for e in exc.value.errors]
+def test_get_space_is_shared():
+    assert asp.get_space("nb201") is asp.get_space("nb201")
+    with pytest.raises(KeyError, match="unknown space 'nope'"):
+        asp.get_space("nope")
 
 
 def test_validate_bad_op_index(nb201):
-    arch = asp.make_architecture(nb201, [0, 1, 2, 3, 4, 5])  # 5 outside vocab
-    with pytest.raises(InvalidArchitecture) as exc:
-        asp.validate(arch, nb201)
-    assert any(isinstance(e, BadOpIndex) for e in exc.value.errors)
+    """Ops are checked where an Architecture is built, naming every bad slot."""
+    for ops, why in (
+        ([0, 1, 2, 3, 4, 5], "op 5 at slot 5: not an op index in 0..4"),
+        ([-1, 0, 0, 9, 0, 0], "op -1 at slot 0, op 9 at slot 3: not an op index in 0..4"),
+        ([0, 1.0, 0, 0, "2", 0], "op 1.0 at slot 1, op '2' at slot 4"),
+        ([0, 0, True, 0, None, 0], "op True at slot 2, op None at slot 4"),
+        ([0] * 5, "5 ops, expected 6"),
+        ([0] * 7, "7 ops, expected 6"),
+    ):
+        with pytest.raises(BadOpIndex, match=re.escape(why)):
+            asp.make_architecture(nb201, ops)
+        with pytest.raises(BadOpIndex, match=re.escape(why)):
+            asp.Architecture("nb201", ops)
 
 
-def test_validate_multiple_sinks(nb201):
-    adj = nb201.template_adjacency().copy()
-    adj[6, 7] = 0  # e23 loses its edge to the output node
-    arch = asp.Architecture("nb201", adj, (0,) * 6)
-    errs = asp.validation_errors(arch, nb201)
-    assert any(isinstance(e, MultipleSinks) for e in errs)
+def _archs_with_edited_line_2(tmp_path, space, edit):
+    """A 3-arch archs.jsonl whose second line's object went through `edit`."""
+    path = tmp_path / "archs.jsonl"
+    asp.write_architectures([asp.random_architecture(space, s) for s in range(3)], path)
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[1])
+    edit(obj)
+    lines[1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
-def test_validate_unreachable_sink(fbnet):
-    adj = fbnet.template_adjacency().copy()
-    adj[10, 11] = 0
-    adj[0, 11] = 0  # break the chain, then patch node 11's source status
-    adj[9, 11] = 1
-    adj[10, 12] = 0
-    # node 10 now dead-ends; there are 2 sinks and node 11 keeps an in-edge
-    arch = asp.Architecture("fbnet", adj, (0,) * 22)
-    errs = asp.validation_errors(arch, fbnet)
-    assert errs, "broken chain must fail validation"
+def _cycle(adj):
+    adj[4][1] = 1  # below the diagonal
+
+
+def _multiple_sinks(adj):
+    adj[6][7] = 0  # e23 loses its edge to the output node
+
+
+def _unreachable_sink(adj):
+    # fbnet: break the chain at 10 -> 11 and patch node 11's source status;
+    # node 10 now dead-ends, so there are 2 sinks and node 11 keeps an in-edge
+    adj[10][11] = adj[0][11] = adj[10][12] = 0
+    adj[9][11] = 1
+
+
+def _extra_forward_edge(adj):
+    adj[1][6] = 1  # between two slot nodes; still a DAG with one source and sink
+
+
+def _dropped_edge(adj):
+    adj[1][4] = 0
+
+
+@pytest.mark.parametrize("space_id, rewire", [
+    ("nb201", _cycle), ("nb201", _multiple_sinks), ("fbnet", _unreachable_sink),
+    ("nb201", _extra_forward_edge), ("nb201", _dropped_edge),
+], ids=lambda v: v.__name__.strip("_") if callable(v) else v)
+def test_read_architectures_rejects_other_topologies(tmp_path, space_id, rewire):
+    """An adj other than the space's template, DAG or not, is a ParseError at its line."""
+    path = _archs_with_edited_line_2(tmp_path, asp.get_space(space_id), lambda obj: rewire(obj["adj"]))
+    why = f"{path}:2: adj is not the fixed topology of space {space_id!r}"
+    with pytest.raises(ParseError, match=re.escape(why)):
+        asp.read_architectures(path)
 
 
 def test_macro_chain_architecture_depends_only_on_ops(fbnet):
     a = asp.make_architecture(fbnet, [1] * 22)
-    b = asp.make_architecture(fbnet, [1] * 22)
-    assert np.array_equal(a.adjacency, b.adjacency)
+    b = asp.make_architecture(fbnet, np.ones(22, dtype=np.int64))
+    assert a.ops == b.ops and all(type(o) is int for o in b.ops)
     assert a.arch_id == b.arch_id
     assert a.arch_id != asp.make_architecture(fbnet, [1] * 21 + [2]).arch_id
 
@@ -143,8 +164,8 @@ def test_graph_proxies_hand_counts(nb201):
 
 def test_graph_proxies_content_determinism(nb201):
     ops = (2, 0, 1, 4, 3, 2)
-    a = asp.Architecture("nb201", nb201.template_adjacency().copy(), ops)
-    b = asp.Architecture("nb201", [list(r) for r in nb201.template_adjacency()], list(ops))
+    a = asp.Architecture("nb201", ops)
+    b = asp.make_architecture(nb201, np.array(ops))
     assert a.arch_id == b.arch_id
     assert np.array_equal(asp.graph_proxies(a, nb201), asp.graph_proxies(b, nb201))
 
@@ -193,9 +214,48 @@ def test_architecture_jsonl_roundtrip(nb201, tmp_path):
 
 @pytest.mark.parametrize("op", [5, 9, -1])
 def test_read_architectures_rejects_invalid_archs(nb201, tmp_path, op):
-    archs = [asp.random_architecture(nb201, s) for s in range(3)]
-    bad = asp.Architecture(nb201.space_id, archs[1].adjacency, (op,) + archs[1].ops[1:])
-    path = tmp_path / "archs.jsonl"
-    asp.write_architectures([archs[0], bad, archs[2]], path)
+    path = _archs_with_edited_line_2(tmp_path, nb201, lambda obj: obj["ops"].__setitem__(0, op))
     with pytest.raises(ParseError, match=re.escape(f"{path}:2: op {op} at slot 0")):
         asp.read_architectures(path)
+
+
+# Captured from the version whose architectures carried their own adjacency:
+# ids, proxies and latencies must not move when the space owns the topology.
+_PINNED = {
+    "nb201": {
+        "ids": {
+            (0, 0, 0, 0, 0, 0): "2696ad3648b23bcf1af8bf5cafa579b2",
+            (0, 1, 2, 3, 4, 0): "28c65760f0dbb5f9d62faf9c271ee90d",
+            (4, 3, 2, 1, 0, 4): "52495da278f2323f5dcbf0f8b46fe395",
+        },
+        "proxies": [
+            6.0, 8.0, 10.0, 4.0, 0.35714285714285715, 5.0, 1.5607104090414063, 2.0, 4.0,
+            0.39999999999999997, 6.489999999999999, 5.819999999999999, 1.0816666666666666,
+        ],
+        "latency": 9.388054459585515,
+    },
+    "fbnet": {
+        "ids": {
+            (8,) * 22: "4e3aac7bc5b3e11a13ac2b98e2397782",
+            tuple(range(9)) * 2 + (0, 1, 2, 3): "79ba63d97b42f3eebd958f422fed866a",
+            (3, 7, 1, 0, 5, 2, 8, 6, 4, 4, 1, 3, 0, 7, 2, 6, 5, 8, 1, 1, 0, 3):
+                "ba22787a988222fac28f41996c2b5ae8",
+        },
+        "proxies": [
+            22.0, 22.0, 21.0, 21.0, 0.09090909090909091, 9.0, 2.161287119576154, 4.0, 20.0,
+            7.000000000000001, 66.00000000000001, 66.0, 3.0000000000000004,
+        ],
+        "latency": 39.052143062445786,
+    },
+}
+
+
+@pytest.mark.parametrize("space_id", sorted(_PINNED))
+def test_ids_proxies_and_latency_are_pinned(space_id):
+    """arch_id, graph_proxies and latency_of keep their bits; the last op list is the probe."""
+    space, pinned = asp.get_space(space_id), _PINNED[space_id]
+    archs = [asp.make_architecture(space, ops) for ops in pinned["ids"]]
+    assert [a.arch_id for a in archs] == list(pinned["ids"].values())
+    assert asp.graph_proxies(archs[-1], space).tolist() == pinned["proxies"]
+    device = sb.gen_device(11, space, sigma=0.05)
+    assert sb.latency_of(archs[-1], device, space) == pinned["latency"]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -13,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nasflat import cli, pipeline
 from nasflat.devicesets import DeviceSplit, LatencyTable
@@ -294,10 +298,40 @@ def _op_index_out_of_vocab(ckpt, archs):
     return Path(f"{archs}:3"), "op 5 at slot 0"
 
 
+def _rewired_adj(archs, rewire):
+    lines = archs.read_text().splitlines()
+    obj = json.loads(lines[2])
+    rewire(obj["adj"])
+    lines[2] = json.dumps(obj)
+    archs.write_text("\n".join(lines) + "\n")
+    return Path(f"{archs}:3"), "adj is not the fixed topology of space 'nb201'"
+
+
+def _adj_back_edge(ckpt, archs):
+    return _rewired_adj(archs, lambda adj: adj[4].__setitem__(1, 1))
+
+
+def _adj_dropped_edge(ckpt, archs):
+    return _rewired_adj(archs, lambda adj: adj[1].__setitem__(4, 0))
+
+
+def _adj_extra_forward_edge(ckpt, archs):
+    """Still a DAG with one source and sink; it used to load as a new arch."""
+    return _rewired_adj(archs, lambda adj: adj[1].__setitem__(6, 1))
+
+
+def _archs_line_not_utf8(ckpt, archs):
+    lines = archs.read_bytes().split(b"\n")
+    lines[2] = lines[2][:30] + b"\xff" + lines[2][31:]
+    archs.write_bytes(b"\n".join(lines))
+    return Path(f"{archs}:3"), "can't decode byte 0xff"
+
+
 @pytest.mark.parametrize("corrupt", [
     _as_version_1, _wrong_version, _truncated, _digest_mismatch, _short_param,
     _config_implies_other_layout, _devices_imply_other_layout, _float_dims_in_meta,
     _missing_key, _missing_config_field, _missing_meta, _op_index_out_of_vocab,
+    _adj_back_edge, _adj_dropped_edge, _adj_extra_forward_edge, _archs_line_not_utf8,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_unreadable_input_is_data_error(workspace, transfers, tmp_path, capsys, corrupt):
     """Bad checkpoints and JSONL archs exit 3 and name the file, not 4 or 0."""
@@ -961,16 +995,21 @@ def _knob_argv(data, split, config, *extra):
 
 
 def test_manifest_configs_replay_the_run(knob_world, tmp_path):
-    """Each manifest's `config`, given back as --config without --samples, rewrites the same bytes."""
+    """Each manifest's `config`, given back as --config without --samples, rewrites the same bytes,
+    and each manifest digests the encoding files it was given."""
     _, data, split, _ = knob_world
-    encoding = ("--encoding", str(data / "zcp.csv"))
+    zcp = data / "zcp.csv"
+    sampler_zcp = tmp_path / "sampler_zcp.csv"
+    shutil.copy(zcp, sampler_zcp)
+    encoding = ("--encoding", str(zcp))
+    sampler_encoding = ("--sampler-encoding", str(sampler_zcp))
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"version": 1, **_KNOB_BASE}))
     first, again = tmp_path / "first", tmp_path / "again"
     assert run(["pretrain", *_knob_argv(data, split, config, *encoding),
                 "--out", str(first / "ckpt.json")]) == 0
-    assert run(["transfer", *_knob_argv(data, split, config, *encoding), "--samples", "8",
-                "--checkpoint", str(first / "ckpt.json"), "--out-dir", str(first)]) == 0
+    assert run(["transfer", *_knob_argv(data, split, config, *encoding, *sampler_encoding),
+                "--samples", "8", "--checkpoint", str(first / "ckpt.json"), "--out-dir", str(first)]) == 0
     pretrain_doc = json.loads((first / "ckpt.json.manifest.json").read_text())["config"]
     transfer_doc = json.loads((first / "manifest.json").read_text())["config"]
     assert transfer_doc["sampler"] == {"method": "random", "samples": 8}
@@ -982,6 +1021,21 @@ def test_manifest_configs_replay_the_run(knob_world, tmp_path):
                 "--checkpoint", str(again / "ckpt.json"), "--out-dir", str(again)]) == 0
     for name in ("ckpt.json", "ckpt.json.meta.json", "transfer_d03.json", "transfer_d03.json.meta.json"):
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+    ckpt, archs = first / "transfer_d03.json", data / "archs.jsonl"
+    assert run(["eval", "--latency", str(data / "latency.csv"), "--archs", str(archs),
+                "--checkpoint", str(ckpt), *encoding, "--out-prefix", str(first / "report")]) == 0
+    assert run(["search", "--archs", str(archs), "--checkpoint", str(ckpt), *encoding,
+                "--constraint-ms", "1e9", "--out", str(first / "r.csv")]) == 0
+    digest = {p: hashlib.sha256(p.read_bytes()).hexdigest() for p in (zcp, sampler_zcp)}
+    for manifest, files in (
+        ("ckpt.json.manifest.json", (zcp,)),
+        ("manifest.json", (zcp, sampler_zcp)),
+        ("report.manifest.json", (zcp,)),
+        ("r.csv.manifest.json", (zcp,)),
+    ):
+        inputs = json.loads((first / manifest).read_text())["inputs"]
+        assert {str(p): inputs.get(str(p)) for p in files} == {str(p): digest[p] for p in files}, manifest
 
 
 @pytest.fixture(scope="module")
@@ -1026,4 +1080,63 @@ def test_encoding_width_must_match_the_checkpoint(knob_world, encoded_ckpts, tmp
     err = capsys.readouterr().err
     assert code == 3, err
     assert f"{given}, but checkpoint {ckpt} has supplementary_dim {ckpt_width}" in err, err
+    assert not out.exists()
+
+
+# --- a mutated archs.jsonl line is a data error at its line ---------------------------
+
+def _mutated(line: str, kind: str, *args) -> str:
+    """`line` with one field-level or byte-level fault of `kind`."""
+    obj = json.loads(line)
+    if kind == "flip":  # one adjacency entry 0 <-> 1
+        i, j = args
+        obj["adj"][i][j] ^= 1
+    elif kind == "op":
+        slot, value = args
+        obj["ops"][slot] = value
+    elif kind == "drop":
+        del obj[args[0]]
+    elif kind == "truncate":
+        return json.dumps(obj, separators=(",", ":"))[: args[0]]
+    return json.dumps(obj)
+
+
+_OUT_OF_RANGE = st.one_of(st.integers(max_value=-1), st.integers(min_value=5))
+_NOT_AN_INT = st.one_of(
+    st.floats(allow_nan=False), st.text(max_size=3), st.none(), st.booleans(),
+    st.lists(st.integers(0, 4), max_size=2),
+)
+_MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 7), st.integers(0, 7)),
+    st.tuples(st.just("op"), st.integers(0, 5), st.one_of(_OUT_OF_RANGE, _NOT_AN_INT)),
+    st.tuples(st.just("drop"), st.sampled_from(["space", "adj", "ops"])),
+    st.tuples(st.just("truncate"), st.integers(1, 150)),
+)
+
+
+@pytest.fixture(scope="module")
+def small_archs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("mutated")
+    path = root / "archs.jsonl"
+    asp.write_architectures([asp.random_architecture(asp.get_space("nb201"), s) for s in range(4)], path)
+    return root, path.read_text().splitlines()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(index=st.integers(0, 3), mutation=_MUTATION)
+@example(index=1, mutation=("flip", 1, 6))  # an extra forward edge: still one source and sink
+@example(index=2, mutation=("op", 3, 2.0))  # an integral float
+def test_mutated_archs_line_is_a_data_error_at_its_line(small_archs, index, mutation):
+    """`sample` on an archs file with one mutated line exits 3 naming `path:line`, never 4."""
+    root, lines = small_archs
+    bad = list(lines)
+    bad[index] = _mutated(lines[index], *mutation)
+    path, out = root / "archs.jsonl", root / "sel.json"
+    path.write_text("\n".join(bad) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(["sample", "--method", "random", "--archs", str(path), "--n", "2",
+                    "--out", str(out)])
+    assert code == 3, (bad[index], err.getvalue())
+    assert f"{path}:{index + 1}: " in err.getvalue(), (bad[index], err.getvalue())
     assert not out.exists()

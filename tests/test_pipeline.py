@@ -18,7 +18,13 @@ from nasflat import pipeline as pl
 from nasflat import predictor as pred
 from nasflat import synthbench as sb
 from nasflat.devicesets import LatencyTable
-from nasflat.errors import EmptyFeasibleSet, InsufficientData, NonFiniteValue, TooFewSamples
+from nasflat.errors import (
+    BadSupplementaryDim,
+    EmptyFeasibleSet,
+    InsufficientData,
+    NonFiniteValue,
+    TooFewSamples,
+)
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +356,26 @@ def test_untrained_predictor_near_zero_rho(nb201, small_world):
             random_truth.add(a, "s0", float(rng.uniform(1, 10)))
         rhos.append(pl.evaluate(st, "s0", random_truth, archs).spearman)
     assert np.mean(np.abs(rhos)) < 0.3
+
+
+def test_encodings_given_to_a_predictor_without_supplementary_input_are_rejected(nb201, small_world):
+    """evaluate, transfer and search raise instead of ignoring the table."""
+    table, archs, sources, target = small_world
+    st = _fresh_state(nb201, sources, seed=6)
+    encodings = asp.proxy_table(archs.values(), nb201)
+    ids = sorted(archs)
+    calls = (
+        lambda: pl.evaluate(st, "s0", table, archs, encodings=encodings),
+        lambda: pl.transfer(st, target, table, ids[:8], sources, archs,
+                            pl.TrainConfig(transfer_epochs=1), encodings=encodings, seed=0),
+        lambda: pl.latency_constrained_search(
+            [archs[a] for a in ids[:10]], lambda a: 1.0, st, "s0", np.inf, top_k=3,
+            encodings=encodings,
+        ),
+    )
+    for call in calls:
+        with pytest.raises(BadSupplementaryDim, match="width 13 .* supplementary_dim 0"):
+            call()
 
 
 def test_eval_report_aggregates_recompute_exactly():
