@@ -12,3 +12,7 @@ Submodules:
 """
 
 __version__ = "0.1.0"
+
+# nasflat.sampler's methods, kept here so the CLI parser can list them
+# without importing numpy.
+SAMPLER_METHODS = ("random", "params", "cosine", "kmeans", "latency_oracle")

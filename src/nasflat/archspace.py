@@ -56,8 +56,9 @@ class SearchSpace:
 
     node_count is the cell node count for micro-cell spaces and the chain
     length for macro chains. The lowered graph template (adjacency, slot
-    positions, slot-to-slot edges, the arch_id hash prefix) is derived once
-    at construction.
+    positions, slot-to-slot edges, the arch_id hash prefix) and the
+    topology that graph_proxies reads (per-node predecessors, edge count,
+    longest path, sink) are derived once at construction.
     """
 
     space_id: str
@@ -71,6 +72,10 @@ class SearchSpace:
     _slot_nodes: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _slot_edges: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     _id_prefix: str = field(init=False, repr=False, compare=False)
+    _preds: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _edge_count: int = field(init=False, repr=False, compare=False)
+    _longest_path: int = field(init=False, repr=False, compare=False)
+    _sink: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (MICRO_CELL, MACRO_CHAIN):
@@ -97,6 +102,14 @@ class SearchSpace:
         object.__setattr__(self, "_id_prefix", "{};{};".format(
             self.space_id, ",".join(str(int(v)) for v in adj.reshape(-1))
         ))
+        preds = tuple(tuple(np.flatnonzero(col).tolist()) for col in adj.T)
+        longest = [0] * len(preds)  # edges on the longest path into each node
+        for v, p in enumerate(preds):  # node order is a topological order
+            longest[v] = max((longest[u] + 1 for u in p), default=0)
+        object.__setattr__(self, "_preds", preds)
+        object.__setattr__(self, "_edge_count", int(adj.sum()))
+        object.__setattr__(self, "_longest_path", max(longest))
+        object.__setattr__(self, "_sink", int(np.flatnonzero(~adj.any(axis=1))[0]))
 
     @property
     def graph_size(self) -> int:
@@ -244,9 +257,8 @@ def graph_proxies(arch: Architecture, space: SearchSpace) -> np.ndarray:
     shape statistics plus parameter/FLOP estimates from the space's per-op
     cost table. Depends only on architecture content.
     """
-    adj = np.asarray(space.template_adjacency(), dtype=np.int64)
-    n = adj.shape[0]
-    n_edges = int(adj.sum())
+    n = space.graph_size
+    n_edges = space._edge_count
     ops = arch.ops
     counts = np.bincount(np.array(ops), minlength=len(space.op_vocab))
     probs = counts[counts > 0] / len(ops)
@@ -254,25 +266,14 @@ def graph_proxies(arch: Architecture, space: SearchSpace) -> np.ndarray:
     flops = np.array(space.flop_costs)
     params = np.array(space.param_costs)
 
-    # Longest source->sink path in edges, by DP over the topological order.
-    longest = np.zeros(n, dtype=np.int64)
-    for v in range(n):
-        preds = np.flatnonzero(adj[:, v])
-        if preds.size:
-            longest[v] = longest[preds].max() + 1
-
-    # Critical path cost: max path sum of per-slot flop costs.
-    node_cost = np.zeros(n)
+    # Critical path cost: max path sum of per-slot flop costs, by DP over the
+    # topological order.
+    node_cost = [0.0] * n
     for slot, node in enumerate(space.slot_nodes):
-        node_cost[node] = flops[ops[slot]]
-    best = np.full(n, -np.inf)
-    src = int(np.flatnonzero(adj.sum(axis=0) == 0)[0])
-    best[src] = node_cost[src]
-    for v in range(n):
-        preds = np.flatnonzero(adj[:, v])
-        if preds.size:
-            best[v] = best[preds].max() + node_cost[v]
-    sink = int(np.flatnonzero(adj.sum(axis=1) == 0)[0])
+        node_cost[node] = space.flop_costs[ops[slot]]
+    best = [0.0] * n
+    for v, preds in enumerate(space._preds):
+        best[v] = max((best[u] for u in preds), default=0.0) + node_cost[v]
 
     flop_est = float(flops[list(ops)].sum())
     return np.array(
@@ -280,7 +281,7 @@ def graph_proxies(arch: Architecture, space: SearchSpace) -> np.ndarray:
             float(space.slot_count),
             float(n),
             float(n_edges),
-            float(longest.max()),
+            float(space._longest_path),
             n_edges / (n * (n - 1) / 2.0),
             float(np.count_nonzero(counts)),
             entropy,
@@ -288,7 +289,7 @@ def graph_proxies(arch: Architecture, space: SearchSpace) -> np.ndarray:
             float(sum(1 for o in ops if flops[o] > 0.0)),
             float(params[list(ops)].sum()),
             flop_est,
-            float(best[sink]),
+            float(best[space._sink]),
             flop_est / space.slot_count,
         ],
         dtype=np.float64,

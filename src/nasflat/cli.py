@@ -4,7 +4,8 @@ Subcommands: synth, partition, sample, pretrain, transfer, eval, search.
 Every run resolves one config document, derives all randomness from a single
 --seed, writes its outputs byte-identically for identical inputs, and records
 a manifest (command, resolved config, input digests, seed, outputs). Only the
-manifest carries a timestamp.
+manifest carries a timestamp. Each subcommand imports the library modules it
+runs, so a call loads only those, and `import nasflat.cli` loads no numpy.
 
 Exit codes: 0 success, 2 usage error, 3 data/input error, 4 internal error.
 """
@@ -19,46 +20,16 @@ import time
 from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING, Sequence
 
-
-from . import __version__
-from .archspace import (
-    Architecture,
-    EncodingTable,
-    get_space,
-    load_encoding_table,
-    proxy_table,
-    read_architectures,
-    save_encoding_table,
-)
-from .devicesets import (
-    CorrelationGraph,
-    DeviceSplit,
-    LatencyTable,
-    kl_bisect,
-    prune_to_sizes,
-)
+from . import SAMPLER_METHODS, __version__
 from .errors import BadField, BudgetTooSmall, NasflatError
-from .pipeline import (
-    EvalReport,
-    TrainConfig,
-    evaluate,
-    latency_constrained_search,
-    map_targets,
-    pretrain,
-    transfer,
-)
-from .predictor import (
-    PredictorConfig,
-    PredictorState,
-    checkpoint_meta_path,
-    init_predictor,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .rng import rng_for, stable_seed
-from .sampler import METHODS, run_sampler
-from .synthbench import gen_dataset, mixed_family
+
+if TYPE_CHECKING:
+    from .archspace import Architecture, EncodingTable
+    from .devicesets import DeviceSplit, LatencyTable
+    from .pipeline import TrainConfig
+    from .predictor import PredictorConfig, PredictorState
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -116,6 +87,10 @@ def _load_run_config(
     be `space_id`, the architectures' space. supplementary_dim is not a field:
     `pretrain` takes it from --encoding. CLI flags override the sampler.
     """
+    from .archspace import get_space
+    from .pipeline import TrainConfig
+    from .predictor import PredictorConfig
+
     space = get_space(space_id)
     if path is None:
         return TrainConfig.for_space(space), PredictorConfig(), dict(SAMPLER_DEFAULTS)
@@ -146,8 +121,8 @@ def _load_run_config(
         if key not in SAMPLER_DEFAULTS:
             raise NasflatError(f"{path}: /sampler/{key}: unknown field")
     sampler = {**SAMPLER_DEFAULTS, **sampler_section}
-    if sampler["method"] not in METHODS:
-        raise NasflatError(f"{path}: /sampler/method: {sampler['method']!r} not in {METHODS}")
+    if sampler["method"] not in SAMPLER_METHODS:
+        raise NasflatError(f"{path}: /sampler/method: {sampler['method']!r} not in {SAMPLER_METHODS}")
     samples = sampler["samples"]
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
         raise NasflatError(f"{path}: /sampler/samples: must be an integer >= 2, got {samples!r}")
@@ -167,6 +142,8 @@ def _resolved_config(train: TrainConfig, predictor: PredictorConfig, space_id: s
 
 def _load_split(path: str, table: LatencyTable, latency_path: str) -> DeviceSplit:
     """The device split at `path`; each of its devices must have rows in `table`."""
+    from .devicesets import DeviceSplit
+
     text = Path(path).read_text(encoding="utf-8")
     try:
         split = DeviceSplit.from_json(text)
@@ -189,8 +166,17 @@ def _arch_space_id(archs: list[Architecture]) -> str:
     return ids.pop()
 
 
-def _load_encoding(path: str | None) -> EncodingTable | None:
-    return None if path is None else load_encoding_table(path)
+def _load_encoding(path: str | None, archs: Sequence[Architecture] = ()) -> EncodingTable | None:
+    """The encoding CSV at `path`, if any; it must have a row for each of `archs`."""
+    from .archspace import load_encoding_table
+
+    if path is None:
+        return None
+    table = load_encoding_table(path)
+    missing = next((a.arch_id for a in archs if a.arch_id not in table), None)
+    if missing is not None:
+        raise NasflatError(f"{path}: no row for arch {missing}")
+    return table
 
 
 def _check_width(path: str | None, encodings: EncodingTable | None, state: PredictorState, ckpt) -> None:
@@ -205,6 +191,9 @@ def _check_width(path: str | None, encodings: EncodingTable | None, state: Predi
 # --- subcommands ----------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    from .archspace import get_space, proxy_table, save_encoding_table
+    from .synthbench import gen_dataset, mixed_family
+
     space = get_space(args.space)
     out_dir = Path(args.out_dir)
     devices = mixed_family(space, args.devices, args.seed, sigma=args.sigma)
@@ -228,6 +217,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    from .devicesets import CorrelationGraph, LatencyTable, kl_bisect, prune_to_sizes
+
     table = LatencyTable.load_csv(args.latency)
     graph = CorrelationGraph.from_latency_table(table)
     sides = kl_bisect(graph, args.seed)
@@ -244,6 +235,10 @@ def cmd_partition(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .archspace import get_space, read_architectures
+    from .devicesets import LatencyTable
+    from .sampler import run_sampler
+
     archs = read_architectures(args.archs)
     space = get_space(_arch_space_id(archs))
     encoding = _load_encoding(args.encoding)
@@ -264,12 +259,18 @@ def cmd_sample(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    from .archspace import get_space, read_architectures
+    from .devicesets import LatencyTable
+    from .pipeline import pretrain
+    from .predictor import checkpoint_meta_path, init_predictor, save_checkpoint
+    from .rng import stable_seed
+
     archs = read_architectures(args.archs)
     space = get_space(_arch_space_id(archs))
     train_cfg, pred_cfg, _ = _load_run_config(args.config, space.space_id)
     table = LatencyTable.load_csv(args.latency)
     split = _load_split(args.split, table, args.latency)
-    encodings = _load_encoding(args.encoding)
+    encodings = _load_encoding(args.encoding, archs)
     pred_cfg = replace(pred_cfg, supplementary_dim=0 if encodings is None else encodings.dim)
     archmap = {a.arch_id: a for a in archs}
     seed = stable_seed("pretrain", args.seed)
@@ -306,6 +307,13 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    from .archspace import get_space, read_architectures
+    from .devicesets import LatencyTable
+    from .pipeline import map_targets, transfer
+    from .predictor import checkpoint_meta_path, load_checkpoint, save_checkpoint
+    from .rng import stable_seed
+    from .sampler import run_sampler
+
     archs = read_architectures(args.archs)
     space = get_space(_arch_space_id(archs))
     train_cfg, _, sampler_cfg = _load_run_config(args.config, space.space_id)
@@ -316,7 +324,7 @@ def cmd_transfer(args) -> int:
     table = LatencyTable.load_csv(args.latency)
     split = _load_split(args.split, table, args.latency)
     base, _ = load_checkpoint(args.checkpoint)
-    encodings = _load_encoding(args.encoding)
+    encodings = _load_encoding(args.encoding, archs)
     _check_width(args.encoding, encodings, base, args.checkpoint)
     sampler_encoding = _load_encoding(args.sampler_encoding)
     archmap = {a.arch_id: a for a in archs}
@@ -363,10 +371,15 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .archspace import read_architectures
+    from .devicesets import LatencyTable
+    from .pipeline import EvalReport, evaluate
+    from .predictor import checkpoint_meta_path, load_checkpoint
+
     archs = read_architectures(args.archs)
     table = LatencyTable.load_csv(args.latency)
     archmap = {a.arch_id: a for a in archs}
-    encodings = _load_encoding(args.encoding)
+    encodings = _load_encoding(args.encoding, archs)
     ckpt_path = Path(args.checkpoint)
     ckpts = sorted(ckpt_path.glob("transfer_*.json")) if ckpt_path.is_dir() else [ckpt_path]
     metas = {checkpoint_meta_path(p) for p in ckpts}
@@ -410,6 +423,7 @@ def cmd_eval(args) -> int:
 
 def synthetic_accuracy_oracle(seed: int):
     """Deterministic per-architecture pseudo-accuracy in [0, 1]."""
+    from .rng import rng_for
 
     def oracle(arch: Architecture) -> float:
         return float(rng_for("accuracy", seed, arch.arch_id).uniform(0.0, 1.0))
@@ -418,10 +432,15 @@ def synthetic_accuracy_oracle(seed: int):
 
 
 def cmd_search(args) -> int:
+    from .archspace import read_architectures
+    from .devicesets import LatencyTable
+    from .pipeline import latency_constrained_search
+    from .predictor import load_checkpoint
+
     archs = read_architectures(args.archs)
     _arch_space_id(archs)
     state, extra = load_checkpoint(args.checkpoint)
-    encodings = _load_encoding(args.encoding)
+    encodings = _load_encoding(args.encoding, archs)
     _check_width(args.encoding, encodings, state, args.checkpoint)
     device = args.device or extra.get("target_device")
     if device is None:
@@ -500,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("sample", help="select architectures to measure")
-    p.add_argument("--method", required=True, choices=METHODS)
+    p.add_argument("--method", required=True, choices=SAMPLER_METHODS)
     p.add_argument("--archs", required=True, help="candidate pool (JSONL)")
     p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -525,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--archs", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--checkpoint", required=True, help="pretrained checkpoint")
-    p.add_argument("--sampler", default=None, choices=METHODS,
+    p.add_argument("--sampler", default=None, choices=SAMPLER_METHODS,
                    help="overrides the config's sampler section (default random)")
     p.add_argument("--samples", type=_at_least(2), default=None,
                    help="overrides the config's sampler section (default 20)")

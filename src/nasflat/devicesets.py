@@ -122,15 +122,12 @@ class LatencyTable:
 def _fractional_ranks(x: np.ndarray) -> np.ndarray:
     """Average-fractional ranks (ties get the mean of their rank range)."""
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=np.float64)
-    i = 0
     sorted_x = x[order]
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # A tie group is a run of equal sorted values, positions first..last.
+    first = np.flatnonzero(np.concatenate(([True], sorted_x[1:] != sorted_x[:-1])))
+    last = np.append(first[1:], len(x)) - 1
+    ranks = np.empty(len(x), dtype=np.float64)
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     return ranks
 
 

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import SAMPLER_METHODS as METHODS
 from .archspace import Architecture, EncodingTable, SearchSpace, graph_proxies
 from .devicesets import LatencyTable
 from .errors import (
@@ -26,8 +27,6 @@ from .errors import (
     PoolTooSmall,
 )
 from .rng import rng_for
-
-METHODS = ("random", "params", "cosine", "kmeans", "latency_oracle")
 
 _PARAM_PROXY_INDEX = 9  # graph_proxies feature order: param_estimate
 

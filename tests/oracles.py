@@ -31,6 +31,22 @@ def rank_by_counting(x):
     return ranks
 
 
+def fractional_ranks_by_scan(x):
+    """Fractional ranks by walking each tie group of the stable sort: the
+    group at sorted positions i..j gets (i + j) / 2 + 1."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x), dtype=np.float64)
+    i = 0
+    sorted_x = x[order]
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
 def pearson_explicit(x, y):
     n = len(x)
     mx, my = sum(x) / n, sum(y) / n

@@ -483,14 +483,14 @@ def wide_transfer(workspace, wide_split, tmp_path_factory):
 
 
 def _record_transfer_pids(monkeypatch, log: Path) -> None:
-    real = cli.transfer
+    real = pipeline.transfer
 
     def spy(*args, **kwargs):
         with log.open("a") as fh:
             fh.write(f"{os.getpid()}\n")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "transfer", spy)
+    monkeypatch.setattr(pipeline, "transfer", spy)
 
 
 _FAN_OUT = {
@@ -741,6 +741,52 @@ def test_cli_import_starts_no_worker_machinery():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def _nasflat_modules_after(code: str) -> set[str]:
+    """The nasflat modules, and numpy if loaded, in a fresh process after `code`."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code += ("\nprint(' '.join(m for m in sys.modules"
+             " if m == 'numpy' or m.split('.')[0] == 'nasflat'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_loads_no_numpy():
+    assert _nasflat_modules_after("import nasflat.cli") == {"nasflat", "nasflat.cli", "nasflat.errors"}
+
+
+_PARTITION_MODULES = {
+    "nasflat", "nasflat.cli", "nasflat.errors", "nasflat.devicesets", "nasflat.rng", "numpy",
+}
+
+
+@pytest.mark.parametrize("command", ["synth", "partition", "eval", "search"])
+def test_each_subcommand_loads_only_what_it_runs(workspace, tmp_path, command):
+    """synth and partition load exactly their library modules; eval and search load
+    neither the sampler nor the synthetic benchmark."""
+    _, data, split, _, ckpt = workspace
+    device = DeviceSplit.from_json(split.read_text()).source[0]
+    common = ["--archs", str(data / "archs.jsonl"), "--checkpoint", str(ckpt), "--device", device]
+    argv = {
+        "synth": ["synth", "--space", "nb201", "--devices", "3", "--archs", "20",
+                  "--out-dir", str(tmp_path)],
+        "partition": ["partition", "--latency", str(data / "latency.csv"), "--m", "3", "--n", "2",
+                      "--out", str(tmp_path / "split.json")],
+        "eval": ["eval", *common, "--latency", str(data / "latency.csv"),
+                 "--out-prefix", str(tmp_path / "report")],
+        "search": ["search", *common, "--constraint-ms", "1e9", "--out", str(tmp_path / "r.csv")],
+    }[command]
+    loaded = _nasflat_modules_after(f"from nasflat import cli\nassert cli.main({argv!r}) == 0")
+    if command == "synth":
+        assert loaded == _PARTITION_MODULES | {"nasflat.archspace", "nasflat.synthbench"}
+    elif command == "partition":
+        assert loaded == _PARTITION_MODULES
+    else:
+        assert "nasflat.pipeline" in loaded
+        assert not loaded & {"nasflat.sampler", "nasflat.synthbench"}, loaded
 
 
 @pytest.mark.parametrize("section, field, value, pointer", [
@@ -1080,6 +1126,37 @@ def test_encoding_width_must_match_the_checkpoint(knob_world, encoded_ckpts, tmp
     err = capsys.readouterr().err
     assert code == 3, err
     assert f"{given}, but checkpoint {ckpt} has supplementary_dim {ckpt_width}" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "search", "transfer"])
+def test_encoding_without_a_row_for_an_arch_is_a_data_error(knob_world, encoded_ckpts, tmp_path,
+                                                             capsys, command):
+    """An --encoding CSV that lacks an arch of --archs exits 3 naming the CSV and the first
+    such arch, in archs-file order."""
+    _, data, split, _ = knob_world
+    ckpts, files = encoded_ckpts
+    short_csv = tmp_path / "zcp29.csv"
+    short_csv.write_text("".join(files[13].read_text().splitlines(keepends=True)[:29]))
+    kept = {line.split(",", 1)[0] for line in short_csv.read_text().splitlines()}
+    first_missing = next(a.arch_id for a in asp.read_architectures(data / "archs.jsonl")
+                         if a.arch_id not in kept)
+    out = tmp_path / "out"
+    common = ["--archs", str(data / "archs.jsonl"), "--checkpoint", str(ckpts[13]),
+              "--encoding", str(short_csv)]
+    argv = {
+        "eval": ["eval", *common, "--latency", str(data / "latency.csv"), "--device", "d03",
+                 "--out-prefix", str(out / "report")],
+        "search": ["search", *common, "--device", "d03", "--constraint-ms", "1e9",
+                   "--out", str(out / "r.csv")],
+        "transfer": ["transfer", *common, "--latency", str(data / "latency.csv"),
+                     "--split", str(split), "--samples", "8", "--out-dir", str(out)],
+    }[command]
+    capsys.readouterr()
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err == f"error: {short_csv}: no row for arch {first_missing}\n"
     assert not out.exists()
 
 

@@ -6,7 +6,15 @@ import math
 
 import numpy as np
 import pytest
-from oracles import balanced_bipartitions, cut_weight, prune_oracle, spearman_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    balanced_bipartitions,
+    cut_weight,
+    fractional_ranks_by_scan,
+    prune_oracle,
+    spearman_oracle,
+)
 
 from nasflat import devicesets as ds
 from nasflat.errors import (
@@ -63,6 +71,17 @@ def test_spearman_matches_oracle_with_ties():
         if np.all(x == x[0]) or np.all(y == y[0]):
             continue
         assert ds.spearman(x, y) == pytest.approx(spearman_oracle(x, y), abs=1e-12)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(x=st.one_of(
+    st.lists(st.integers(-3, 3), min_size=2, max_size=300),  # tie-heavy
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=300),
+))
+def test_fractional_ranks_match_the_tie_group_scan(x):
+    """The vectorized ranks are bit for bit those of the per-element scan."""
+    x = np.asarray(x, dtype=np.float64)
+    assert ds._fractional_ranks(x).tobytes() == fractional_ranks_by_scan(x).tobytes()
 
 
 def test_spearman_monotone_transform_invariance():

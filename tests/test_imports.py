@@ -11,20 +11,28 @@ import nasflat
 PACKAGE = Path(nasflat.__file__).parent
 
 
-def _imported(tree: ast.Module) -> dict[str, int]:
-    """Each name an import statement binds -> its line."""
+_SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _imported(tree: ast.Module) -> dict[tuple[ast.AST, str], int]:
+    """(innermost enclosing module or function, each name an import binds) -> its line."""
     bound = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                bound[alias.asname or alias.name] = node.lineno
+
+    def visit(node: ast.AST, scope: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                for alias in child.names:
+                    bound[scope, alias.asname or alias.name.split(".")[0]] = child.lineno
+            elif isinstance(child, ast.ImportFrom) and child.module != "__future__":
+                for alias in child.names:
+                    bound[scope, alias.asname or alias.name] = child.lineno
+            visit(child, child if isinstance(child, _SCOPES) else scope)
+
+    visit(tree, tree)
     return bound
 
 
-def _annotations(tree: ast.Module):
+def _annotations(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             a = node.args
@@ -37,8 +45,8 @@ def _annotations(tree: ast.Module):
             yield node.annotation
 
 
-def _used(tree: ast.Module) -> set[str]:
-    """Names read anywhere, plus the names inside string annotations."""
+def _used(tree: ast.AST) -> set[str]:
+    """Names read anywhere in `tree`, plus the names inside string annotations."""
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
@@ -49,9 +57,12 @@ def _used(tree: ast.Module) -> set[str]:
 
 
 def unused_imports(source: str) -> list[tuple[str, int]]:
+    """Imported names that their scope never uses: a module-level import may be
+    used anywhere in the module, one inside a function only in that function."""
     tree = ast.parse(source)
-    used = _used(tree)
-    return sorted((name, line) for name, line in _imported(tree).items() if name not in used)
+    imported = _imported(tree)
+    used = {scope: _used(scope) for scope in {scope for scope, _ in imported}}  # one walk each
+    return sorted((name, line) for (scope, name), line in imported.items() if name not in used[scope])
 
 
 def test_unused_imports_are_found():
@@ -65,6 +76,21 @@ def test_unused_imports_are_found():
         "    raise PE(os.path.join(x))\n"
     )
     assert unused_imports(source) == [("DimMismatch", 5), ("math", 2)]
+
+
+def test_function_local_imports_are_checked_in_their_function():
+    source = (
+        "import json\n"
+        "def load(text):\n"
+        "    from .archspace import get_space, read_architectures\n"
+        "    import numpy as np\n"
+        "    def inner():\n"
+        "        return np.zeros(1)\n"
+        "    return get_space(json.loads(text)), inner\n"
+        "def read(path):\n"
+        "    return read_architectures(path)\n"
+    )
+    assert unused_imports(source) == [("read_architectures", 3)]
 
 
 def test_no_module_imports_a_name_it_never_uses():
