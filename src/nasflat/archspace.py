@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BadOpIndex, DimMismatch, NonFiniteValue, ParseError
+from .inputs import open_text
 
 MICRO_CELL = "micro_cell"
 MACRO_CHAIN = "macro_chain"
@@ -329,7 +330,7 @@ def load_encoding_table(path) -> EncodingTable:
     """Read an encoding CSV (header arch_id,e0,e1,...) of any width into a validated table."""
     path = Path(path)
     rows: dict[str, np.ndarray] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().strip()
         cols = header.split(",")
         if not cols or cols[0] != "arch_id":
@@ -394,13 +395,13 @@ def read_architectures(path) -> list[Architecture]:
     """
     path = Path(path)
     archs = []
-    with path.open("rb") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line.decode("utf-8"))
+                obj = json.loads(line)
                 space = get_space(obj["space"])
                 if obj["adj"] != space.template_adjacency().tolist():
                     raise ValueError(f"adj is not the fixed topology of space {space.space_id!r}")

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: synth, partition, sample, pretrain, transfer, eval, search.
-Every run resolves one config document, derives all randomness from a single
---seed, writes its outputs byte-identically for identical inputs, and records
-a manifest (command, resolved config, input digests, seed, outputs). Only the
-manifest carries a timestamp. Each subcommand imports the library modules it
-runs, so a call loads only those, and `import nasflat.cli` loads no numpy.
+A run resolves one config, derives all randomness from --seed, writes its
+outputs byte-identically for identical inputs, and records a manifest:
+command, config, seed, outputs and, as `inputs`, the SHA-256 of the bytes of
+each file its loaders read, checkpoint metas included; only it has a timestamp.
+Each subcommand imports the modules it runs; `import nasflat.cli` loads no numpy.
 
 Exit codes: 0 success, 2 usage error, 3 data/input error, 4 internal error.
 """
@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 usage error, 3 data/input error, 4 internal error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -23,7 +22,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from . import SAMPLER_METHODS, __version__
-from .errors import BadField, BudgetTooSmall, NasflatError
+from .errors import BadField, BudgetTooSmall, InsufficientData, NasflatError
+from .inputs import open_text, recording
 
 if TYPE_CHECKING:
     from .archspace import Architecture, EncodingTable
@@ -39,28 +39,17 @@ CONFIG_VERSION = 1
 SAMPLER_DEFAULTS = {"method": "random", "samples": 20}
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
-def _write_manifest(
-    command: str, manifest_path: Path, config: dict, inputs: list[Path],
-    seed: int, outputs: list[Path],
-) -> None:
+def _write_manifest(args, command: str, manifest_path: Path, config: dict, outputs: list[Path]) -> None:
     manifest = {
         "command": command,
         "config": config,
-        "inputs": {str(p): _sha256(p) for p in sorted(set(inputs))},
-        "master_seed": seed,
+        "inputs": args.inputs,
+        "master_seed": args.seed,
         "version": __version__,
         "outputs": sorted(str(p) for p in outputs),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -95,7 +84,7 @@ def _load_run_config(
     if path is None:
         return TrainConfig.for_space(space), PredictorConfig(), dict(SAMPLER_DEFAULTS)
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.load(open_text(path))
     except json.JSONDecodeError as e:
         raise NasflatError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(doc, dict):
@@ -144,9 +133,8 @@ def _load_split(path: str, table: LatencyTable, latency_path: str) -> DeviceSpli
     """The device split at `path`; each of its devices must have rows in `table`."""
     from .devicesets import DeviceSplit
 
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        split = DeviceSplit.from_json(text)
+        split = DeviceSplit.from_json(open_text(path).read())
     except KeyError as e:
         raise NasflatError(f"{path}: device split is missing key {e}") from None
     except BadField as e:
@@ -211,7 +199,7 @@ def cmd_synth(args) -> int:
     )
     outputs = [out_dir / n for n in ("archs.jsonl", "latency.csv", "zcp.csv", "devices.json")]
     config = {"space": args.space, "devices": args.devices, "archs": args.archs, "sigma": args.sigma}
-    _write_manifest("synth", out_dir / "manifest.json", config, [], args.seed, outputs)
+    _write_manifest(args, "synth", out_dir / "manifest.json", config, outputs)
     print(f"wrote {len(archs)} archs x {len(devices)} devices -> {out_dir}")
     return EXIT_OK
 
@@ -226,10 +214,7 @@ def cmd_partition(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(split.to_json() + "\n", encoding="utf-8")
-    _write_manifest(
-        "partition", Path(str(out) + ".manifest.json"),
-        {"m": args.m, "n": args.n}, [Path(args.latency)], args.seed, [out],
-    )
+    _write_manifest(args, "partition", Path(f"{out}.manifest.json"), {"m": args.m, "n": args.n}, [out])
     print(f"source={list(split.source)} target={list(split.target)} objective={split.objective:.4f}")
     return EXIT_OK
 
@@ -249,11 +234,7 @@ def cmd_sample(args) -> int:
     )
     out = Path(args.out)
     _write_json(out, {"method": args.method, "n": args.n, "arch_ids": picked})
-    inputs = [Path(args.archs)] + [Path(p) for p in (args.encoding, args.latency) if p]
-    _write_manifest(
-        "sample", Path(str(out) + ".manifest.json"),
-        {"method": args.method, "n": args.n}, inputs, args.seed, [out],
-    )
+    _write_manifest(args, "sample", Path(f"{out}.manifest.json"), {"method": args.method, "n": args.n}, [out])
     print(f"sampled {len(picked)} archs -> {out}")
     return EXIT_OK
 
@@ -293,11 +274,9 @@ def cmd_pretrain(args) -> int:
     save_checkpoint(state, out, extra={
         "stage": "pretrain", "source_devices": list(split.source), "live_slots": list(live),
     })
-    inputs = [Path(p) for p in (args.latency, args.archs, args.split, args.config, args.encoding) if p]
     _write_manifest(
-        "pretrain", Path(str(out) + ".manifest.json"),
-        _resolved_config(train_cfg, pred_cfg, space.space_id), inputs, args.seed,
-        [out, checkpoint_meta_path(out)],
+        args, "pretrain", Path(f"{out}.manifest.json"),
+        _resolved_config(train_cfg, pred_cfg, space.space_id), [out, checkpoint_meta_path(out)],
     )
     first = log[0] if log else float("nan")
     last = log[-1] if log else float("nan")
@@ -326,7 +305,8 @@ def cmd_transfer(args) -> int:
     base, _ = load_checkpoint(args.checkpoint)
     encodings = _load_encoding(args.encoding, archs)
     _check_width(args.encoding, encodings, base, args.checkpoint)
-    sampler_encoding = _load_encoding(args.sampler_encoding)
+    same = args.sampler_encoding == args.encoding  # read a file given twice once
+    sampler_encoding = encodings if same else _load_encoding(args.sampler_encoding)
     archmap = {a.arch_id: a for a in archs}
     targets = [args.target] if args.target else list(split.target)
     out_dir = Path(args.out_dir)
@@ -361,11 +341,9 @@ def cmd_transfer(args) -> int:
         return [ckpt, checkpoint_meta_path(ckpt)]
 
     outputs = [path for paths in map_targets(adapt, targets) for path in paths]
-    inputs = [Path(p) for p in (args.latency, args.archs, args.split, args.checkpoint, args.config,
-                                args.encoding, args.sampler_encoding) if p]
     config = _resolved_config(train_cfg, base.config, space.space_id)
     config["sampler"] = {"method": args.sampler, "samples": args.samples}
-    _write_manifest("transfer", out_dir / "manifest.json", config, inputs, args.seed, outputs)
+    _write_manifest(args, "transfer", out_dir / "manifest.json", config, outputs)
     print(f"transferred to {len(targets)} device(s) with {args.samples} samples each -> {out_dir}")
     return EXIT_OK
 
@@ -411,12 +389,8 @@ def cmd_eval(args) -> int:
     csv_path.write_text(report.csv_text(), encoding="utf-8")
     _write_json(json_path, report.summary())
     scatter_path.write_text("\n".join(scatter_lines) + "\n", encoding="utf-8")
-    inputs = [Path(p) for p in (args.latency, args.archs, args.encoding) if p] + ckpts
-    _write_manifest(
-        "eval", Path(str(prefix) + ".manifest.json"),
-        {"checkpoints": [str(c) for c in ckpts]}, inputs, args.seed,
-        [csv_path, json_path, scatter_path],
-    )
+    _write_manifest(args, "eval", Path(f"{prefix}.manifest.json"),
+                    {"checkpoints": [str(c) for c in ckpts]}, [csv_path, json_path, scatter_path])
     print(f"mean spearman {report.mean_spearman:.4f} over {len(entries)} device(s) -> {csv_path}")
     return EXIT_OK
 
@@ -451,11 +425,14 @@ def cmd_search(args) -> int:
         sampled = extra.get("sampled_ids") or table.archs_for(device)
         calibration = table.subset(device_ids=[device], arch_ids=sampled)
     archmap = {a.arch_id: a for a in archs}
-    result = latency_constrained_search(
-        archs, synthetic_accuracy_oracle(args.seed), state, device,
-        args.constraint_ms, args.top_k, encodings=encodings,
-        calibration=calibration, archs_by_id=archmap,
-    )
+    try:
+        result = latency_constrained_search(
+            archs, synthetic_accuracy_oracle(args.seed), state, device,
+            args.constraint_ms, args.top_k, encodings=encodings,
+            calibration=calibration, archs_by_id=archmap,
+        )
+    except InsufficientData as e:  # the calibration's: _check_width rules out the encodings'
+        raise NasflatError(f"{args.latency}: {e}") from None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["rank,arch_id,accuracy,predicted_latency_ms"]
@@ -470,13 +447,9 @@ def cmd_search(args) -> int:
         "total_time_s": result.total_time_s,
     }
     _write_json(Path(str(out) + ".timing.json"), timing)
-    inputs = [Path(p) for p in (args.archs, args.checkpoint, args.latency, args.encoding) if p]
-    _write_manifest(
-        "search", Path(str(out) + ".manifest.json"),
-        {"constraint_ms": args.constraint_ms, "top_k": args.top_k, "device": device},
-        inputs, args.seed,
-        [out, Path(str(out) + ".timing.json")],
-    )
+    _write_manifest(args, "search", Path(f"{out}.manifest.json"),
+                    {"constraint_ms": args.constraint_ms, "top_k": args.top_k, "device": device},
+                    [out, Path(f"{out}.timing.json")])
     print(f"top-{len(result.ranked)} feasible archs -> {out} "
           f"(predictor {result.predictor_time_s:.3f}s / total {result.total_time_s:.3f}s)")
     return EXIT_OK
@@ -584,7 +557,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with recording() as args.inputs:  # what the loaders read, for the manifest
+            return args.func(args)
     except NasflatError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -28,6 +28,7 @@ from .errors import (
     SideTooSmall,
     TooFewDevices,
 )
+from .inputs import open_text
 from .rng import rng_for
 
 
@@ -101,7 +102,7 @@ class LatencyTable:
     def load_csv(cls, path) -> "LatencyTable":
         path = Path(path)
         table = cls()
-        with path.open("r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             header = fh.readline().strip()
             if header != "arch_id,device_id,latency_ms":
                 raise ParseError(f"{path}: unexpected header {header!r}")

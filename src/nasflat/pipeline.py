@@ -442,8 +442,6 @@ def calibrate_scores(
     scores = np.asarray(scores, dtype=np.float64)
     cal_scores = np.asarray(cal_scores, dtype=np.float64)
     cal_ms = np.asarray(cal_ms, dtype=np.float64)
-    if len(cal_scores) == 0:
-        return scores
     if len(cal_scores) == 1 or np.all(cal_scores == cal_scores[0]):
         return np.full_like(scores, cal_ms.mean())
     return np.interp(scores, np.sort(cal_scores), np.sort(cal_ms))
@@ -462,10 +460,10 @@ def latency_constrained_search(
 ) -> SearchResult:
     """Keep candidates predicted under the constraint and rank by accuracy.
 
-    When a calibration table with measured rows for the device is given, raw
-    scores are mapped to milliseconds before filtering; otherwise the
-    constraint is interpreted in raw score units. Predictor invocation time
-    is accounted separately from total search time.
+    A calibration table maps raw scores to milliseconds before filtering, and
+    one that measures no candidate on the device raises InsufficientData;
+    without one, the constraint is in raw score units. Predictor invocation
+    time is accounted separately from total search time.
     """
     t_start = time.perf_counter()
     if not candidate_archs:
@@ -478,13 +476,14 @@ def latency_constrained_search(
     if calibration is not None:
         lookup = archs_by_id if archs_by_id is not None else dict(zip(ids, candidate_archs))
         cal_ids = [a for a in sorted(calibration.archs_for(device_id)) if a in lookup]
-        if cal_ids:
-            cal_supp = _supplementary_rows(encodings, cal_ids, state)
-            t0 = time.perf_counter()
-            cal_scores = predict_batch(state, [lookup[a] for a in cal_ids], device_id, cal_supp)
-            predictor_time += time.perf_counter() - t0
-            measured = np.array([calibration.latency(a, device_id) for a in cal_ids])
-            scores = calibrate_scores(scores, cal_scores, measured)
+        if not cal_ids:
+            raise InsufficientData(f"no calibration row measures a candidate on device {device_id!r}")
+        cal_supp = _supplementary_rows(encodings, cal_ids, state)
+        t0 = time.perf_counter()
+        cal_scores = predict_batch(state, [lookup[a] for a in cal_ids], device_id, cal_supp)
+        predictor_time += time.perf_counter() - t0
+        measured = np.array([calibration.latency(a, device_id) for a in cal_ids])
+        scores = calibrate_scores(scores, cal_scores, measured)
     predicted = dict(zip(ids, scores.tolist()))
     feasible = [a for a in candidate_archs if predicted[a.arch_id] <= constraint_ms]
     if not feasible:

@@ -40,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -60,6 +59,7 @@ from .errors import (
     SpaceMismatch,
     UnknownDevice,
 )
+from .inputs import read_input
 
 CHECKPOINT_VERSION = 4
 
@@ -625,11 +625,9 @@ def save_checkpoint(state: PredictorState, path, extra: dict | None = None) -> N
 def _read_meta(path: Path, keys: tuple[str, ...]) -> dict:
     """The parsed meta document at `path`, version and keys checked."""
     try:
-        blob = path.read_bytes()
+        doc = json.loads(read_input(path)[0])
     except OSError as e:
         raise BadCheckpoint(f"{path}: cannot read: {e.strerror or e}") from None
-    try:
-        doc = json.loads(blob)
     except ValueError as e:
         raise BadCheckpoint(f"{path}: invalid JSON: {e}") from None
     if not isinstance(doc, dict):
@@ -653,7 +651,7 @@ def load_checkpoint(path) -> tuple[PredictorState, dict]:
     silently stand in for the trained value); if the parameter file's
     SHA-256 differs from the meta's `params_sha256`; or if its byte length
     differs from what the meta's config and device registry imply. The
-    parameters are views of one buffer holding the file.
+    parameters are views of the one buffer the file was read and hashed into.
     """
     path = Path(path)
     meta_path = checkpoint_meta_path(path)
@@ -683,12 +681,10 @@ def load_checkpoint(path) -> tuple[PredictorState, dict]:
         raise BadCheckpoint(f"{meta_path}: null_op_index {null_op_index} does not fit its spaces")
 
     try:
-        with open(path, "rb") as f:
-            buf = bytearray(os.fstat(f.fileno()).st_size)
-            f.readinto(buf)
+        buf, digest = read_input(path)
     except OSError as e:
         raise BadCheckpoint(f"{path}: cannot read: {e.strerror or e}") from None
-    if hashlib.sha256(buf).hexdigest() != meta["params_sha256"]:
+    if digest != meta["params_sha256"]:
         raise BadCheckpoint(f"{path}: SHA-256 differs from params_sha256 in {meta_path}")
     sizes = [math.prod(shape) for _, shape, _ in expected.values()]
     if len(buf) != 8 * sum(sizes):

@@ -354,6 +354,47 @@ def test_unreadable_input_is_data_error(workspace, transfers, tmp_path, capsys, 
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("which", ["config", "latency", "split", "encoding"])
+def test_non_utf8_text_input_is_data_error_at_its_line(workspace, tmp_path, capsys, which):
+    """A text input holding a byte that is not UTF-8 exits 3 naming `path:line`, not 4."""
+    _, data, split, config, _ = workspace
+    files = {"config": config, "latency": data / "latency.csv", "split": split,
+             "encoding": data / "zcp.csv"}
+    raw = files[which].read_bytes()
+    at = raw.find(b"\n") + 1  # the start of line 2, or of line 1 in a one-line file
+    line = 1 + raw[:at].count(b"\n")
+    bad = files[which] = tmp_path / files[which].name
+    bad.write_bytes(raw[:at] + b"\xff" + raw[at:])
+    capsys.readouterr()
+    code = run([
+        "pretrain", "--config", str(files["config"]), "--latency", str(files["latency"]),
+        "--archs", str(data / "archs.jsonl"), "--split", str(files["split"]),
+        "--encoding", str(files["encoding"]), "--out", str(tmp_path / "ckpt.json"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"{bad}:{line}: not UTF-8: can't decode byte 0xff" in err, err
+    assert not (tmp_path / "ckpt.json").exists()
+
+
+def test_search_latency_measuring_no_sample_is_data_error(workspace, transfers, tmp_path, capsys):
+    """A --latency CSV with no row for the checkpoint's samples on its device exits 3 naming
+    the file and the device; it used to filter raw scores as if they were milliseconds."""
+    _, data, _, _, _ = workspace
+    lines = (data / "latency.csv").read_text().splitlines()
+    latency = tmp_path / "latency.csv"
+    latency.write_text("\n".join(lines[:3]) + "\n")  # two rows, both on the first device
+    ckpt = next(p for p in sorted(transfers.glob("transfer_*.json"))
+                if p.suffixes == [".json"] and p.stem != f"transfer_{lines[1].split(',')[1]}")
+    capsys.readouterr()
+    code = run(["search", "--archs", str(data / "archs.jsonl"), "--checkpoint", str(ckpt),
+                "--latency", str(latency), "--constraint-ms", "1e9", "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"{latency}:" in err and repr(ckpt.stem[len("transfer_"):]) in err, err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_archs_from_another_space_are_data_error(transfers, tmp_path, capsys):
     """fbnet archs scored by an nb201 checkpoint exit 3 in search and eval, not 4."""
     fbnet = asp.fbnet_space()
@@ -755,11 +796,14 @@ def _nasflat_modules_after(code: str) -> set[str]:
 
 
 def test_cli_import_loads_no_numpy():
-    assert _nasflat_modules_after("import nasflat.cli") == {"nasflat", "nasflat.cli", "nasflat.errors"}
+    assert _nasflat_modules_after("import nasflat.cli") == {
+        "nasflat", "nasflat.cli", "nasflat.errors", "nasflat.inputs",
+    }
 
 
 _PARTITION_MODULES = {
-    "nasflat", "nasflat.cli", "nasflat.errors", "nasflat.devicesets", "nasflat.rng", "numpy",
+    "nasflat", "nasflat.cli", "nasflat.errors", "nasflat.inputs", "nasflat.devicesets",
+    "nasflat.rng", "numpy",
 }
 
 

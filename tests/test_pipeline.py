@@ -416,6 +416,17 @@ def test_search_empty_feasible_set(nb201, small_world):
         pl.latency_constrained_search(pool, lambda a: 1.0, st, "s0", -np.inf, top_k=3)
 
 
+def test_search_calibration_without_rows_for_the_device_raises(nb201, small_world):
+    """A calibration table that measures no candidate on the device is refused, not
+    skipped: the constraint would then be compared against raw scores."""
+    table, archs, sources, _ = small_world
+    st = _fresh_state(nb201, sources, seed=6)
+    pool = [archs[a] for a in sorted(archs)[:10]]
+    with pytest.raises(InsufficientData, match="'s0'"):
+        pl.latency_constrained_search(pool, lambda a: 1.0, st, "s0", np.inf, top_k=3,
+                                      calibration=table.subset(device_ids=["s1"]))
+
+
 def test_calibration_maps_scores_to_ms():
     cal_scores = np.array([0.0, 1.0, 2.0, 3.0])
     cal_ms = 10.0 + 5.0 * cal_scores
