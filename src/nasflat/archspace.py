@@ -21,12 +21,13 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import BadOpIndex, DimMismatch, NonFiniteValue, ParseError
 from .inputs import open_text
+from .rng import seeded
 
 MICRO_CELL = "micro_cell"
 MACRO_CHAIN = "macro_chain"
@@ -57,9 +58,10 @@ class SearchSpace:
 
     node_count is the cell node count for micro-cell spaces and the chain
     length for macro chains. The lowered graph template (adjacency, slot
-    positions, slot-to-slot edges, the arch_id hash prefix) and the
-    topology that graph_proxies reads (per-node predecessors, edge count,
-    longest path, sink) are derived once at construction.
+    positions, slot-to-slot edges, the arch_id hash prefix, its JSONL
+    forms) and the topology that graph_proxies reads (per-node
+    predecessors, edge count, longest path, sink) are derived once at
+    construction.
     """
 
     space_id: str
@@ -73,6 +75,8 @@ class SearchSpace:
     _slot_nodes: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _slot_edges: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     _id_prefix: str = field(init=False, repr=False, compare=False)
+    _adj_list: list = field(init=False, repr=False, compare=False)
+    _jsonl_head: str = field(init=False, repr=False, compare=False)
     _preds: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _edge_count: int = field(init=False, repr=False, compare=False)
     _longest_path: int = field(init=False, repr=False, compare=False)
@@ -102,6 +106,10 @@ class SearchSpace:
         ))
         object.__setattr__(self, "_id_prefix", "{};{};".format(
             self.space_id, ",".join(str(int(v)) for v in adj.reshape(-1))
+        ))
+        object.__setattr__(self, "_adj_list", adj.tolist())
+        object.__setattr__(self, "_jsonl_head", '{"space":%s,"adj":%s,"ops":[' % (
+            json.dumps(self.space_id), json.dumps(self._adj_list, separators=(",", ":"))
         ))
         preds = tuple(tuple(np.flatnonzero(col).tolist()) for col in adj.T)
         longest = [0] * len(preds)  # edges on the longest path into each node
@@ -228,14 +236,15 @@ class Architecture:
         vocab = len(space.op_vocab)
         if len(ops) != space.slot_count:
             raise BadOpIndex(f"{len(ops)} ops, expected {space.slot_count}")
-        bad = [
-            f"op {op!r} at slot {slot}" for slot, op in enumerate(ops)
-            if isinstance(op, bool) or not isinstance(op, (int, np.integer)) or not 0 <= op < vocab
-        ]
-        if bad:
-            raise BadOpIndex(f"{', '.join(bad)}: not an op index in 0..{vocab - 1}")
-        ops = tuple(int(o) for o in ops)
-        payload = space._id_prefix + ",".join(str(o) for o in ops)
+        if not all(type(op) is int and 0 <= op < vocab for op in ops):
+            bad = [
+                f"op {op!r} at slot {slot}" for slot, op in enumerate(ops)
+                if isinstance(op, bool) or not isinstance(op, (int, np.integer)) or not 0 <= op < vocab
+            ]
+            if bad:
+                raise BadOpIndex(f"{', '.join(bad)}: not an op index in 0..{vocab - 1}")
+            ops = tuple(int(o) for o in ops)
+        payload = space._id_prefix + ",".join(map(str, ops))
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "arch_id", hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32])
 
@@ -245,10 +254,17 @@ def make_architecture(space: SearchSpace, ops: Sequence[int]) -> Architecture:
     return Architecture(space.space_id, ops)
 
 
+def random_ops(space: SearchSpace, seeds: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """For each seed in order, uniformly drawn op indices: the draw of
+    `np.random.default_rng(seed).integers(0, vocab, size=slot_count)`."""
+    vocab, slots = len(space.op_vocab), space.slot_count
+    for rng in seeded(seeds):
+        yield tuple(rng.integers(vocab, size=slots).tolist())
+
+
 def random_architecture(space: SearchSpace, seed: int) -> Architecture:
     """Uniformly sample op indices on the space's fixed topology."""
-    rng = np.random.default_rng(seed)
-    return make_architecture(space, rng.integers(0, len(space.op_vocab), size=space.slot_count))
+    return make_architecture(space, next(random_ops(space, [seed])))
 
 
 def graph_proxies(arch: Architecture, space: SearchSpace) -> np.ndarray:
@@ -373,17 +389,7 @@ def write_architectures(archs: Iterable[Architecture], path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for arch in archs:
-            fh.write(
-                json.dumps(
-                    {
-                        "space": arch.space_id,
-                        "adj": get_space(arch.space_id).template_adjacency().tolist(),
-                        "ops": list(arch.ops),
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+            fh.write(get_space(arch.space_id)._jsonl_head + ",".join(map(str, arch.ops)) + "]}\n")
 
 
 def read_architectures(path) -> list[Architecture]:
@@ -403,7 +409,7 @@ def read_architectures(path) -> list[Architecture]:
             try:
                 obj = json.loads(line)
                 space = get_space(obj["space"])
-                if obj["adj"] != space.template_adjacency().tolist():
+                if obj["adj"] != space._adj_list:
                     raise ValueError(f"adj is not the fixed topology of space {space.space_id!r}")
                 archs.append(Architecture(space.space_id, obj["ops"]))
             except (KeyError, TypeError, ValueError, BadOpIndex) as e:

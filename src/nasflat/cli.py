@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, replace
@@ -395,14 +396,13 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def synthetic_accuracy_oracle(seed: int):
-    """Deterministic per-architecture pseudo-accuracy in [0, 1]."""
-    from .rng import rng_for
+def synthetic_accuracies(archs: Sequence[Architecture], seed: int) -> dict[str, float]:
+    """Deterministic pseudo-accuracy in [0, 1] per arch_id: the first
+    uniform draw of `rng_for("accuracy", seed, arch_id)`."""
+    from .rng import seeded, stable_seed
 
-    def oracle(arch: Architecture) -> float:
-        return float(rng_for("accuracy", seed, arch.arch_id).uniform(0.0, 1.0))
-
-    return oracle
+    seeds = [stable_seed("accuracy", seed, a.arch_id) for a in archs]
+    return {a.arch_id: rng.uniform(0.0, 1.0) for a, rng in zip(archs, seeded(seeds))}
 
 
 def cmd_search(args) -> int:
@@ -425,9 +425,10 @@ def cmd_search(args) -> int:
         sampled = extra.get("sampled_ids") or table.archs_for(device)
         calibration = table.subset(device_ids=[device], arch_ids=sampled)
     archmap = {a.arch_id: a for a in archs}
+    accuracy = synthetic_accuracies(archs, args.seed)
     try:
         result = latency_constrained_search(
-            archs, synthetic_accuracy_oracle(args.seed), state, device,
+            archs, lambda a: accuracy[a.arch_id], state, device,
             args.constraint_ms, args.top_k, encodings=encodings,
             calibration=calibration, archs_by_id=archmap,
         )
@@ -457,13 +458,17 @@ def cmd_search(args) -> int:
 
 # --- parser -----------------------------------------------------------------
 
-def _at_least(low: int):
-    """argparse type: an integer >= low."""
-    def integer(text: str) -> int:
-        if int(text) < low:
+def _at_least(low: int, number: type = int):
+    """argparse type: a finite `number` (int or float) >= low."""
+    def parse(text: str):
+        value = number(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+        if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
-        return int(text)
-    return integer
+        return value
+    parse.__name__ = number.__name__  # argparse's "invalid <name> value" message
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,17 +481,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic device/latency dataset")
     p.add_argument("--space", required=True, choices=("nb201", "fbnet"))
-    p.add_argument("--devices", type=int, required=True)
-    p.add_argument("--archs", type=int, required=True)
+    p.add_argument("--devices", type=_at_least(1), required=True)
+    p.add_argument("--archs", type=_at_least(1), required=True,
+                   help="distinct archs to draw, at most the size of the space")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", type=float, default=0.03, help="log-normal noise sigma")
+    p.add_argument("--sigma", type=_at_least(0, float), default=0.03, help="log-normal noise sigma")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("partition", help="split devices into source/target pools")
     p.add_argument("--latency", required=True)
-    p.add_argument("--m", type=int, required=True, help="source pool size")
-    p.add_argument("--n", type=int, required=True, help="target pool size")
+    p.add_argument("--m", type=_at_least(1), required=True, help="source pool size")
+    p.add_argument("--n", type=_at_least(1), required=True, help="target pool size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_partition)

@@ -22,9 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .archspace import Architecture, SearchSpace, random_architecture, write_architectures
+from .archspace import Architecture, SearchSpace, random_ops, write_architectures
 from .devicesets import LatencyTable
-from .rng import rng_for, stable_seed
+from .errors import PoolTooSmall
+from .rng import rng_for, seeded, stable_seed
+
+DRAW_BLOCK = 1024  # random-architecture draws seeded per call of `seeded`
 
 
 @dataclass(frozen=True)
@@ -88,20 +91,22 @@ def gen_device(
     )
 
 
-def latency_of(arch: Architecture, device: SyntheticDevice, space: SearchSpace) -> float:
-    """Deterministic latency in ms for one architecture on one device."""
+def latencies(archs: Sequence[Architecture], device: SyntheticDevice, space: SearchSpace) -> np.ndarray:
+    """Deterministic latency in ms of each architecture on one device: op costs
+    summed along the slot axis, minus discounts added edge by edge in
+    `space.slot_edges` order, times the noise factor keyed by (device seed, arch_id)."""
     costs = device.base_costs
-    ops = arch.ops
-    total = float(costs[list(ops)].sum())
-    discount = 0.0
+    ops = np.array([a.ops for a in archs], dtype=np.intp).reshape(len(archs), space.slot_count)
+    op_costs = costs[ops]
+    discount = np.zeros(len(archs))
     for su, sv in space.slot_edges:
-        a, b = ops[su], ops[sv]
-        discount += device.fusion_discounts[a, b] * min(costs[a], costs[b])
-    value = total - discount
+        pair = device.fusion_discounts[ops[:, su], ops[:, sv]]
+        discount += pair * np.minimum(op_costs[:, su], op_costs[:, sv])
+    values = op_costs.sum(axis=1) - discount
     if device.noise_sigma > 0:
-        z = rng_for("noise", device.seed, arch.arch_id).normal()
-        value *= math.exp(device.noise_sigma * z)
-    return value
+        seeds = [stable_seed("noise", device.seed, a.arch_id) for a in archs]
+        values *= [math.exp(device.noise_sigma * rng.normal()) for rng in seeded(seeds)]
+    return values
 
 
 def measure(
@@ -110,23 +115,29 @@ def measure(
     """Latency table covering every (arch, device) pair."""
     table = LatencyTable()
     for device in devices:
-        for arch in archs:
-            table.add(arch.arch_id, device.device_id, latency_of(arch, device, space))
+        for arch, value in zip(archs, latencies(archs, device, space).tolist()):
+            table.add(arch.arch_id, device.device_id, value)
     return table
 
 
 def distinct_random_architectures(space: SearchSpace, n: int, seed: int) -> list[Architecture]:
-    """n architectures with distinct arch_ids, deterministically seeded."""
+    """n architectures with distinct ops: draw d is `random_ops` under
+    stable_seed("arch", seed, d), skipped if an earlier draw gave its ops."""
+    size = len(space.op_vocab) ** space.slot_count
+    if n > size:
+        raise PoolTooSmall(f"space {space.space_id!r} has {size} architectures; cannot draw {n} distinct ones")
     archs: list[Architecture] = []
-    seen: set[str] = set()
-    draw = 0
+    seen: set[tuple[int, ...]] = set()
+    start = 0
     while len(archs) < n:
-        arch = random_architecture(space, stable_seed("arch", seed, draw))
-        draw += 1
-        if arch.arch_id in seen:
-            continue
-        seen.add(arch.arch_id)
-        archs.append(arch)
+        seeds = [stable_seed("arch", seed, d) for d in range(start, start + DRAW_BLOCK)]
+        for ops in random_ops(space, seeds):
+            if ops not in seen:
+                seen.add(ops)
+                archs.append(Architecture(space.space_id, ops))
+                if len(archs) == n:
+                    break
+        start += DRAW_BLOCK
     return archs
 
 

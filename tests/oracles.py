@@ -5,6 +5,8 @@ formulas) so it shares no code path with the implementations under test. Two
 exceptions: the finite-difference checker reuses the library's tape to get the
 analytic gradients it checks, and the dense forward pass reuses the layer
 functions to check the row plan that `predictor._forward` runs them on.
+The synthetic-world oracles seed a fresh `np.random.default_rng` per draw,
+the reference for the bulk `rng.seeded` path.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from typing import Callable
 import numpy as np
 
 from nasflat import autodiff as ad
+from nasflat import archspace as asp
 from nasflat import predictor as pred
+from nasflat.rng import stable_seed
 
 
 def rank_by_counting(x):
@@ -244,3 +248,35 @@ def dense_forward(state, space, ops_rows, device_row, supplementary=None):
     if config.supplementary_dim:
         sink = ad.concat([sink, np.asarray(supplementary, dtype=np.float64)], axis=-1)
     return pred._mlp(sink, views.head)
+
+
+def latency_oracle(arch, device, space):
+    """One architecture's synthetic latency, one scalar step at a time, with
+    its noise from a fresh Generator per (device, arch)."""
+    costs = device.base_costs
+    ops = arch.ops
+    total = float(costs[list(ops)].sum())
+    discount = 0.0
+    for su, sv in space.slot_edges:
+        a, b = ops[su], ops[sv]
+        discount += device.fusion_discounts[a, b] * min(costs[a], costs[b])
+    value = total - discount
+    if device.noise_sigma > 0:
+        z = np.random.default_rng(stable_seed("noise", device.seed, arch.arch_id)).normal()
+        value *= math.exp(device.noise_sigma * z)
+    return value
+
+
+def distinct_architectures_oracle(space, n, seed):
+    """(n distinct architectures, draws made): draw d builds an Architecture from
+    a fresh `default_rng(stable_seed("arch", seed, d))` and keeps it if its
+    arch_id is new."""
+    archs, seen, draw = [], set(), 0
+    while len(archs) < n:
+        rng = np.random.default_rng(stable_seed("arch", seed, draw))
+        arch = asp.Architecture(space.space_id, rng.integers(0, len(space.op_vocab), size=space.slot_count))
+        draw += 1
+        if arch.arch_id not in seen:
+            seen.add(arch.arch_id)
+            archs.append(arch)
+    return archs, draw

@@ -85,6 +85,29 @@ def test_validate_bad_op_index(nb201):
             asp.Architecture("nb201", ops)
 
 
+@pytest.mark.parametrize("ops, message", [
+    ((True, 0, 0, 0, 0, 0), "op True at slot 0: not an op index in 0..4"),
+    ((np.int64(7), 0, 0, 0, 0, 0), "op np.int64(7) at slot 0: not an op index in 0..4"),
+    ((1.0, 0, 0, 0, 0, 0), "op 1.0 at slot 0: not an op index in 0..4"),
+    ((-1, 0, 0, 0, 0, 0), "op -1 at slot 0: not an op index in 0..4"),
+    ((5, 0, 0, 0, 0, 0), "op 5 at slot 0: not an op index in 0..4"),
+    ((0, np.int32(-2), 2.5, False, 9, "a"),
+     "op np.int32(-2) at slot 1, op 2.5 at slot 2, op False at slot 3, op 9 at slot 4, "
+     "op 'a' at slot 5: not an op index in 0..4"),
+], ids=["bool", "numpy_int", "float", "negative", "out_of_range", "mixed"])
+def test_bad_op_index_messages_are_exact(ops, message):
+    """Ops that are not all plain in-range ints get the per-slot check and its message."""
+    with pytest.raises(BadOpIndex) as exc:
+        asp.Architecture("nb201", ops)
+    assert str(exc.value) == message
+
+
+def test_numpy_int_ops_build_the_plain_int_architecture():
+    arch = asp.Architecture("nb201", tuple(np.int64(o) for o in (3, 1, 2, 3, 4, 0)))
+    assert arch.arch_id == asp.Architecture("nb201", (3, 1, 2, 3, 4, 0)).arch_id
+    assert all(type(o) is int for o in arch.ops)
+
+
 def _archs_with_edited_line_2(tmp_path, space, edit):
     """A 3-arch archs.jsonl whose second line's object went through `edit`."""
     path = tmp_path / "archs.jsonl"
@@ -252,10 +275,10 @@ _PINNED = {
 
 @pytest.mark.parametrize("space_id", sorted(_PINNED))
 def test_ids_proxies_and_latency_are_pinned(space_id):
-    """arch_id, graph_proxies and latency_of keep their bits; the last op list is the probe."""
+    """arch_id, graph_proxies and latencies keep their bits; the last op list is the probe."""
     space, pinned = asp.get_space(space_id), _PINNED[space_id]
     archs = [asp.make_architecture(space, ops) for ops in pinned["ids"]]
     assert [a.arch_id for a in archs] == list(pinned["ids"].values())
     assert asp.graph_proxies(archs[-1], space).tolist() == pinned["proxies"]
     device = sb.gen_device(11, space, sigma=0.05)
-    assert sb.latency_of(archs[-1], device, space) == pinned["latency"]
+    assert sb.latencies(archs[-1:], device, space).tolist() == [pinned["latency"]]

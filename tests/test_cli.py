@@ -24,6 +24,7 @@ from nasflat.pipeline import TrainConfig
 from nasflat.predictor import PredictorConfig, load_checkpoint, save_checkpoint
 from nasflat import synthbench as sb
 from nasflat import archspace as asp
+from oracles import distinct_architectures_oracle, latency_oracle
 
 
 def run(argv):
@@ -83,6 +84,55 @@ def test_synth_missing_out_dir_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("space_id", ["nb201", "fbnet"])
+def test_synth_bytes_equal_the_files_written_from_the_oracles(tmp_path, space_id):
+    """synth's bulk draws write the bytes of one Generator per draw and per latency."""
+    space = asp.get_space(space_id)
+    assert run(["synth", "--space", space_id, "--devices", "3", "--archs", "40", "--seed", "7",
+                "--out-dir", str(tmp_path / "cli")]) == 0
+    archs, _ = distinct_architectures_oracle(space, 40, 7)
+    adj = space.template_adjacency().tolist()
+    want = tmp_path / "oracle"
+    want.mkdir()
+    (want / "archs.jsonl").write_text("".join(
+        json.dumps({"space": space_id, "adj": adj, "ops": list(a.ops)}, separators=(",", ":")) + "\n"
+        for a in archs
+    ))
+    table = LatencyTable()
+    for device in sb.mixed_family(space, 3, 7, sigma=0.03):
+        for arch in archs:
+            table.add(arch.arch_id, device.device_id, latency_oracle(arch, device, space))
+    table.save_csv(want / "latency.csv")
+    asp.save_encoding_table(asp.proxy_table(archs, space), want / "zcp.csv")
+    for name in ("archs.jsonl", "latency.csv", "zcp.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (want / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("flag, value", [("--devices", "0"), ("--archs", "0"), ("--sigma", "-1"),
+                                         ("--sigma", "nan")])
+def test_synth_rejects_counts_it_cannot_use(tmp_path, capsys, flag, value):
+    argv = {"--devices": "3", "--archs": "10", "--sigma": "0.03", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        run(["synth", "--space", "nb201", *(x for kv in argv.items() for x in kv),
+             "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_more_archs_than_the_space_holds_is_data_error(tmp_path):
+    """nb201 has 5**6 = 15625 cells; asking for one more fails before any draw
+    (in a fresh process, so that drawing forever fails the test by its timeout)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "nasflat.cli", "synth", "--space", "nb201",
+                           "--devices", "2", "--archs", "15626", "--out-dir", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3, done.stderr
+    assert "space 'nb201' has 15625 architectures; cannot draw 15626 distinct ones" in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_partition_separates_planted_pairs(tmp_path):
     nb = asp.nb201_space()
     table = LatencyTable()
@@ -113,6 +163,20 @@ def test_partition_oversized_request_fails_with_data_exit(workspace):
     code = run(["partition", "--latency", str(data / "latency.csv"),
                 "--m", "5", "--n", "3", "--seed", "1", "--out", str(root / "x.json")])
     assert code == 3
+
+
+@pytest.mark.parametrize("m, n", [("0", "2"), ("3", "0"), ("-1", "2")])
+def test_partition_rejects_an_empty_pool(workspace, tmp_path, capsys, m, n):
+    """A pool size below 1 is a usage error; no split with an empty side is written."""
+    _, data, _, _, _ = workspace
+    out = tmp_path / "split.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["partition", "--latency", str(data / "latency.csv"), "--m", m, "--n", n,
+             "--out", str(out)])
+    assert exc.value.code == 2
+    flag, value = ("--m", m) if int(m) < 1 else ("--n", n)
+    assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_partition_output_revalidates(workspace):

@@ -8,6 +8,7 @@ import pytest
 from nasflat import archspace as asp
 from nasflat import synthbench as sb
 from nasflat.devicesets import spearman
+from oracles import distinct_architectures_oracle, latency_oracle
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +27,11 @@ def archs(nb201):
 
 
 def _latencies(archs, device, space):
-    return np.array([sb.latency_of(a, device, space) for a in archs])
+    return sb.latencies(archs, device, space)
+
+
+def _latency(arch, device, space):
+    return sb.latencies([arch], device, space)[0]
 
 
 def test_clone_sigma_zero_identical(nb201, archs):
@@ -56,16 +61,17 @@ def test_noisy_clone_highly_correlated(nb201, archs):
 
 def test_latency_is_pure_function_of_arch_and_device(nb201, archs):
     device = sb.gen_device(5, nb201, sigma=0.1)
-    forward = [sb.latency_of(a, device, nb201) for a in archs[:40]]
-    backward = [sb.latency_of(a, device, nb201) for a in reversed(archs[:40])]
+    forward = _latencies(archs[:40], device, nb201).tolist()
+    backward = _latencies(archs[39::-1], device, nb201).tolist()
     assert forward == backward[::-1]
+    assert forward == [_latency(a, device, nb201) for a in archs[:40]]
 
 
 def test_noiseless_no_discount_equals_layerwise_sum(nb201, archs):
     device = sb.gen_device(7, nb201, sigma=0.0, max_discount=0.0)
     for arch in archs[:50]:
         expected = sum(device.base_costs[op] for op in arch.ops)
-        assert sb.latency_of(arch, device, nb201) == pytest.approx(expected, rel=1e-12)
+        assert _latency(arch, device, nb201) == pytest.approx(expected, rel=1e-12)
 
 
 def test_uniform_chain_cost(fbnet):
@@ -75,7 +81,7 @@ def test_uniform_chain_cost(fbnet):
         noise_sigma=0.0, seed=0,
     )
     arch = asp.make_architecture(fbnet, [0] * 22)
-    assert sb.latency_of(arch, device, fbnet) == pytest.approx(22 * 2.5)
+    assert _latency(arch, device, fbnet) == pytest.approx(22 * 2.5)
 
 
 def test_discounts_strictly_reduce_latency(nb201, archs):
@@ -87,8 +93,8 @@ def test_discounts_strictly_reduce_latency(nb201, archs):
         noise_sigma=0.0, seed=base.seed,
     )
     for arch in archs[:50]:
-        plain = sb.latency_of(arch, base, nb201)
-        with_discount = sb.latency_of(arch, discounted, nb201)
+        plain = _latency(arch, base, nb201)
+        with_discount = _latency(arch, discounted, nb201)
         assert with_discount < plain
 
 
@@ -142,3 +148,27 @@ def test_planted_clusters_recovered_by_correlation(nb201):
     within = (corr[0, 1] + corr[2, 3]) / 2
     across = np.mean([corr[0, 2], corr[0, 3], corr[1, 2], corr[1, 3]])
     assert within > across + 0.2
+
+
+@pytest.mark.parametrize("space_id", ["nb201", "fbnet"])
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_bulk_latencies_equal_the_scalar_oracle(space_id, sigma):
+    """Each latency keeps the bits of the scalar per-pair computation, noise on and off."""
+    space = asp.get_space(space_id)
+    archs = sb.distinct_random_architectures(space, 300, seed=8)
+    for device in sb.mixed_family(space, 4, seed=3, sigma=sigma):
+        got = sb.latencies(archs, device, space).tolist()
+        assert repr(got) == repr([float(latency_oracle(a, device, space)) for a in archs])
+
+
+@pytest.mark.parametrize("space_id, n", [("nb201", 3000), ("fbnet", 1500)])
+def test_distinct_random_architectures_equal_the_draw_by_draw_oracle(space_id, n):
+    """The bulk draw keeps every arch, and their order, of one Generator per draw;
+    nb201 at n=3000 skips about 300 repeated draws across three draw blocks."""
+    space = asp.get_space(space_id)
+    want, draws = distinct_architectures_oracle(space, n, seed=11)
+    got = sb.distinct_random_architectures(space, n, seed=11)
+    assert [a.arch_id for a in got] == [a.arch_id for a in want]
+    assert [a.ops for a in got] == [a.ops for a in want]
+    if space_id == "nb201":
+        assert draws - n > 200 and draws > 2 * sb.DRAW_BLOCK
