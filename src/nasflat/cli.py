@@ -257,8 +257,7 @@ def cmd_pretrain(args) -> int:
     archmap = {a.arch_id: a for a in archs}
     seed = stable_seed("pretrain", args.seed)
     state = init_predictor(pred_cfg, [space], list(split.source), seed=seed)
-    live = state.live_slots[space.space_id]
-    if not live:
+    if not state.live_slots:
         raise NasflatError(
             f"{args.config}: /predictor: no op slot of {space.space_id} "
             f"reaches the score with ophw_gcn_dims {list(pred_cfg.ophw_gcn_dims)} and "
@@ -273,7 +272,7 @@ def cmd_pretrain(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(state, out, extra={
-        "stage": "pretrain", "source_devices": list(split.source), "live_slots": list(live),
+        "stage": "pretrain", "source_devices": list(split.source), "live_slots": list(state.live_slots),
     })
     _write_manifest(
         args, "pretrain", Path(f"{out}.manifest.json"),
@@ -303,6 +302,10 @@ def cmd_transfer(args) -> int:
         raise NasflatError(f"--sampler {args.sampler} needs --sampler-encoding")
     table = LatencyTable.load_csv(args.latency)
     split = _load_split(args.split, table, args.latency)
+    if args.target in split.source:
+        raise NasflatError(f"--target {args.target!r} is a source device of {args.split}")
+    if args.target and args.target not in table.devices():
+        raise NasflatError(f"--target {args.target!r} has no rows in {args.latency}")
     base, _ = load_checkpoint(args.checkpoint)
     encodings = _load_encoding(args.encoding, archs)
     _check_width(args.encoding, encodings, base, args.checkpoint)
@@ -336,7 +339,7 @@ def cmd_transfer(args) -> int:
                 "samples": args.samples,
                 "sampled_ids": sorted(picked),
                 "warm_start_source": warm_start,
-                "live_slots": list(state.live_slots[space.space_id]),
+                "live_slots": list(state.live_slots),
             },
         )
         return [ckpt, checkpoint_meta_path(ckpt)]
@@ -552,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device")
     p.add_argument("--encoding", help="supplementary encoding CSV")
     p.add_argument("--constraint-ms", type=float, required=True)
-    p.add_argument("--top-k", type=int, default=10)
+    p.add_argument("--top-k", type=_at_least(1), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_search)

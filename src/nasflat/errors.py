@@ -109,6 +109,12 @@ class SideTooSmall(NasflatError):
     pass
 
 
+# --- synthetic devices ----------------------------------------------------------
+
+class NoiseOutOfRange(NasflatError):
+    """A noise sigma so large that a noisy latency leaves the positive finite floats."""
+
+
 # --- pipeline ----------------------------------------------------------------
 
 class TooFewSamples(NasflatError):

@@ -120,7 +120,6 @@ def _supplementary_rows(
 def _train_batch(
     state: PredictorState,
     adam: AdamState,
-    space: SearchSpace,
     device_id: str,
     arch_ids: Sequence[str],
     archs: Mapping[str, Architecture],
@@ -135,7 +134,7 @@ def _train_batch(
     supp = _supplementary_rows(encodings, arch_ids, state)
     row = state.device_row(device_id)
     with ad.recording() as tape:
-        preds = _forward(state, space, ops_rows, row, supp)
+        preds = _forward(state, ops_rows, row, supp)
         loss = pairwise_hinge_loss(preds, targets, margin)
     grads = ad.named_grads(state.params, ad.backward(tape, loss))
     ad.adam_step(state.params, grads, adam, lr, weight_decay)
@@ -192,7 +191,7 @@ def pretrain(
     """
     if not archs:
         raise InsufficientData("no architectures provided")
-    space = state.space_for(archs.values())
+    state.check_space(archs.values())
     ids_by_device: dict[str, list[str]] = {}
     budget_rng = rng_for("pretrain-budget", seed)
     for device in source_devices:
@@ -220,7 +219,7 @@ def pretrain(
         batches = _epoch_batches(rng, source_devices, ids_by_device, config.batch_size)
         for step, (device, chunk) in enumerate(batches):
             loss = _train_batch(
-                state, adam, space, device, chunk, archs, source_table, encodings,
+                state, adam, device, chunk, archs, source_table, encodings,
                 config.lr, config.weight_decay, config.hinge_margin,
             )
             _require_finite_loss(loss, "pretrain", epoch, step, device)
@@ -254,16 +253,11 @@ def transfer(
     sampled = sorted(few_shot.archs_for(target_device))
     if len(sampled) < 2:
         raise InsufficientData(f"need >= 2 target samples, got {len(sampled)}")
-    space = base.space_for(archs[a] for a in sampled)
-    state = PredictorState(
-        base.config,
-        dict(base.spaces),
-        {name: ad.param(t.data.copy()) for name, t in base.params.items()},
-        dict(base.device_index),
-        base.null_op_index,
-    )
+    base.check_space(archs[a] for a in sampled)
+    params = {name: ad.param(t.data.copy()) for name, t in base.params.items()}
+    state = PredictorState(base.config, base.space, params, dict(base.device_index))
     register_device(state, target_device)
-    warm_start = init_target_hw_embedding(state, few_shot, source_devices)
+    warm_start = init_target_hw_embedding(state, few_shot, target_device, source_devices)
 
     adam = AdamState.for_params(state.params)
     rng = rng_for("transfer", seed, target_device)
@@ -272,7 +266,7 @@ def transfer(
         batches = _epoch_batches(rng, [target_device], {target_device: sampled}, batch)
         for step, (device, chunk) in enumerate(batches):
             loss = _train_batch(
-                state, adam, space, device, chunk, archs, few_shot, encodings,
+                state, adam, device, chunk, archs, few_shot, encodings,
                 config.transfer_lr, config.weight_decay, config.hinge_margin,
             )
             _require_finite_loss(loss, "transfer", epoch, step, device)

@@ -20,7 +20,7 @@ the predictor feeds the transposed (edge-reversed) template: messages flow
 from the source toward the sink whose embedding is read out.
 
 Only the sink row is read out, so each layer computes only the rows that
-reach it. The row plan, built once per space from the adjacency and the
+reach it. The row plan, built once from the space's adjacency and the
 config's depths, walks back from the sink: the last main layer outputs the
 sink row, and every earlier layer outputs the rows its successor reads,
 which are the successor's output rows plus their in-neighbours. The op+hw
@@ -220,9 +220,8 @@ def _plan_layers(agg: np.ndarray, last_out: np.ndarray, n_layers: int) -> tuple[
 
 @dataclass(frozen=True)
 class _SpaceTemplate:
-    """Per-space constants the forward pass needs."""
+    """The space's constants the forward pass needs."""
 
-    agg: np.ndarray                # transposed lowered adjacency: rows = in-neighbors
     node_ops: np.ndarray           # per-node op index, null-op at structural nodes
     slot_nodes: np.ndarray         # node position of each op slot
     main: tuple[_LayerRows, ...]   # row plan of the DGF/GAT stack
@@ -231,30 +230,26 @@ class _SpaceTemplate:
 
 
 class PredictorState:
-    """All learnable tensors plus the device registry."""
+    """All learnable tensors plus the device registry, for one search space."""
 
     def __init__(
         self,
         config: PredictorConfig,
-        spaces: dict[str, SearchSpace],
+        space: SearchSpace,
         params: dict[str, Tensor],
         device_index: dict[str, int],
-        null_op_index: int,
     ):
         self.config = config
-        self.spaces = spaces
+        self.space = space
         self.params = params
         self.device_index = device_index
-        self.null_op_index = null_op_index
-        self._templates: dict[str, _SpaceTemplate] = {
-            sid: _make_template(sp, config, null_op_index) for sid, sp in spaces.items()
-        }
+        self._template = _make_template(space, config)
         self._views = _build_views(config, params)
 
     @property
-    def live_slots(self) -> dict[str, tuple[int, ...]]:
-        """Per space, the slot indices whose op can change a score."""
-        return {sid: tpl.live_slots for sid, tpl in self._templates.items()}
+    def live_slots(self) -> tuple[int, ...]:
+        """The slot indices whose op can change a score."""
+        return self._template.live_slots
 
     def device_row(self, device_id: str) -> int:
         try:
@@ -262,17 +257,16 @@ class PredictorState:
         except KeyError:
             raise UnknownDevice(f"device {device_id!r} not registered") from None
 
-    def space_for(self, archs: Iterable[Architecture]) -> SearchSpace:
-        """The one search space of `archs`; it must be one this predictor was built for."""
+    def check_space(self, archs: Iterable[Architecture]) -> None:
+        """Raise SpaceMismatch unless every arch is from this predictor's space."""
         ids = {a.space_id for a in archs}
-        if len(ids) != 1 or not ids <= self.spaces.keys():
+        if ids != {self.space.space_id}:
             raise SpaceMismatch(
-                f"architectures from space(s) {sorted(ids)}; predictor built for {sorted(self.spaces)}"
+                f"architectures from space(s) {sorted(ids)}; predictor built for {[self.space.space_id]}"
             )
-        return self.spaces[ids.pop()]
 
 
-def _make_template(space: SearchSpace, config: PredictorConfig, null_op_index: int) -> _SpaceTemplate:
+def _make_template(space: SearchSpace, config: PredictorConfig) -> _SpaceTemplate:
     agg = np.asarray(space.template_adjacency().T, dtype=np.float64)
     n = space.graph_size
     slot_nodes = np.asarray(space.slot_nodes, dtype=np.intp)
@@ -282,8 +276,7 @@ def _make_template(space: SearchSpace, config: PredictorConfig, null_op_index: i
     # gates on the most rows.
     live = np.flatnonzero(np.isin(slot_nodes, ophw[0].out))
     return _SpaceTemplate(
-        agg=agg,
-        node_ops=np.full(n, null_op_index, dtype=np.intp),
+        node_ops=np.full(n, len(space.op_vocab), dtype=np.intp),  # the null-op row
         slot_nodes=slot_nodes,
         main=main,
         ophw=ophw,
@@ -329,20 +322,14 @@ def _build_views(config: PredictorConfig, params: dict[str, Tensor]) -> _Views:
     return _Views(ophw_layers, ophw_mlp, dgf_layers, gat_layers, head)
 
 
-def _null_op_index(spaces: Sequence[SearchSpace]) -> int:
-    """Row of op_embed that pads unused template nodes: one past the largest vocab."""
-    return max(len(s.op_vocab) for s in spaces)
-
-
 def _param_specs(
-    config: PredictorConfig, spaces: Sequence[SearchSpace], n_devices: int
+    config: PredictorConfig, space: SearchSpace, n_devices: int
 ) -> dict[str, tuple[str, tuple[int, ...], int]]:
     """Name -> (init kind, shape, glorot fan_in + fan_out), in draw order.
 
     The one definition of the parameter layout: `init_predictor` draws from
     it and `load_checkpoint` lays a file's bytes out by it.
     """
-    max_nodes = max(s.graph_size for s in spaces)
     specs: dict[str, tuple[str, tuple[int, ...], int]] = {}
 
     def embedding(name: str, rows: int, dim: int) -> None:
@@ -357,8 +344,8 @@ def _param_specs(
     def ones(name: str, shape) -> None:
         specs[name] = ("ones", shape, 0)
 
-    embedding("op_embed", _null_op_index(spaces) + 1, config.op_embed_dim)
-    embedding("node_embed", max_nodes, config.node_embed_dim)
+    embedding("op_embed", len(space.op_vocab) + 1, config.op_embed_dim)  # + the null-op row
+    embedding("node_embed", space.graph_size, config.node_embed_dim)
     embedding("hw_embed", n_devices, config.hw_embed_dim)
 
     oh_dim = config.op_embed_dim + config.hw_embed_dim
@@ -406,15 +393,16 @@ def init_predictor(
     seed: int,
 ) -> PredictorState:
     """Seeded parameter initialization: Glorot-uniform weights, zero biases,
-    N(0, 0.1) embedding rows, unit LayerNorm gains."""
-    if not spaces:
-        raise ValueError("need at least one search space")
+    N(0, 0.1) embedding rows, unit LayerNorm gains. `spaces` holds the one
+    search space the predictor serves."""
+    if len(spaces) != 1:
+        raise ValueError(f"a predictor serves one search space, got {len(spaces)}")
     device_index = {d: i for i, d in enumerate(device_ids)}
     if len(device_index) != len(device_ids):
         raise ValueError("duplicate device ids")
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
-    for name, (kind, shape, fans) in _param_specs(config, spaces, len(device_ids)).items():
+    for name, (kind, shape, fans) in _param_specs(config, spaces[0], len(device_ids)).items():
         if kind == "normal":
             data = rng.normal(0.0, 0.1, size=shape)
         elif kind == "glorot":
@@ -425,8 +413,7 @@ def init_predictor(
         else:
             data = np.ones(shape)
         params[name] = ad.param(data)
-    space_map = {s.space_id: s for s in spaces}
-    return PredictorState(config, space_map, params, device_index, _null_op_index(spaces))
+    return PredictorState(config, spaces[0], params, device_index)
 
 
 def register_device(state: PredictorState, device_id: str) -> int:
@@ -472,13 +459,12 @@ def _refined_op_features(
 
 def _forward(
     state: PredictorState,
-    space: SearchSpace,
     ops_rows: np.ndarray,
     device_row: int,
     supplementary: np.ndarray | None,
 ) -> Tensor:
     """Batched forward pass over the row plan; ops_rows is (batch, slot_count) int indices."""
-    tpl = state._templates[space.space_id]
+    tpl = state._template
     batch = ops_rows.shape[0]
     node_ops = np.tile(tpl.node_ops, (batch, 1))
     node_ops[:, tpl.slot_nodes] = ops_rows
@@ -534,32 +520,27 @@ def predict_batch(
         raise BadSupplementaryDim(
             f"{len(supplementary)} supplementary rows for {len(archs)} archs"
         )
-    space = state.space_for(archs)
+    state.check_space(archs)
     row = state.device_row(device_id)
     out = np.empty(len(archs))
     for start in range(0, len(archs), PREDICT_CHUNK):
         stop = start + PREDICT_CHUNK
         ops_rows = np.array([a.ops for a in archs[start:stop]], dtype=np.intp)
         supp = None if supplementary is None else supplementary[start:stop]
-        out[start:stop] = _forward(state, space, ops_rows, row, supp).data[:, 0]
+        out[start:stop] = _forward(state, ops_rows, row, supp).data[:, 0]
     return out
 
 
 def init_target_hw_embedding(
-    state: PredictorState, target_samples: LatencyTable, source_device_ids: Sequence[str]
+    state: PredictorState, target_samples: LatencyTable, target: str, source_device_ids: Sequence[str]
 ) -> str:
-    """Warm-start the target device's hardware row from its best-correlated source.
+    """Warm-start the `target` device's hardware row from its best-correlated source.
 
-    The target device is the one device in target_samples that is not a
-    source. Spearman correlation is computed over architectures measured on
-    the target and on every source; the argmax source's row is copied
-    (ties to the earliest source in the list). Returns the chosen source id.
+    Spearman correlation is computed over architectures measured on the
+    target and on every source; the argmax source's row is copied (ties to
+    the earliest source in the list). Returns the chosen source id.
     """
     sources = list(source_device_ids)
-    targets = [d for d in target_samples.devices() if d not in sources]
-    if len(targets) != 1:
-        raise ValueError(f"expected exactly one non-source device in samples, got {targets}")
-    target = targets[0]
     target_row = state.device_row(target)
 
     shared = set(target_samples.archs_for(target))
@@ -597,7 +578,7 @@ def save_checkpoint(state: PredictorState, path, extra: dict | None = None) -> N
 
     `path` holds the parameters' row-major little-endian float64 bytes,
     concatenated in `_param_specs` order, and nothing else: the meta's
-    config, spaces and device registry fix the layout, and loading returns
+    config, space and device registry fix the layout, and loading returns
     the saved values bit for bit. Each parameter's buffer goes to the file
     and to the SHA-256 the meta records, with no copy. `extra` is an
     arbitrary JSON-serializable annotation block (e.g. the transfer stage's
@@ -606,7 +587,7 @@ def save_checkpoint(state: PredictorState, path, extra: dict | None = None) -> N
     path = Path(path)
     digest = hashlib.sha256()
     with open(path, "wb") as f:
-        for name in _param_specs(state.config, list(state.spaces.values()), len(state.device_index)):
+        for name in _param_specs(state.config, state.space, len(state.device_index)):
             data = np.ascontiguousarray(state.params[name].data, dtype="<f8")
             f.write(data)
             digest.update(data)
@@ -614,8 +595,8 @@ def save_checkpoint(state: PredictorState, path, extra: dict | None = None) -> N
         "version": CHECKPOINT_VERSION,
         "config": asdict(state.config),
         "devices": state.device_index,
-        "space_ids": sorted(state.spaces),
-        "null_op_index": state.null_op_index,
+        "space_ids": [state.space.space_id],
+        "null_op_index": len(state.space.op_vocab),
         "params_sha256": digest.hexdigest(),
         "extra": extra or {},
     }
@@ -648,10 +629,12 @@ def load_checkpoint(path) -> tuple[PredictorState, dict]:
 
     Raises BadCheckpoint naming the file if the meta is unreadable, of
     another version or missing keys (config fields included: a default would
-    silently stand in for the trained value); if the parameter file's
-    SHA-256 differs from the meta's `params_sha256`; or if its byte length
-    differs from what the meta's config and device registry imply. The
-    parameters are views of the one buffer the file was read and hashed into.
+    silently stand in for the trained value), or if its `space_ids` does not
+    name one space whose vocabulary size is its `null_op_index`; if the
+    parameter file's SHA-256 differs from the meta's `params_sha256`; or if
+    its byte length differs from what the meta's config, space and device
+    registry imply. The parameters are views of the one buffer the file was
+    read and hashed into.
     """
     path = Path(path)
     meta_path = checkpoint_meta_path(path)
@@ -663,10 +646,12 @@ def load_checkpoint(path) -> tuple[PredictorState, dict]:
         if missing:
             raise BadCheckpoint(f"{meta_path}: config is missing {missing}")
         config = PredictorConfig(**meta["config"])
-        spaces = {sid: get_space(sid) for sid in meta["space_ids"]}
+        if not isinstance(meta["space_ids"], list) or len(meta["space_ids"]) != 1:
+            raise BadCheckpoint(f"{meta_path}: space_ids {meta['space_ids']!r} must name one space")
+        space = get_space(meta["space_ids"][0])
         device_index = {d: int(i) for d, i in meta["devices"].items()}
         null_op_index = int(meta["null_op_index"])
-        expected = _param_specs(config, list(spaces.values()), len(device_index))
+        expected = _param_specs(config, space, len(device_index))
         if not isinstance(meta["extra"], dict):
             raise TypeError("extra is not an object")
     except KeyError as e:
@@ -677,8 +662,8 @@ def load_checkpoint(path) -> tuple[PredictorState, dict]:
         raise BadCheckpoint(f"{meta_path}: {e}") from None
     if sorted(device_index.values()) != list(range(len(device_index))):
         raise BadCheckpoint(f"{meta_path}: device rows are not 0..{len(device_index) - 1}")
-    if null_op_index != _null_op_index(list(spaces.values())):
-        raise BadCheckpoint(f"{meta_path}: null_op_index {null_op_index} does not fit its spaces")
+    if null_op_index != len(space.op_vocab):
+        raise BadCheckpoint(f"{meta_path}: null_op_index {null_op_index} does not fit space {space.space_id!r}")
 
     try:
         buf, digest = read_input(path)
@@ -696,4 +681,4 @@ def load_checkpoint(path) -> tuple[PredictorState, dict]:
     for (name, (_, shape, _)), size in zip(expected.items(), sizes):
         params[name] = Tensor(flat[start : start + size].reshape(shape))
         start += size
-    return PredictorState(config, spaces, params, device_index, null_op_index), meta["extra"]
+    return PredictorState(config, space, params, device_index), meta["extra"]

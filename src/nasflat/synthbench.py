@@ -24,7 +24,7 @@ import numpy as np
 
 from .archspace import Architecture, SearchSpace, random_ops, write_architectures
 from .devicesets import LatencyTable
-from .errors import PoolTooSmall
+from .errors import NoiseOutOfRange, PoolTooSmall
 from .rng import rng_for, seeded, stable_seed
 
 DRAW_BLOCK = 1024  # random-architecture draws seeded per call of `seeded`
@@ -94,7 +94,8 @@ def gen_device(
 def latencies(archs: Sequence[Architecture], device: SyntheticDevice, space: SearchSpace) -> np.ndarray:
     """Deterministic latency in ms of each architecture on one device: op costs
     summed along the slot axis, minus discounts added edge by edge in
-    `space.slot_edges` order, times the noise factor keyed by (device seed, arch_id)."""
+    `space.slot_edges` order, times the noise factor keyed by (device seed, arch_id).
+    Raises NoiseOutOfRange if the noise takes a latency to 0 or infinity."""
     costs = device.base_costs
     ops = np.array([a.ops for a in archs], dtype=np.intp).reshape(len(archs), space.slot_count)
     op_costs = costs[ops]
@@ -105,7 +106,14 @@ def latencies(archs: Sequence[Architecture], device: SyntheticDevice, space: Sea
     values = op_costs.sum(axis=1) - discount
     if device.noise_sigma > 0:
         seeds = [stable_seed("noise", device.seed, a.arch_id) for a in archs]
-        values *= [math.exp(device.noise_sigma * rng.normal()) for rng in seeded(seeds)]
+        try:
+            values *= [math.exp(device.noise_sigma * rng.normal()) for rng in seeded(seeds)]
+        except OverflowError:
+            values[:] = math.inf
+        bad = values[(values <= 0) | (values == math.inf)]
+        if len(bad):
+            raise NoiseOutOfRange(f"noise sigma {device.noise_sigma} takes a latency of device "
+                                  f"{device.device_id!r} to {float(bad[0])!r}; use a smaller sigma")
     return values
 
 

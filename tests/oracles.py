@@ -208,17 +208,17 @@ def finite_diff_check(
     return report
 
 
-def dense_forward(state, space, ops_rows, device_row, supplementary=None):
+def dense_forward(state, ops_rows, device_row, supplementary=None):
     """The predictor's forward pass computing every node row in every layer.
 
     The reference for the row-planned `predictor._forward`: it runs each
     layer over the full square adjacency and reads out the sink row at the
     end. It shares the layer functions and primitives, not the row plan.
     """
-    config, views, params = state.config, state._views, state.params
+    config, views, params, space = state.config, state._views, state.params, state.space
     n = space.graph_size
     agg = np.asarray(space.template_adjacency().T, dtype=np.float64)
-    node_ops = np.full((len(ops_rows), n), state.null_op_index, dtype=np.intp)
+    node_ops = np.full((len(ops_rows), n), len(space.op_vocab), dtype=np.intp)
     node_ops[:, list(space.slot_nodes)] = ops_rows
 
     def node_rows():

@@ -85,7 +85,7 @@ def test_criterion_1_gradient_correctness():
         mix = rng.normal(size=(4, 1))
 
         def model_eval():
-            out = pred._forward(state, NB201, ops_rows, 0, supp)
+            out = pred._forward(state, ops_rows, 0, supp)
             return ad.sum_all(ad.mul(out, mix))
 
         report = finite_diff_check(model_eval, state.params, n_samples=100, seed=trial)
@@ -297,7 +297,7 @@ def test_criterion_6_hw_embedding_init():
             pred.PredictorConfig(), [NB201], [d.device_id for d in sources], seed=trial
         )
         pred.register_device(state, "target")
-        chosen = pred.init_target_hw_embedding(state, table, [d.device_id for d in sources])
+        chosen = pred.init_target_hw_embedding(state, table, "target", [d.device_id for d in sources])
         if chosen == f"s{k}":
             hits += 1
     _report(6, "hw-embedding initialization", hits >= 95, f"picked the clone parent {hits}/100")

@@ -120,6 +120,21 @@ def test_synth_rejects_counts_it_cannot_use(tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, device, value", [
+    (["--devices", "2", "--archs", "50", "--sigma", "300"], "d01", "inf"),
+    (["--devices", "1", "--archs", "4", "--seed", "8", "--sigma", "400"], "d00", "0.0"),
+], ids=["overflow", "underflow"])
+def test_synth_noise_out_of_float_range_is_data_error(tmp_path, capsys, argv, device, value):
+    """A sigma whose noise factor overflows, or underflows to 0, exits 3 naming sigma and device."""
+    code = run(["synth", "--space", "nb201", *argv, "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"noise sigma {float(argv[-1])} takes a latency of device {device!r} to {value}" in err, err
+    assert not (tmp_path / "out").exists()
+    assert run(["synth", "--space", "nb201", "--devices", "2", "--archs", "50", "--sigma", "100",
+                "--out-dir", str(tmp_path / "ok")]) == 0
+
+
 def test_synth_more_archs_than_the_space_holds_is_data_error(tmp_path):
     """nb201 has 5**6 = 15625 cells; asking for one more fails before any draw
     (in a fresh process, so that drawing forever fails the test by its timeout)."""
@@ -283,6 +298,18 @@ def test_search_flow_and_timing(workspace, transfers):
     assert code == 3  # EmptyFeasibleSet is a data error
 
 
+@pytest.mark.parametrize("top_k", ["0", "-1"])
+def test_search_top_k_below_one_is_usage_error(workspace, transfers, tmp_path, capsys, top_k):
+    _, data, _, _, _ = workspace
+    ckpt = sorted(c for c in transfers.glob("transfer_*.json") if not c.name.endswith(".meta.json"))[0]
+    with pytest.raises(SystemExit) as exc:
+        run(["search", "--archs", str(data / "archs.jsonl"), "--checkpoint", str(ckpt),
+             "--constraint-ms", "1e9", "--top-k", top_k, "--out", str(tmp_path / "r.csv")])
+    assert exc.value.code == 2
+    assert f"argument --top-k: must be at least 1, got {top_k}" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def _edit_meta(ckpt, edit):
     """Apply `edit` to the parsed meta of `ckpt` and write it back."""
     meta_path = Path(str(ckpt) + ".meta.json")
@@ -347,6 +374,16 @@ def _missing_config_field(ckpt, archs):
     return meta_path, "config is missing ['leaky_slope']"
 
 
+def _two_space_ids(ckpt, archs):
+    meta_path = _edit_meta(ckpt, lambda meta: meta.update(space_ids=["nb201", "fbnet"]))
+    return meta_path, "space_ids ['nb201', 'fbnet'] must name one space"
+
+
+def _null_op_index_off_its_space(ckpt, archs):
+    meta_path = _edit_meta(ckpt, lambda meta: meta.update(null_op_index=9))
+    return meta_path, "null_op_index 9 does not fit space 'nb201'"
+
+
 def _missing_meta(ckpt, archs):
     meta_path = Path(str(ckpt) + ".meta.json")
     meta_path.unlink()
@@ -394,7 +431,8 @@ def _archs_line_not_utf8(ckpt, archs):
 @pytest.mark.parametrize("corrupt", [
     _as_version_1, _wrong_version, _truncated, _digest_mismatch, _short_param,
     _config_implies_other_layout, _devices_imply_other_layout, _float_dims_in_meta,
-    _missing_key, _missing_config_field, _missing_meta, _op_index_out_of_vocab,
+    _missing_key, _missing_config_field, _two_space_ids, _null_op_index_off_its_space,
+    _missing_meta, _op_index_out_of_vocab,
     _adj_back_edge, _adj_dropped_edge, _adj_extra_forward_edge, _archs_line_not_utf8,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_unreadable_input_is_data_error(workspace, transfers, tmp_path, capsys, corrupt):
@@ -512,6 +550,21 @@ def test_transfer_records_warm_start_source(workspace, tmp_path):
         meta = json.loads((tmp_path / f"transfer_{device}.json.meta.json").read_text())
         assert meta["extra"]["warm_start_source"] in split.source
         assert meta["extra"]["live_slots"] == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("which, why", [("source", "is a source device of"), ("unmeasured", "has no rows in")],
+                         ids=["source", "unmeasured"])
+def test_transfer_target_must_be_a_measured_non_source_device(workspace, tmp_path, capsys, which, why):
+    """--target naming a source of the split, or a device the latency CSV lacks, exits 3."""
+    _, data, split, _, _ = workspace
+    device = DeviceSplit.from_json(split.read_text()).source[0] if which == "source" else "nosuch"
+    named = split if which == "source" else data / "latency.csv"
+    capsys.readouterr()
+    code = run(_transfer_argv(workspace, tmp_path / "out", "--target", device))
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"--target {device!r} {why} {named}" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("space, predictor, why", [

@@ -86,7 +86,7 @@ def test_hinge_gradient_through_predictor(nb201):
     targets = [3.0, 1.0, 4.0, 1.5, 2.5]
 
     def model_eval():
-        preds = pred._forward(st, nb201, ops_rows, 0, None)
+        preds = pred._forward(st, ops_rows, 0, None)
         return pl.pairwise_hinge_loss(preds, targets, margin=0.5)
 
     report = finite_diff_check(model_eval, st.params, n_samples=50, seed=1)

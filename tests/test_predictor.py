@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import platform
@@ -73,6 +74,12 @@ def test_init_deterministic_and_shapes(nb201):
     assert a.params["op_embed"].data.shape == (6, 48)
     assert a.params["hw_embed"].data.shape == (5, 48)
     assert a.params["node_embed"].data.shape == (8, 48)
+
+
+def test_a_predictor_serves_one_space(nb201):
+    for spaces in ([], [nb201, asp.fbnet_space()]):
+        with pytest.raises(ValueError, match=f"^a predictor serves one search space, got {len(spaces)}$"):
+            pred.init_predictor(pred.PredictorConfig(), spaces, ["d0"], seed=0)
 
 
 # --- dgf_layer ------------------------------------------------------------------
@@ -251,10 +258,9 @@ def test_predict_batch_rejects_archs_from_another_space(state, nb201):
     nb = [asp.random_architecture(nb201, s) for s in range(2)]
     with pytest.raises(SpaceMismatch, match=r"\['fbnet'\]; predictor built for \['nb201'\]"):
         pred.predict_batch(state, fb, "d0")
-    both = pred.init_predictor(pred.PredictorConfig(), [nb201, fbnet], ["d0"], seed=3)
     with pytest.raises(SpaceMismatch, match=r"\['fbnet', 'nb201'\]; predictor built for"):
-        pred.predict_batch(both, nb + fb, "d0")
-    assert pred.predict_batch(both, fb, "d0").shape == (2,)
+        pred.predict_batch(state, nb + fb, "d0")
+    assert pred.predict_batch(state, nb, "d0").shape == (2,)
 
 
 _SECOND_BATCH_FAULTS = """
@@ -336,7 +342,7 @@ def test_full_gradient_check_all_kinds(nb201, kind):
     weights = np.random.default_rng(1).normal(size=(5, 1))
 
     def model_eval():
-        out = pred._forward(st, nb201, ops_rows, 0, supp)
+        out = pred._forward(st, ops_rows, 0, supp)
         return ad.sum_all(ad.mul(out, weights))
 
     report = finite_diff_check(model_eval, st.params, n_samples=60, seed=2)
@@ -364,7 +370,7 @@ def test_outputs_keep_batch_shape_with_finite_gradients(nb201, overrides, batch)
         supp = np.random.default_rng(0).normal(size=(batch, config.supplementary_dim))
     assert pred.predict_batch(st, archs, "d1", supp).shape == (batch,)
     with ad.recording() as tape:
-        out = pred._forward(st, nb201, ops_rows, 1, supp)
+        out = pred._forward(st, ops_rows, 1, supp)
         loss = ad.sum_all(ad.mul(out, np.arange(1.0, batch + 1.0).reshape(-1, 1)))
     assert out.shape == (batch, 1)
     grads = ad.named_grads(st.params, ad.backward(tape, loss))
@@ -404,16 +410,17 @@ def fbnet():
 
 
 def test_live_slots_are_the_sink_cone(nb201, fbnet):
-    both = pred.init_predictor(pred.PredictorConfig(), [nb201, fbnet], ["d0"], seed=0)
-    assert both.live_slots == {"fbnet": (18, 19, 20, 21), "nb201": (0, 1, 2, 3, 4, 5)}
+    config = pred.PredictorConfig()
+    assert pred.init_predictor(config, [fbnet], ["d0"], seed=0).live_slots == (18, 19, 20, 21)
+    assert pred.init_predictor(config, [nb201], ["d0"], seed=0).live_slots == (0, 1, 2, 3, 4, 5)
     shallow = pred.PredictorConfig(ophw_gcn_dims=(128,), gcn_dims=(128,))
-    assert pred.init_predictor(shallow, [nb201], ["d0"], seed=0).live_slots == {"nb201": ()}
+    assert pred.init_predictor(shallow, [nb201], ["d0"], seed=0).live_slots == ()
 
 
 def test_fbnet_score_moves_exactly_with_live_slot_ops(fbnet):
     """Changing the op at a dead slot keeps the score's bits; at a live slot it changes it."""
     st = pred.init_predictor(pred.PredictorConfig(), [fbnet], ["d0"], seed=6)
-    live = set(st.live_slots["fbnet"])
+    live = set(st.live_slots)
     arch = asp.random_architecture(fbnet, 3)
     variants = []
     for slot in range(fbnet.slot_count):
@@ -435,8 +442,8 @@ def test_fbnet_forward_bitwise_equals_dense_oracle(fbnet, kind, supp_dim):
     supp = rng.normal(size=(500, supp_dim)) if supp_dim else None
     for b in (1, 16, 64, 500):
         s = None if supp is None else supp[:b]
-        got = pred._forward(st, fbnet, ops[:b], 1, s).data
-        assert got.tobytes() == dense_forward(st, fbnet, ops[:b], 1, s).data.tobytes(), b
+        got = pred._forward(st, ops[:b], 1, s).data
+        assert got.tobytes() == dense_forward(st, ops[:b], 1, s).data.tobytes(), b
 
 
 @pytest.mark.parametrize("kind", pred.GNN_KINDS)
@@ -444,8 +451,8 @@ def test_nb201_forward_agrees_with_dense_oracle(nb201, kind):
     st = pred.init_predictor(pred.PredictorConfig(gnn_kind=kind), [nb201], ["d0"], seed=8)
     ops = np.random.default_rng(2).integers(0, len(nb201.op_vocab), size=(64, nb201.slot_count))
     for b in (1, 16, 64):
-        got = pred._forward(st, nb201, ops[:b], 0, None).data
-        want = dense_forward(st, nb201, ops[:b], 0, None).data
+        got = pred._forward(st, ops[:b], 0, None).data
+        want = dense_forward(st, ops[:b], 0, None).data
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12, b
 
 
@@ -459,7 +466,7 @@ def test_nb201_gradients_agree_with_dense_oracle(nb201, overrides):
 
     def grads(forward):
         with ad.recording() as tape:
-            loss = ad.sum_all(ad.mul(forward(st, nb201, ops, 1, None), weights))
+            loss = ad.sum_all(ad.mul(forward(st, ops, 1, None), weights))
         return ad.named_grads(st.params, ad.backward(tape, loss))
 
     got, want = grads(pred._forward), grads(dense_forward)
@@ -514,7 +521,7 @@ def test_hw_init_picks_exact_copy(state):
         "d1": list(vals),  # identical ranking: rho = 1
         "d2": [2.0, 1.0, 5.0, 3.0, 4.0],
     })
-    chosen = pred.init_target_hw_embedding(state, table, ["d0", "d1", "d2"])
+    chosen = pred.init_target_hw_embedding(state, table, "target", ["d0", "d1", "d2"])
     assert chosen == "d1"
     hw = state.params["hw_embed"].data
     assert np.array_equal(hw[state.device_index["target"]], hw[state.device_index["d1"]])
@@ -528,7 +535,7 @@ def test_hw_init_picks_best_of_weak_correlations(state):
         "d1": [6, 5, 4, 3, 2, 1],
         "d2": [5, 6, 3, 4, 1, 2],
     })
-    assert pred.init_target_hw_embedding(state, table, ["d0", "d1", "d2"]) == "d0"
+    assert pred.init_target_hw_embedding(state, table, "target", ["d0", "d1", "d2"]) == "d0"
 
 
 def test_hw_init_scale_invariant(state):
@@ -536,8 +543,10 @@ def test_hw_init_scale_invariant(state):
     rng = np.random.default_rng(13)
     vals = rng.uniform(1, 10, size=8)
     cols = {d: rng.uniform(1, 10, size=8) for d in ("d0", "d1", "d2")}
-    first = pred.init_target_hw_embedding(state, _samples_table(vals, cols), ["d0", "d1", "d2"])
-    scaled = pred.init_target_hw_embedding(state, _samples_table(vals * 37.5, cols), ["d0", "d1", "d2"])
+    first = pred.init_target_hw_embedding(state, _samples_table(vals, cols), "target", ["d0", "d1", "d2"])
+    scaled = pred.init_target_hw_embedding(
+        state, _samples_table(vals * 37.5, cols), "target", ["d0", "d1", "d2"]
+    )
     assert first == scaled
 
 
@@ -549,7 +558,7 @@ def test_hw_init_insufficient_overlap(state):
     table.add("a0", "d1", 1.0)
     table.add("a0", "d2", 1.0)
     with pytest.raises(InsufficientOverlap):
-        pred.init_target_hw_embedding(state, table, ["d0", "d1", "d2"])
+        pred.init_target_hw_embedding(state, table, "target", ["d0", "d1", "d2"])
 
 
 def test_register_device_appends_zero_row(state):
@@ -570,7 +579,7 @@ def test_checkpoint_roundtrip(state, nb201, tmp_path):
     meta = json.loads(pred.checkpoint_meta_path(path).read_text(encoding="utf-8"))
     assert meta["version"] == pred.CHECKPOINT_VERSION
     # The file is the parameters' float64 bytes in layout order, nothing else.
-    order = pred._param_specs(state.config, [nb201], len(state.device_index))
+    order = pred._param_specs(state.config, nb201, len(state.device_index))
     assert path.read_bytes() == b"".join(state.params[name].data.tobytes() for name in order)
     loaded, extra = pred.load_checkpoint(path)
     assert extra == {"stage": "test"}
@@ -585,6 +594,30 @@ def test_checkpoint_roundtrip(state, nb201, tmp_path):
     second = tmp_path / "ckpt2.json"
     pred.save_checkpoint(loaded, second, extra={"stage": "test"})
     assert path.read_bytes() == second.read_bytes()
+
+
+_PINNED_CONFIG = pred.PredictorConfig(
+    op_embed_dim=2, node_embed_dim=3, hw_embed_dim=2, ophw_gcn_dims=(3, 2), ophw_mlp_dims=(2,),
+    gcn_dims=(2, 3), head_mlp_dims=(2,), gnn_kind="ensemble", supplementary_dim=1,
+)
+
+
+@pytest.mark.parametrize("space_id, params_sha256, meta_sha256", [
+    ("nb201", "a94f29021d52f6a68d63e2524a69403756a28daf39defd46e061bb1dc9defb0d",
+     "3ce4fc6de63d93dd0b96f89d06cd2b682a07e767635362471db458709f0bc8e5"),
+    ("fbnet", "8bf958515315ba2c8c446a4e33ea5554396aca406e6c19aadcb8c1fb1e07f8bc",
+     "7242cef6b8283100cbdd951ba928fa505a2955e5fc83272450917814cc2e3cd6"),
+])
+def test_init_only_checkpoint_bytes_are_pinned(tmp_path, space_id, params_sha256, meta_sha256):
+    """The version-4 bytes of a tiny freshly drawn predictor per space, a registered
+    device included. Only seeded draws enter them, no BLAS product, so they pin the
+    parameter layout and the meta text."""
+    state = pred.init_predictor(_PINNED_CONFIG, [asp.get_space(space_id)], ["d0", "d1"], seed=17)
+    pred.register_device(state, "t")
+    path = tmp_path / "c.json"
+    pred.save_checkpoint(state, path, extra={"stage": "pin"})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == params_sha256
+    assert hashlib.sha256(pred.checkpoint_meta_path(path).read_bytes()).hexdigest() == meta_sha256
 
 
 def _traced_peak(fn) -> int:
@@ -609,10 +642,11 @@ _SETUP_IMPORTS = """
 import sys
 import nasflat.cli
 from nasflat import archspace, predictor
-spaces = [archspace.get_space("nb201"), archspace.get_space("fbnet")]
-state = predictor.init_predictor(predictor.PredictorConfig(), spaces, ["d0"], seed=0)
-predictor.save_checkpoint(state, sys.argv[1])
-predictor.load_checkpoint(sys.argv[1])
+for space_id in ("nb201", "fbnet"):
+    space = archspace.get_space(space_id)
+    state = predictor.init_predictor(predictor.PredictorConfig(), [space], ["d0"], seed=0)
+    predictor.save_checkpoint(state, sys.argv[1])
+    predictor.load_checkpoint(sys.argv[1])
 print("numpy.ma" in sys.modules)
 """
 
@@ -632,7 +666,7 @@ _DIMS = st.lists(st.integers(1, 4), max_size=2)
 
 @st.composite
 def _checkpoint_cases(draw):
-    """A tiny random predictor over one or both spaces, 1-3 devices, maybe one registered later."""
+    """A tiny random predictor over one of the two spaces, 1-3 devices, maybe one registered later."""
     config = pred.PredictorConfig(
         op_embed_dim=draw(st.integers(1, 4)),
         node_embed_dim=draw(st.integers(1, 4)),
@@ -644,9 +678,9 @@ def _checkpoint_cases(draw):
         gnn_kind=draw(st.sampled_from(pred.GNN_KINDS)),
         supplementary_dim=draw(st.integers(0, 3)),
     )
-    space_ids = draw(st.sampled_from([["nb201"], ["fbnet"], ["nb201", "fbnet"]]))
+    space_id = draw(st.sampled_from(["nb201", "fbnet"]))
     devices = [f"d{i}" for i in range(draw(st.integers(1, 3)))]
-    state = pred.init_predictor(config, [asp.get_space(s) for s in space_ids], devices,
+    state = pred.init_predictor(config, [asp.get_space(space_id)], devices,
                                 seed=draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         pred.register_device(state, "target")
