@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BadOpIndex, DimMismatch, NonFiniteValue, ParseError
 from .inputs import open_text
-from .rng import seeded
+from .rng import bounded_draws
 
 MICRO_CELL = "micro_cell"
 MACRO_CHAIN = "macro_chain"
@@ -58,10 +58,10 @@ class SearchSpace:
 
     node_count is the cell node count for micro-cell spaces and the chain
     length for macro chains. The lowered graph template (adjacency, slot
-    positions, slot-to-slot edges, the arch_id hash prefix, its JSONL
-    forms) and the topology that graph_proxies reads (per-node
-    predecessors, edge count, longest path, sink) are derived once at
-    construction.
+    positions, slot-to-slot edges, the op indices as strings, its JSONL
+    forms) and the topology that graph_proxies reads
+    (per-node predecessors, edge count, longest path, sink) are derived once
+    at construction.
     """
 
     space_id: str
@@ -74,7 +74,7 @@ class SearchSpace:
     _template: np.ndarray = field(init=False, repr=False, compare=False)
     _slot_nodes: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _slot_edges: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    _id_prefix: str = field(init=False, repr=False, compare=False)
+    _op_strs: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _adj_list: list = field(init=False, repr=False, compare=False)
     _jsonl_head: str = field(init=False, repr=False, compare=False)
     _preds: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
@@ -104,9 +104,7 @@ class SearchSpace:
         object.__setattr__(self, "_slot_edges", tuple(
             (slot_of[u], slot_of[v]) for u, v in edges if u in slot_of and v in slot_of
         ))
-        object.__setattr__(self, "_id_prefix", "{};{};".format(
-            self.space_id, ",".join(str(int(v)) for v in adj.reshape(-1))
-        ))
+        object.__setattr__(self, "_op_strs", tuple(map(str, range(len(self.op_vocab)))))
         object.__setattr__(self, "_adj_list", adj.tolist())
         object.__setattr__(self, "_jsonl_head", '{"space":%s,"adj":%s,"ops":[' % (
             json.dumps(self.space_id), json.dumps(self._adj_list, separators=(",", ":"))
@@ -218,6 +216,16 @@ def get_space(space_id: str) -> SearchSpace:
     return factory()
 
 
+@functools.cache
+def _id_hash(space_id: str):
+    """SHA-256 fed once with what the space fixes of each arch_id's hashed
+    string, `space_id;row-major template adjacency;`; each id hashes a copy.
+    Not a SearchSpace field: a hash object cannot be pickled, and predictor
+    states, which hold their space, come back pickled from forked workers."""
+    adj = ",".join(str(v) for row in get_space(space_id)._adj_list for v in row)
+    return hashlib.sha256(f"{space_id};{adj};".encode("utf-8"))
+
+
 @dataclass(frozen=True, eq=False)
 class Architecture:
     """An immutable architecture: per-slot op indices on its space's fixed topology.
@@ -244,9 +252,11 @@ class Architecture:
             if bad:
                 raise BadOpIndex(f"{', '.join(bad)}: not an op index in 0..{vocab - 1}")
             ops = tuple(int(o) for o in ops)
-        payload = space._id_prefix + ",".join(map(str, ops))
+        op_strs = space._op_strs
+        digest = _id_hash(self.space_id).copy()
+        digest.update(",".join([op_strs[op] for op in ops]).encode("utf-8"))
         object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "arch_id", hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32])
+        object.__setattr__(self, "arch_id", digest.hexdigest()[:32])
 
 
 def make_architecture(space: SearchSpace, ops: Sequence[int]) -> Architecture:
@@ -257,9 +267,7 @@ def make_architecture(space: SearchSpace, ops: Sequence[int]) -> Architecture:
 def random_ops(space: SearchSpace, seeds: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """For each seed in order, uniformly drawn op indices: the draw of
     `np.random.default_rng(seed).integers(0, vocab, size=slot_count)`."""
-    vocab, slots = len(space.op_vocab), space.slot_count
-    for rng in seeded(seeds):
-        yield tuple(rng.integers(vocab, size=slots).tolist())
+    return map(tuple, bounded_draws(seeds, len(space.op_vocab), space.slot_count).tolist())
 
 
 def random_architecture(space: SearchSpace, seed: int) -> Architecture:
@@ -389,7 +397,8 @@ def write_architectures(archs: Iterable[Architecture], path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for arch in archs:
-            fh.write(get_space(arch.space_id)._jsonl_head + ",".join(map(str, arch.ops)) + "]}\n")
+            space = get_space(arch.space_id)
+            fh.write(space._jsonl_head + ",".join([space._op_strs[op] for op in arch.ops]) + "]}\n")
 
 
 def read_architectures(path) -> list[Architecture]:

@@ -136,8 +136,9 @@ class Tape:
     __slots__ = ("_records",)
 
     def __init__(self):
-        # (output tensor, backward closure); closures call acc(input, grad)
-        self._records: list[tuple[Tensor, Callable]] = []
+        # (output tensor, backward closure); closures call acc(input, grad).
+        # backward() sets each slot to None once its closure has run.
+        self._records: list[tuple[Tensor, Callable] | None] = []
 
     def __len__(self) -> int:
         return len(self._records)
@@ -480,6 +481,9 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Array]:
     The loss must be a single-element tensor. Intermediate gradients are
     popped as they are consumed, so the returned map holds only tensors that
     were never produced by a recorded primitive (parameters and inputs).
+    A tape is single-use: each record is dropped as soon as its VJP has run,
+    freeing the intermediates its closure holds mid-sweep; `len(tape)` still
+    counts the records.
     """
     if loss.data.size != 1:
         raise NonScalarLoss(f"loss has shape {loss.data.shape}")
@@ -489,11 +493,13 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Array]:
         prev = grads.get(t)
         grads[t] = g if prev is None else prev + g
 
-    for out, bwd in reversed(tape._records):
+    records = tape._records
+    for i in range(len(records) - 1, -1, -1):
+        out, bwd = records[i]
+        records[i] = None
         g = grads.pop(out, None)
-        if g is None:
-            continue
-        bwd(g, acc)
+        if g is not None:
+            bwd(g, acc)
     return grads
 
 

@@ -402,10 +402,10 @@ def cmd_eval(args) -> int:
 def synthetic_accuracies(archs: Sequence[Architecture], seed: int) -> dict[str, float]:
     """Deterministic pseudo-accuracy in [0, 1] per arch_id: the first
     uniform draw of `rng_for("accuracy", seed, arch_id)`."""
-    from .rng import seeded, stable_seed
+    from .rng import stable_seeds, uniform_draws
 
-    seeds = [stable_seed("accuracy", seed, a.arch_id) for a in archs]
-    return {a.arch_id: rng.uniform(0.0, 1.0) for a, rng in zip(archs, seeded(seeds))}
+    ids = [a.arch_id for a in archs]
+    return dict(zip(ids, uniform_draws(stable_seeds(("accuracy", seed), ids)).tolist()))
 
 
 def cmd_search(args) -> int:

@@ -254,7 +254,7 @@ def transfer(
     if len(sampled) < 2:
         raise InsufficientData(f"need >= 2 target samples, got {len(sampled)}")
     base.check_space(archs[a] for a in sampled)
-    params = {name: ad.param(t.data.copy()) for name, t in base.params.items()}
+    params = {name: ad.param(t.data) for name, t in base.params.items()}  # param copies
     state = PredictorState(base.config, base.space, params, dict(base.device_index))
     register_device(state, target_device)
     warm_start = init_target_hw_embedding(state, few_shot, target_device, source_devices)

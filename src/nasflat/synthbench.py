@@ -25,9 +25,9 @@ import numpy as np
 from .archspace import Architecture, SearchSpace, random_ops, write_architectures
 from .devicesets import LatencyTable
 from .errors import NoiseOutOfRange, PoolTooSmall
-from .rng import rng_for, seeded, stable_seed
+from .rng import rng_for, seeded, stable_seed, stable_seeds
 
-DRAW_BLOCK = 1024  # random-architecture draws seeded per call of `seeded`
+DRAW_BLOCK = 1024  # random-architecture draws per call of `random_ops`
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def latencies(archs: Sequence[Architecture], device: SyntheticDevice, space: Sea
         discount += pair * np.minimum(op_costs[:, su], op_costs[:, sv])
     values = op_costs.sum(axis=1) - discount
     if device.noise_sigma > 0:
-        seeds = [stable_seed("noise", device.seed, a.arch_id) for a in archs]
+        seeds = stable_seeds(("noise", device.seed), [a.arch_id for a in archs])
         try:
             values *= [math.exp(device.noise_sigma * rng.normal()) for rng in seeded(seeds)]
         except OverflowError:
@@ -138,7 +138,7 @@ def distinct_random_architectures(space: SearchSpace, n: int, seed: int) -> list
     seen: set[tuple[int, ...]] = set()
     start = 0
     while len(archs) < n:
-        seeds = [stable_seed("arch", seed, d) for d in range(start, start + DRAW_BLOCK)]
+        seeds = stable_seeds(("arch", seed), range(start, start + DRAW_BLOCK))
         for ops in random_ops(space, seeds):
             if ops not in seen:
                 seen.add(ops)

@@ -2,8 +2,9 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 The end-to-end experiment (criteria 7 and 9) runs once in a module fixture and
-is shared; its transfers run through `pipeline.map_targets`, so in forked
-workers on a multi-core host. Reproducibility (criterion 8) re-runs a
+is shared; each of its trials, one pretrain and its 12 transfers, is one
+`pipeline.map_targets` job, so the trials run in forked workers on a
+multi-core host. Reproducibility (criterion 8) re-runs a
 one-trial pipeline end to end and serially, once more in a child process with
 BLAS pinned to one thread.
 """
@@ -340,32 +341,35 @@ def e2e():
     t0 = time.perf_counter()
     table, archmap, sources, targets, encoding = _build_world()
     pool = [archmap[a] for a in sorted(archmap)]
-    entries = {"random": [], "cosine": []}
-    adapted_states = {}  # trial-0 random-sampler states, audited by criterion 9
-    jobs = [(method, target) for method in ("random", "cosine") for target in targets]
-    for trial in range(5):
+
+    def run_trial(trial):
+        """One trial's entries by sampler, plus the trial-0 random-sampler
+        states and picks that criterion 9 audits."""
         trial_seed = stable_seed("trial", E2E_SEED, trial)
         state = pred.init_predictor(pred.PredictorConfig(), [NB201], sources, seed=trial_seed)
         pl.pretrain(state, table, sources, archmap, E2E_TRAIN, seed=trial_seed)
+        entries, audited = {"random": [], "cosine": []}, {}
+        for method in entries:
+            for target in targets:
+                picked = smp.run_sampler(
+                    method, pool, 20,
+                    seed=stable_seed("s", E2E_SEED, trial, target, method),
+                    encoding=encoding,
+                )
+                adapted, entry = _transfer_and_eval(
+                    state, table, archmap, sources, target, picked, trial, E2E_TRAIN
+                )
+                entries[method].append(entry)
+                if trial == 0 and method == "random":
+                    audited[target] = (adapted, picked)
+        return entries, audited
 
-        def adapt(job, trial=trial, state=state):
-            """The entry, plus the adapted state and picks that criterion 9 audits."""
-            method, target = job
-            picked = smp.run_sampler(
-                method, pool, 20,
-                seed=stable_seed("s", E2E_SEED, trial, target, method),
-                encoding=encoding,
-            )
-            adapted, entry = _transfer_and_eval(
-                state, table, archmap, sources, target, picked, trial, E2E_TRAIN
-            )
-            audited = trial == 0 and method == "random"
-            return entry, (adapted, picked) if audited else None
-
-        for (method, target), (entry, audited) in zip(jobs, pl.map_targets(adapt, jobs)):
-            entries[method].append(entry)
-            if audited:
-                adapted_states[target] = audited
+    entries = {"random": [], "cosine": []}
+    adapted_states = {}
+    for trial_entries, audited in pl.map_targets(run_trial, list(range(5))):
+        for method, trial_list in trial_entries.items():
+            entries[method].extend(trial_list)
+        adapted_states.update(audited)
     elapsed = time.perf_counter() - t0
     return {
         "table": table, "archmap": archmap, "sources": sources, "targets": targets,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -245,6 +246,31 @@ def test_unused_parameter_gets_zero_gradient():
     assert named["unused"] == 0.0
     assert named["used"] is raw[used]
     assert named["used"] == pytest.approx(4.0)
+
+
+def test_backward_frees_each_record_once_its_vjp_has_run():
+    """An intermediate array dies mid-sweep, before the first record's VJP runs;
+    the gradients are those of a plain run, bit for bit, and len(tape) stays."""
+    w = ad.param(RNG.normal(size=(4, 3)))
+    x = RNG.normal(size=(5, 4))
+
+    def grad_of_w(probe):
+        with ad.recording() as tape:
+            h = ad.Tensor(x)
+            if probe:  # recorded first, so its VJP runs last in the sweep
+                tape._record(h, lambda g, acc: dead.append(ref() is None))
+            y = ad.sigmoid(ad.matmul(h, w))
+            ref = weakref.ref(y.data)
+            loss = ad.sum_all(ad.mul(y, y))
+            del y
+        n = len(tape)
+        grads = ad.backward(tape, loss)
+        assert len(tape) == n
+        return grads[w]
+
+    dead = []
+    assert _same_bits(grad_of_w(probe=True), grad_of_w(probe=False))
+    assert dead == [True]
 
 
 def test_non_scalar_loss_rejected():
