@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BadOpIndex, DimMismatch, NonFiniteValue, ParseError
+from .errors import BadOpIndex, DimMismatch, MissingEncoding, NonFiniteValue, ParseError
 from .inputs import open_text
 from .rng import bounded_draws
 
@@ -59,9 +59,11 @@ class SearchSpace:
     node_count is the cell node count for micro-cell spaces and the chain
     length for macro chains. The lowered graph template (adjacency, slot
     positions, slot-to-slot edges, the op indices as strings, its JSONL
-    forms) and the topology that graph_proxies reads
-    (per-node predecessors, edge count, longest path, sink) are derived once
-    at construction.
+    forms), the SHA-256 pre-fed with what the space fixes of each arch_id's
+    hashed string, and the topology that graph_proxies reads (per-node
+    predecessors, edge count, longest path, sink) are derived once at
+    construction. A space pickles by reference: unpickling gives the shared
+    `get_space` instance.
     """
 
     space_id: str
@@ -77,6 +79,7 @@ class SearchSpace:
     _op_strs: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _adj_list: list = field(init=False, repr=False, compare=False)
     _jsonl_head: str = field(init=False, repr=False, compare=False)
+    _id_hash: object = field(init=False, repr=False, compare=False)
     _preds: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _edge_count: int = field(init=False, repr=False, compare=False)
     _longest_path: int = field(init=False, repr=False, compare=False)
@@ -109,6 +112,10 @@ class SearchSpace:
         object.__setattr__(self, "_jsonl_head", '{"space":%s,"adj":%s,"ops":[' % (
             json.dumps(self.space_id), json.dumps(self._adj_list, separators=(",", ":"))
         ))
+        # An arch_id hashes `space_id;row-major template adjacency;ops` from a copy of this.
+        adj_csv = ",".join(str(v) for row in self._adj_list for v in row)
+        prefix = f"{self.space_id};{adj_csv};".encode("utf-8")
+        object.__setattr__(self, "_id_hash", hashlib.sha256(prefix))
         preds = tuple(tuple(np.flatnonzero(col).tolist()) for col in adj.T)
         longest = [0] * len(preds)  # edges on the longest path into each node
         for v, p in enumerate(preds):  # node order is a topological order
@@ -137,6 +144,9 @@ class SearchSpace:
     def template_adjacency(self) -> np.ndarray:
         """The fixed, strictly upper-triangular lowered adjacency (read-only)."""
         return self._template
+
+    def __reduce__(self):
+        return get_space, (self.space_id,)
 
 
 def _micro_cell_template(cell_nodes: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -216,16 +226,6 @@ def get_space(space_id: str) -> SearchSpace:
     return factory()
 
 
-@functools.cache
-def _id_hash(space_id: str):
-    """SHA-256 fed once with what the space fixes of each arch_id's hashed
-    string, `space_id;row-major template adjacency;`; each id hashes a copy.
-    Not a SearchSpace field: a hash object cannot be pickled, and predictor
-    states, which hold their space, come back pickled from forked workers."""
-    adj = ",".join(str(v) for row in get_space(space_id)._adj_list for v in row)
-    return hashlib.sha256(f"{space_id};{adj};".encode("utf-8"))
-
-
 @dataclass(frozen=True, eq=False)
 class Architecture:
     """An immutable architecture: per-slot op indices on its space's fixed topology.
@@ -253,7 +253,7 @@ class Architecture:
                 raise BadOpIndex(f"{', '.join(bad)}: not an op index in 0..{vocab - 1}")
             ops = tuple(int(o) for o in ops)
         op_strs = space._op_strs
-        digest = _id_hash(self.space_id).copy()
+        digest = space._id_hash.copy()
         digest.update(",".join([op_strs[op] for op in ops]).encode("utf-8"))
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "arch_id", digest.hexdigest()[:32])
@@ -337,8 +337,13 @@ class EncodingTable:
                 raise NonFiniteValue(f"row {arch_id} contains NaN/Inf")
             self.rows[arch_id] = vec
 
-    def vector(self, arch_id: str) -> np.ndarray:
-        return self.rows[arch_id]
+    def matrix(self, arch_ids: Iterable[str]) -> np.ndarray:
+        """The rows of `arch_ids` stacked in order, one per id; an id without a
+        row raises MissingEncoding."""
+        try:
+            return np.stack([self.rows[a] for a in arch_ids])
+        except KeyError as e:
+            raise MissingEncoding(f"no encoding row for arch {e.args[0]}") from None
 
     def __contains__(self, arch_id: str) -> bool:
         return arch_id in self.rows

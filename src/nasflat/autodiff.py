@@ -78,13 +78,11 @@ _BLAS_THREAD_SETTERS = (
 )
 
 
-@functools.cache
-def blas_thread_setter() -> Callable[[int], None] | None:
-    """The `set_num_threads(n)` of the OpenBLAS numpy has loaded, or None.
+def _mapped_openblas() -> Iterator[ctypes.CDLL]:
+    """Each OpenBLAS shared object mapped into this process, dlopened.
 
-    The library is found among the shared objects mapped into this process
-    (`/proc/self/maps`, so Linux only); dlopen of a mapped path returns the
-    loaded copy. None when no mapped OpenBLAS exports a known setter.
+    The libraries are found among the mappings in `/proc/self/maps` (so Linux
+    only; none elsewhere); dlopen of a mapped path returns the loaded copy.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
@@ -94,12 +92,20 @@ def blas_thread_setter() -> Callable[[int], None] | None:
                 and ".so" in fields[5]
             })
     except OSError:
-        return None
+        return
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
+        yield lib
+
+
+@functools.cache
+def blas_thread_setter() -> Callable[[int], None] | None:
+    """The `set_num_threads(n)` of the OpenBLAS numpy has loaded, or None
+    when no mapped OpenBLAS (`_mapped_openblas`) exports a known setter."""
+    for lib in _mapped_openblas():
         for name in _BLAS_THREAD_SETTERS:
             setter = getattr(lib, name, None)
             if setter is not None:

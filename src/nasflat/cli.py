@@ -27,7 +27,7 @@ from .errors import BadField, BudgetTooSmall, InsufficientData, NasflatError
 from .inputs import open_text, recording
 
 if TYPE_CHECKING:
-    from .archspace import Architecture, EncodingTable
+    from .archspace import Architecture, EncodingTable, SearchSpace
     from .devicesets import DeviceSplit, LatencyTable
     from .pipeline import TrainConfig
     from .predictor import PredictorConfig, PredictorState
@@ -71,7 +71,7 @@ def _config_section(path: str, name: str, build, section):
 def _load_run_config(
     path: str | None, space_id: str
 ) -> tuple[TrainConfig, PredictorConfig, dict]:
-    """Resolve the run config: (train, predictor, sampler with its defaults).
+    """Resolve the run config: (train, predictor, the sampler fields the file sets).
 
     Schema violations are reported with JSON pointer paths. A `space` key must
     be `space_id`, the architectures' space. supplementary_dim is not a field:
@@ -83,7 +83,7 @@ def _load_run_config(
 
     space = get_space(space_id)
     if path is None:
-        return TrainConfig.for_space(space), PredictorConfig(), dict(SAMPLER_DEFAULTS)
+        return TrainConfig.for_space(space), PredictorConfig(), {}
     try:
         doc = json.load(open_text(path))
     except json.JSONDecodeError as e:
@@ -110,13 +110,13 @@ def _load_run_config(
     for key in sampler_section:
         if key not in SAMPLER_DEFAULTS:
             raise NasflatError(f"{path}: /sampler/{key}: unknown field")
-    sampler = {**SAMPLER_DEFAULTS, **sampler_section}
-    if sampler["method"] not in SAMPLER_METHODS:
-        raise NasflatError(f"{path}: /sampler/method: {sampler['method']!r} not in {SAMPLER_METHODS}")
-    samples = sampler["samples"]
+    method = sampler_section.get("method", SAMPLER_DEFAULTS["method"])
+    if method not in SAMPLER_METHODS:
+        raise NasflatError(f"{path}: /sampler/method: {method!r} not in {SAMPLER_METHODS}")
+    samples = sampler_section.get("samples", SAMPLER_DEFAULTS["samples"])
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
         raise NasflatError(f"{path}: /sampler/samples: must be an integer >= 2, got {samples!r}")
-    return train, predictor, sampler
+    return train, predictor, sampler_section
 
 
 def _resolved_config(train: TrainConfig, predictor: PredictorConfig, space_id: str) -> dict:
@@ -148,11 +148,17 @@ def _load_split(path: str, table: LatencyTable, latency_path: str) -> DeviceSpli
     return split
 
 
-def _arch_space_id(archs: list[Architecture]) -> str:
+def _load_archs(path: str) -> tuple[list[Architecture], SearchSpace]:
+    """The architectures at `path` and their space: at least one, all of one space."""
+    from .archspace import get_space, read_architectures
+
+    archs = read_architectures(path)
     ids = {a.space_id for a in archs}
+    if not ids:
+        raise NasflatError(f"{path}: holds no architectures")
     if len(ids) != 1:
-        raise NasflatError(f"architecture file mixes spaces: {sorted(ids)}")
-    return ids.pop()
+        raise NasflatError(f"{path}: architecture file mixes spaces: {sorted(ids)}")
+    return archs, get_space(ids.pop())
 
 
 def _load_encoding(path: str | None, archs: Sequence[Architecture] = ()) -> EncodingTable | None:
@@ -221,12 +227,10 @@ def cmd_partition(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    from .archspace import get_space, read_architectures
     from .devicesets import LatencyTable
     from .sampler import run_sampler
 
-    archs = read_architectures(args.archs)
-    space = get_space(_arch_space_id(archs))
+    archs, space = _load_archs(args.archs)
     encoding = _load_encoding(args.encoding)
     reference = LatencyTable.load_csv(args.latency) if args.latency else None
     picked = run_sampler(
@@ -241,14 +245,12 @@ def cmd_sample(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    from .archspace import get_space, read_architectures
     from .devicesets import LatencyTable
     from .pipeline import pretrain
     from .predictor import checkpoint_meta_path, init_predictor, save_checkpoint
     from .rng import stable_seed
 
-    archs = read_architectures(args.archs)
-    space = get_space(_arch_space_id(archs))
+    archs, space = _load_archs(args.archs)
     train_cfg, pred_cfg, _ = _load_run_config(args.config, space.space_id)
     table = LatencyTable.load_csv(args.latency)
     split = _load_split(args.split, table, args.latency)
@@ -286,18 +288,21 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    from .archspace import get_space, read_architectures
     from .devicesets import LatencyTable
     from .pipeline import map_targets, transfer
     from .predictor import checkpoint_meta_path, load_checkpoint, save_checkpoint
     from .rng import stable_seed
     from .sampler import run_sampler
 
-    archs = read_architectures(args.archs)
-    space = get_space(_arch_space_id(archs))
+    archs, space = _load_archs(args.archs)
     train_cfg, _, sampler_cfg = _load_run_config(args.config, space.space_id)
-    args.sampler = args.sampler or sampler_cfg["method"]
-    args.samples = args.samples or sampler_cfg["samples"]  # a flag is >= 2, never 0
+    args.sampler = args.sampler or sampler_cfg.get("method", SAMPLER_DEFAULTS["method"])
+    if args.samples:  # a flag is >= 2, never 0
+        where = "--samples"
+    elif "samples" in sampler_cfg:
+        where, args.samples = f"{args.config}: /sampler/samples", sampler_cfg["samples"]
+    else:
+        where, args.samples = "default --samples", SAMPLER_DEFAULTS["samples"]
     if args.sampler in ("cosine", "kmeans") and not args.sampler_encoding:
         raise NasflatError(f"--sampler {args.sampler} needs --sampler-encoding")
     table = LatencyTable.load_csv(args.latency)
@@ -306,21 +311,28 @@ def cmd_transfer(args) -> int:
         raise NasflatError(f"--target {args.target!r} is a source device of {args.split}")
     if args.target and args.target not in table.devices():
         raise NasflatError(f"--target {args.target!r} has no rows in {args.latency}")
+    targets = [args.target] if args.target else list(split.target)
+    pools = {device: [a for a in archs if table.has(a.arch_id, device)] for device in targets}
+    for device, pool in pools.items():
+        size = len({a.arch_id for a in pool})
+        if args.samples > size:
+            raise NasflatError(
+                f"{where} {args.samples}: target {device!r} has only {size} "
+                f"archs of {args.archs} measured in {args.latency}"
+            )
     base, _ = load_checkpoint(args.checkpoint)
     encodings = _load_encoding(args.encoding, archs)
     _check_width(args.encoding, encodings, base, args.checkpoint)
     same = args.sampler_encoding == args.encoding  # read a file given twice once
     sampler_encoding = encodings if same else _load_encoding(args.sampler_encoding)
     archmap = {a.arch_id: a for a in archs}
-    targets = [args.target] if args.target else list(split.target)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reference = table.subset(device_ids=split.source)
 
     def adapt(device: str) -> list[Path]:
-        pool = [a for a in archs if table.has(a.arch_id, device)]
         picked = run_sampler(
-            args.sampler, pool, args.samples,
+            args.sampler, pools[device], args.samples,
             seed=stable_seed("sample", args.seed, device, args.sampler),
             space=space, encoding=sampler_encoding, reference_latencies=reference,
         )
@@ -353,12 +365,11 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .archspace import read_architectures
     from .devicesets import LatencyTable
     from .pipeline import EvalReport, evaluate
     from .predictor import checkpoint_meta_path, load_checkpoint
 
-    archs = read_architectures(args.archs)
+    archs, _ = _load_archs(args.archs)
     table = LatencyTable.load_csv(args.latency)
     archmap = {a.arch_id: a for a in archs}
     encodings = _load_encoding(args.encoding, archs)
@@ -409,13 +420,11 @@ def synthetic_accuracies(archs: Sequence[Architecture], seed: int) -> dict[str, 
 
 
 def cmd_search(args) -> int:
-    from .archspace import read_architectures
     from .devicesets import LatencyTable
     from .pipeline import latency_constrained_search
     from .predictor import load_checkpoint
 
-    archs = read_architectures(args.archs)
-    _arch_space_id(archs)
+    archs, _ = _load_archs(args.archs)
     state, extra = load_checkpoint(args.checkpoint)
     encodings = _load_encoding(args.encoding, archs)
     _check_width(args.encoding, encodings, state, args.checkpoint)
@@ -435,7 +444,7 @@ def cmd_search(args) -> int:
             args.constraint_ms, args.top_k, encodings=encodings,
             calibration=calibration, archs_by_id=archmap,
         )
-    except InsufficientData as e:  # the calibration's: _check_width rules out the encodings'
+    except InsufficientData as e:  # the calibration's
         raise NasflatError(f"{args.latency}: {e}") from None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -472,6 +481,17 @@ def _at_least(low: int, number: type = int):
         return value
     parse.__name__ = number.__name__  # argparse's "invalid <name> value" message
     return parse
+
+
+def _not_nan(text: str) -> float:
+    """argparse type: a float that is not NaN (infinities are bounds too)."""
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"must be a number, got {text}")
+    return value
+
+
+_not_nan.__name__ = "float"  # argparse's "invalid float value" message
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -554,7 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latency", help="measured samples CSV for score->ms calibration")
     p.add_argument("--device")
     p.add_argument("--encoding", help="supplementary encoding CSV")
-    p.add_argument("--constraint-ms", type=float, required=True)
+    p.add_argument("--constraint-ms", type=_not_nan, required=True,
+                   help="latency bound in ms (score units without --latency); inf ranks by accuracy")
     p.add_argument("--top-k", type=_at_least(1), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -27,7 +27,6 @@ from .archspace import Architecture, EncodingTable, SearchSpace
 from .autodiff import AdamState, Tensor, blas_thread_setter
 from .devicesets import LatencyTable, spearman
 from .errors import (
-    BadSupplementaryDim,
     BudgetTooSmall,
     EmptyFeasibleSet,
     InsufficientData,
@@ -38,10 +37,11 @@ from .errors import (
 from .predictor import (
     PredictorState,
     _forward,
+    _supplementary_rows,
     init_target_hw_embedding,
     predict_batch,
     register_device,
-    require_int_fields,
+    require_number_fields,
 )
 from .rng import rng_for
 
@@ -58,7 +58,7 @@ class TrainConfig:
     source_samples: int = 900  # per-device pretraining budget
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_number_fields(self)
         positive = (self.lr, self.transfer_lr, self.hinge_margin, self.source_samples)
         if any(v <= 0 for v in positive):
             raise ValueError("lr, transfer_lr, hinge_margin, source_samples must be positive")
@@ -102,21 +102,6 @@ def pairwise_hinge_loss(preds: Tensor, targets: Sequence[float], margin: float =
     return ad.mean_all(ad.relu(ad.sub(margin, diffs)))
 
 
-def _supplementary_rows(
-    encodings: EncodingTable | None, arch_ids: Sequence[str], state: PredictorState
-) -> np.ndarray | None:
-    if state.config.supplementary_dim == 0:
-        if encodings is not None:
-            raise BadSupplementaryDim(
-                f"an encodings table of width {encodings.dim} was given, "
-                "but the predictor has supplementary_dim 0"
-            )
-        return None
-    if encodings is None:
-        raise InsufficientData("predictor expects supplementary encodings but none were given")
-    return np.stack([encodings.vector(a) for a in arch_ids])
-
-
 def _train_batch(
     state: PredictorState,
     adam: AdamState,
@@ -131,7 +116,7 @@ def _train_batch(
 ) -> float:
     ops_rows = np.array([archs[a].ops for a in arch_ids], dtype=np.intp)
     targets = [table.latency(a, device_id) for a in arch_ids]
-    supp = _supplementary_rows(encodings, arch_ids, state)
+    supp = _supplementary_rows(state, encodings, arch_ids)
     row = state.device_row(device_id)
     with ad.recording() as tape:
         preds = _forward(state, ops_rows, row, supp)
@@ -395,8 +380,7 @@ def evaluate(
     ids = sorted(a for a in table.archs_for(target_device) if a in archs and a not in skip)
     if not ids:
         raise InsufficientData(f"no held-out rows for device {target_device!r}")
-    supp = _supplementary_rows(encodings, ids, state)
-    preds = predict_batch(state, [archs[a] for a in ids], target_device, supp)
+    preds = predict_batch(state, [archs[a] for a in ids], target_device, encodings)
     truths = np.array([table.latency(a, target_device) for a in ids])
     rho = spearman(preds, truths)
     return EvalEntry(
@@ -463,18 +447,16 @@ def latency_constrained_search(
     if not candidate_archs:
         raise EmptyFeasibleSet("no candidate architectures")
     ids = [a.arch_id for a in candidate_archs]
-    supp = _supplementary_rows(encodings, ids, state)
     t0 = time.perf_counter()
-    scores = predict_batch(state, candidate_archs, device_id, supp)
+    scores = predict_batch(state, candidate_archs, device_id, encodings)
     predictor_time = time.perf_counter() - t0
     if calibration is not None:
         lookup = archs_by_id if archs_by_id is not None else dict(zip(ids, candidate_archs))
         cal_ids = [a for a in sorted(calibration.archs_for(device_id)) if a in lookup]
         if not cal_ids:
             raise InsufficientData(f"no calibration row measures a candidate on device {device_id!r}")
-        cal_supp = _supplementary_rows(encodings, cal_ids, state)
         t0 = time.perf_counter()
-        cal_scores = predict_batch(state, [lookup[a] for a in cal_ids], device_id, cal_supp)
+        cal_scores = predict_batch(state, [lookup[a] for a in cal_ids], device_id, encodings)
         predictor_time += time.perf_counter() - t0
         measured = np.array([calibration.latency(a, device_id) for a in cal_ids])
         scores = calibrate_scores(scores, cal_scores, measured)

@@ -40,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -47,7 +48,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .archspace import Architecture, SearchSpace, get_space
+from .archspace import Architecture, EncodingTable, SearchSpace, get_space
 from .autodiff import Tensor
 from .devicesets import LatencyTable, spearman
 from .errors import (
@@ -68,14 +69,14 @@ PREDICT_CHUNK = 64  # archs per inference forward in predict_batch
 GNN_KINDS = ("dgf", "gat", "ensemble")
 
 
-def require_int_fields(config) -> None:
+def require_number_fields(config) -> None:
     """Raise BadField unless each `int` field of dataclass `config` holds an
-    int and each `tuple[int, ...]` field a list or tuple of ints. Bools are
-    not ints here. (The annotations are strings under `from __future__
-    import annotations`.)"""
+    int, each `float` field a finite int or float, and each `tuple[int, ...]`
+    field a list or tuple of ints. Bools are not numbers here. (The
+    annotations are strings under `from __future__ import annotations`.)"""
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.type == "int":
+        if f.type in ("int", "float"):
             items = [(f.name, value)]
         elif f.type == "tuple[int, ...]":
             if not isinstance(value, (list, tuple)):
@@ -84,7 +85,10 @@ def require_int_fields(config) -> None:
         else:
             continue
         for pointer, v in items:
-            if isinstance(v, bool) or not isinstance(v, int):
+            if f.type == "float":  # NaN, infinities and ints beyond any float fail the bound
+                if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+                    raise BadField(f"{pointer}: must be a finite number, got {v!r}")
+            elif isinstance(v, bool) or not isinstance(v, int):
                 raise BadField(f"{pointer}: must be an integer, got {v!r}")
 
 
@@ -102,7 +106,7 @@ class PredictorConfig:
     leaky_slope: float = 0.2
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_number_fields(self)
         dims = (
             (self.op_embed_dim, self.node_embed_dim, self.hw_embed_dim)
             + tuple(self.ophw_gcn_dims)
@@ -463,7 +467,9 @@ def _forward(
     device_row: int,
     supplementary: np.ndarray | None,
 ) -> Tensor:
-    """Batched forward pass over the row plan; ops_rows is (batch, slot_count) int indices."""
+    """Batched forward pass over the row plan; ops_rows is (batch, slot_count) int indices.
+    Unchecked: `supplementary` is None for supplementary_dim 0, else the
+    (batch, supplementary_dim) float64 rows of `_supplementary_rows`."""
     tpl = state._template
     batch = ops_rows.shape[0]
     node_ops = np.tile(tpl.node_ops, (batch, 1))
@@ -489,45 +495,48 @@ def _forward(
             x = gat_layer(x, rows.agg, feats, w, state.config.leaky_slope, rows.self_pos)
         sinks.append(ad.take_rows(x, 0))
     sink = sinks[0] if len(sinks) == 1 else ad.scale(ad.add(sinks[0], sinks[1]), 0.5)
-
-    head_in = sink
-    if state.config.supplementary_dim > 0:
-        if supplementary is None or supplementary.shape != (batch, state.config.supplementary_dim):
-            got = None if supplementary is None else supplementary.shape
-            raise BadSupplementaryDim(
-                f"expected ({batch}, {state.config.supplementary_dim}) supplementary, got {got}"
-            )
-        head_in = ad.concat([sink, supplementary.astype(np.float64)], axis=-1)
-    elif supplementary is not None and np.asarray(supplementary).size > 0:
-        raise BadSupplementaryDim("predictor configured without supplementary inputs")
+    head_in = sink if supplementary is None else ad.concat([sink, supplementary], axis=-1)
     return _mlp(head_in, state._views.head)
+
+
+def _supplementary_rows(
+    state: PredictorState, encodings: EncodingTable | None, arch_ids: Iterable[str]
+) -> np.ndarray | None:
+    """`encodings`' rows of `arch_ids` as `_forward` takes them (None without a
+    supplementary input). The table's width, 0 for no table, must be the
+    config's supplementary_dim, or BadSupplementaryDim names both."""
+    width = 0 if encodings is None else encodings.dim
+    want = state.config.supplementary_dim
+    if width != want:
+        none = " (none given)" if encodings is None else ""
+        raise BadSupplementaryDim(
+            f"encodings of width {width}{none} for a predictor with supplementary_dim {want}"
+        )
+    return encodings.matrix(arch_ids) if width else None
 
 
 def predict_batch(
     state: PredictorState,
     archs: Sequence[Architecture],
     device_id: str,
-    supplementary: np.ndarray | None = None,
+    encodings: EncodingTable | None = None,
 ) -> np.ndarray:
     """Latency scores for architectures from one space on one device.
 
-    Scores in chunks of PREDICT_CHUNK (64) archs; `supplementary` holds one
-    row per arch.
+    Scores in chunks of PREDICT_CHUNK (64) archs. `encodings` holds each
+    arch's supplementary row and must be as wide as the config's
+    supplementary_dim (no table is width 0).
     """
     if not archs:
         return np.zeros(0)
-    if supplementary is not None and len(supplementary) != len(archs):
-        raise BadSupplementaryDim(
-            f"{len(supplementary)} supplementary rows for {len(archs)} archs"
-        )
     state.check_space(archs)
     row = state.device_row(device_id)
     out = np.empty(len(archs))
     for start in range(0, len(archs), PREDICT_CHUNK):
-        stop = start + PREDICT_CHUNK
-        ops_rows = np.array([a.ops for a in archs[start:stop]], dtype=np.intp)
-        supp = None if supplementary is None else supplementary[start:stop]
-        out[start:stop] = _forward(state, ops_rows, row, supp).data[:, 0]
+        chunk = archs[start : start + PREDICT_CHUNK]
+        ops_rows = np.array([a.ops for a in chunk], dtype=np.intp)
+        supp = _supplementary_rows(state, encodings, [a.arch_id for a in chunk])
+        out[start : start + len(chunk)] = _forward(state, ops_rows, row, supp).data[:, 0]
     return out
 
 

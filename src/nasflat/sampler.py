@@ -56,13 +56,6 @@ def sample_params(pool: Sequence[Architecture], n: int, space: SearchSpace, seed
     return [archs[int(rng.choice(b))].arch_id for b in bins]
 
 
-def _encoding_matrix(archs: list[Architecture], encoding: EncodingTable) -> np.ndarray:
-    missing = [a.arch_id for a in archs if a.arch_id not in encoding]
-    if missing:
-        raise MissingEncoding(f"{len(missing)} pool archs lack encodings, e.g. {missing[0]}")
-    return np.stack([encoding.vector(a.arch_id) for a in archs])
-
-
 def _cosine_matrix(vectors: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity; zero vectors get similarity 0 everywhere."""
     norms = np.linalg.norm(vectors, axis=1)
@@ -95,7 +88,7 @@ def _farthest_point(sims: np.ndarray, n: int, rng: np.random.Generator) -> list[
 def sample_cosine(pool: Sequence[Architecture], encoding: EncodingTable, n: int, seed: int) -> list[str]:
     """Farthest-point selection under cosine similarity of the encoding."""
     archs = _canonical_pool(pool, n)
-    vectors = _encoding_matrix(archs, encoding)
+    vectors = encoding.matrix([a.arch_id for a in archs])
     rng = rng_for("sample", "cosine", seed)
     chosen = _farthest_point(_cosine_matrix(vectors), n, rng)
     return [archs[i].arch_id for i in chosen]
@@ -110,7 +103,7 @@ def sample_kmeans(pool: Sequence[Architecture], encoding: EncodingTable, n: int,
     DegenerateEncoding.
     """
     archs = _canonical_pool(pool, n)
-    vectors = _encoding_matrix(archs, encoding)
+    vectors = encoding.matrix([a.arch_id for a in archs])
     if n > 1 and np.all(vectors == vectors[0]):
         raise DegenerateEncoding("all encoding vectors identical; cannot form n > 1 clusters")
     rng = rng_for("sample", "kmeans", seed)

@@ -220,7 +220,7 @@ def test_criterion_4_partitioner_quality():
 # -------------------------------------------------------------------------
 
 def _mean_pairwise_cosine(ids, encoding):
-    vecs = np.stack([encoding.vector(i) for i in ids])
+    vecs = encoding.matrix(ids)
     norms = np.linalg.norm(vecs, axis=1)
     unit = vecs / np.where(norms > 0, norms, 1.0)[:, None]
     sims = unit @ unit.T

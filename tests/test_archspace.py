@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import re
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 
 from nasflat import archspace as asp
 from nasflat import synthbench as sb
-from nasflat.errors import BadOpIndex, NonFiniteValue, ParseError
+from nasflat import predictor as pred
+from nasflat.errors import BadOpIndex, MissingEncoding, NonFiniteValue, ParseError
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +69,16 @@ def test_get_space_is_shared():
     assert asp.get_space("nb201") is asp.get_space("nb201")
     with pytest.raises(KeyError, match="unknown space 'nope'"):
         asp.get_space("nope")
+
+
+def test_a_space_pickles_by_reference():
+    """Unpickling a space, or a predictor state holding one, gives the shared instance."""
+    for space_id in ("nb201", "fbnet"):
+        space = asp.get_space(space_id)
+        assert pickle.loads(pickle.dumps(space)) is space
+        state = pred.init_predictor(pred.PredictorConfig(), [space], ["d0"], seed=0)
+        assert pickle.loads(pickle.dumps(state)).space is space
+    assert not hasattr(asp, "_id_hash")
 
 
 def test_validate_bad_op_index(nb201):
@@ -203,6 +215,15 @@ def test_proxy_table_and_csv_roundtrip(nb201, tmp_path):
     assert set(loaded.rows) == set(table.rows)
     for key in table.rows:
         assert np.array_equal(loaded.rows[key], table.rows[key])
+
+
+def test_encoding_matrix_stacks_rows_in_order_and_names_a_missing_id(nb201):
+    archs = [asp.random_architecture(nb201, s) for s in range(4)]
+    table = asp.proxy_table(archs[:3], nb201)
+    ids = [archs[2].arch_id, archs[0].arch_id]
+    assert np.array_equal(table.matrix(ids), np.stack([table.rows[i] for i in ids]))
+    with pytest.raises(MissingEncoding, match=f"no encoding row for arch {archs[3].arch_id}"):
+        table.matrix([archs[0].arch_id, archs[3].arch_id])
 
 
 def test_load_encoding_non_finite(tmp_path):

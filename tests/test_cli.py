@@ -497,6 +497,46 @@ def test_search_latency_measuring_no_sample_is_data_error(workspace, transfers, 
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_search_nan_constraint_is_usage_error_but_inf_ranks_by_accuracy(workspace, transfers, tmp_path,
+                                                                         capsys):
+    _, data, _, _, _ = workspace
+    ckpt = sorted(c for c in transfers.glob("transfer_*.json") if not c.name.endswith(".meta.json"))[0]
+    argv = ["search", "--archs", str(data / "archs.jsonl"), "--checkpoint", str(ckpt),
+            "--latency", str(data / "latency.csv"), "--top-k", "5", "--out", str(tmp_path / "r.csv")]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--constraint-ms", "nan"])
+    assert exc.value.code == 2
+    assert "argument --constraint-ms: must be a number, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+    assert run([*argv, "--constraint-ms", "inf"]) == 0
+    accs = [float(line.split(",")[2]) for line in (tmp_path / "r.csv").read_text().splitlines()[1:]]
+    assert len(accs) == 5 and accs == sorted(accs, reverse=True)
+
+
+@pytest.mark.parametrize("command", ["sample", "pretrain", "transfer", "eval", "search"])
+def test_empty_archs_file_is_a_data_error_naming_it(workspace, tmp_path, capsys, command):
+    _, data, split, config, ckpt = workspace
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    common = ["--archs", str(empty), "--latency", str(data / "latency.csv")]
+    train = [*common, "--split", str(split), "--config", str(config)]
+    argv = {
+        "sample": ["sample", "--method", "random", "--archs", str(empty), "--n", "2",
+                   "--out", str(tmp_path / "out")],
+        "pretrain": ["pretrain", *train, "--out", str(tmp_path / "out")],
+        "transfer": ["transfer", *train, "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "out")],
+        "eval": ["eval", *common, "--checkpoint", str(ckpt), "--out-prefix", str(tmp_path / "out")],
+        "search": ["search", *common, "--checkpoint", str(ckpt), "--constraint-ms", "1e9",
+                   "--out", str(tmp_path / "out")],
+    }[command]
+    capsys.readouterr()
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err == f"error: {empty}: holds no architectures\n"
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_archs_from_another_space_are_data_error(transfers, tmp_path, capsys):
     """fbnet archs scored by an nb201 checkpoint exit 3 in search and eval, not 4."""
     fbnet = asp.fbnet_space()
@@ -528,7 +568,7 @@ def test_archs_from_another_space_are_data_error(transfers, tmp_path, capsys):
     code = run(["search", "--archs", str(mixed), "--checkpoint", str(ckpt),
                 "--constraint-ms", "1e9", "--top-k", "3", "--out", str(tmp_path / "m.csv")])
     assert code == 3
-    assert "architecture file mixes spaces: ['fbnet', 'nb201']" in capsys.readouterr().err
+    assert f"{mixed}: architecture file mixes spaces: ['fbnet', 'nb201']" in capsys.readouterr().err
 
 
 def _transfer_argv(workspace, out_dir, *extra):
@@ -692,16 +732,62 @@ def test_each_worker_pins_its_blas_to_one_thread(workspace, wide_split, tmp_path
 
 def test_failing_target_in_a_worker_is_the_serial_data_error(workspace, wide_split, tmp_path,
                                                              monkeypatch, capsys):
+    """k-means over identical encodings fails in each target's job: the same exit-3 error either way."""
+    _, data, _, _, _ = workspace
+    flat = tmp_path / "flat.csv"
+    ids = [line.split(",")[0] for line in (data / "zcp.csv").read_text().splitlines()[1:]]
+    flat.write_text("arch_id,e0,e1\n" + "".join(f"{i},1.0,1.0\n" for i in ids))
     errors = []
     for workers in (0, 2):
         monkeypatch.setattr(pipeline, "_transfer_workers", lambda n, w=workers: w)
         out = tmp_path / f"w{workers}"
         capsys.readouterr()
-        code = run(_wide_transfer_argv(workspace, wide_split, out, samples="81"))
+        code = run([*_wide_transfer_argv(workspace, wide_split, out),
+                    "--sampler", "kmeans", "--sampler-encoding", str(flat)])
         errors.append(capsys.readouterr().err)
         assert code == 3, errors[-1]
         assert not (out / "manifest.json").exists()
-    assert errors[0] == errors[1] == "error: requested 81 from a pool of 80\n"
+    assert errors[0] == errors[1] == "error: all encoding vectors identical; cannot form n > 1 clusters\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "default"])
+def test_transfer_samples_beyond_a_target_pool_exit_before_any_worker(workspace, wide_split, tmp_path,
+                                                                     monkeypatch, capsys, source):
+    """The error names --samples, /sampler/samples only where the config sets it, the target
+    and its pool, and no job starts."""
+    _, data, _, _, _ = workspace
+
+    def no_fan_out(job, targets):
+        raise AssertionError("the fan-out started")
+
+    monkeypatch.setattr(pipeline, "map_targets", no_fan_out)
+    argv = _wide_transfer_argv(workspace, wide_split, tmp_path / "out", samples="500")
+    target = DeviceSplit.from_json(wide_split.read_text()).target[0]
+    where, samples, archs, size = "--samples", 500, data / "archs.jsonl", 80
+    if source != "flag":
+        config = tmp_path / "run.json"
+        sections = {"sampler": {"samples": 500}} if source == "config" else {}
+        config.write_text(json.dumps({"version": 1, **sections}))
+        i = argv.index("--samples")
+        del argv[i : i + 2]
+        argv[argv.index("--config") + 1] = str(config)
+        where = f"{config}: /sampler/samples"
+    if source == "default":
+        # No sampler section: the count is the default 20, against a pool cut below it.
+        archs = tmp_path / "archs15.jsonl"
+        archs.write_text("".join((data / "archs.jsonl").read_text().splitlines(keepends=True)[:15]))
+        argv[argv.index("--archs") + 1] = str(archs)
+        table = LatencyTable.load_csv(data / "latency.csv")
+        ids = {a.arch_id for a in asp.read_architectures(archs)}
+        where, samples, size = "default --samples", 20, sum(table.has(i, target) for i in ids)
+        assert size < samples
+    capsys.readouterr()
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err == (f"error: {where} {samples}: target {target!r} has only {size} archs of "
+                   f"{archs} measured in {data / 'latency.csv'}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_transfer_with_one_blas_thread_matches_default(workspace, wide_split, wide_transfer,
@@ -984,6 +1070,76 @@ def test_bad_config_reports_json_pointer(workspace, tmp_path, capsys, section, f
     if field == "supplementary_dim":
         assert "set by --encoding" in err, err
     assert not (tmp_path / "c.json").exists()
+
+
+_NUMBER_FIELDS = {f.name: f.type for cls in (TrainConfig, PredictorConfig) for f in fields(cls)
+                  if f.type in ("int", "float", "tuple[int, ...]")}
+_NOT_A_NUMBER = st.one_of(st.text(max_size=3), st.none(), st.booleans(),
+                          st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+                          st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+@st.composite
+def _bad_number_field(draw, section_fields):
+    """(field, value): a value of the wrong type for the field, or a non-finite one."""
+    name = draw(st.sampled_from(section_fields))
+    kind = _NUMBER_FIELDS[name]
+    wrong = _NOT_A_NUMBER
+    if kind != "float":  # every float, integral or not, is wrong for an int
+        wrong = st.one_of(wrong, st.floats(allow_nan=False))
+    if kind == "tuple[int, ...]":
+        wrong = st.one_of(wrong, st.lists(wrong, min_size=1, max_size=2))
+    else:
+        wrong = st.one_of(wrong, st.lists(st.integers(1, 4), max_size=2))
+    return name, draw(wrong)
+
+
+_RUN_FIELDS = [("train", f.name) for f in fields(TrainConfig)] + [
+    ("predictor", f.name) for f in fields(PredictorConfig) if f.name != "supplementary_dim"
+]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(case=st.sampled_from(["train", "predictor"]).flatmap(lambda section: st.tuples(st.just(section),
+    _bad_number_field([f for s, f in _RUN_FIELDS if s == section and f in _NUMBER_FIELDS]))))
+@example(case=("train", ("lr", "x")))
+@example(case=("train", ("lr", float("nan"))))
+@example(case=("train", ("lr", True)))
+@example(case=("predictor", ("leaky_slope", None)))
+def test_run_config_number_field_of_the_wrong_type_names_the_field(workspace, case):
+    """A wrong-typed or non-finite number in a run config exits 3 naming the file and field, never 4."""
+    root, data, split, _, _ = workspace
+    section, (name, value) = case
+    config = root / "bad_number.json"
+    config.write_text(json.dumps({"version": 1, section: {name: value}}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(["pretrain", "--config", str(config), "--latency", str(data / "latency.csv"),
+                    "--archs", str(data / "archs.jsonl"), "--split", str(split),
+                    "--out", str(root / "bad_number_ckpt.json")])
+    assert code == 3, (case, err.getvalue())
+    assert f"{config}: /{section}/{name}" in err.getvalue(), (case, err.getvalue())
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(case=_bad_number_field([f.name for f in fields(PredictorConfig) if f.name in _NUMBER_FIELDS]))
+@example(case=("leaky_slope", "x"))
+@example(case=("leaky_slope", float("inf")))
+def test_checkpoint_meta_number_field_of_the_wrong_type_names_the_field(workspace, case):
+    """The meta's config is not covered by params_sha256: a bad number exits 3 naming it, never 4."""
+    root, data, _, _, ckpt = workspace
+    name, value = case
+    bad = root / "bad_meta_ckpt.json"
+    shutil.copy(ckpt, bad)
+    meta = json.loads(Path(f"{ckpt}.meta.json").read_text())
+    meta["config"][name] = value
+    Path(f"{bad}.meta.json").write_text(json.dumps(meta))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(["search", "--archs", str(data / "archs.jsonl"), "--checkpoint", str(bad),
+                    "--device", "d00", "--constraint-ms", "1e9", "--out", str(root / "bad_meta.csv")])
+    assert code == 3, (case, err.getvalue())
+    assert f"{bad}.meta.json: /config/{name}" in err.getvalue(), (case, err.getvalue())
 
 
 def test_pretrain_budget_without_a_pair_is_data_error(workspace, tmp_path, capsys):

@@ -359,23 +359,29 @@ def test_untrained_predictor_near_zero_rho(nb201, small_world):
 
 
 def test_encodings_given_to_a_predictor_without_supplementary_input_are_rejected(nb201, small_world):
-    """evaluate, transfer and search raise instead of ignoring the table."""
+    """predict_batch, evaluate, transfer and search raise instead of ignoring the table, and
+    a table narrower than the predictor's input fails the same width check, naming both."""
     table, archs, sources, target = small_world
-    st = _fresh_state(nb201, sources, seed=6)
-    encodings = asp.proxy_table(archs.values(), nb201)
+    proxies = asp.proxy_table(archs.values(), nb201)
+    narrow = asp.EncodingTable(12, {a: v[:12].copy() for a, v in proxies.rows.items()})
     ids = sorted(archs)
-    calls = (
-        lambda: pl.evaluate(st, "s0", table, archs, encodings=encodings),
-        lambda: pl.transfer(st, target, table, ids[:8], sources, archs,
-                            pl.TrainConfig(transfer_epochs=1), encodings=encodings, seed=0),
-        lambda: pl.latency_constrained_search(
-            [archs[a] for a in ids[:10]], lambda a: 1.0, st, "s0", np.inf, top_k=3,
-            encodings=encodings,
-        ),
-    )
-    for call in calls:
-        with pytest.raises(BadSupplementaryDim, match="width 13 .* supplementary_dim 0"):
-            call()
+    for supplementary_dim, encodings in ((0, proxies), (13, narrow)):
+        st = pred.init_predictor(pred.PredictorConfig(supplementary_dim=supplementary_dim), [nb201],
+                                 sources, seed=6)
+        calls = (
+            lambda: pred.predict_batch(st, [archs[a] for a in ids[:5]], "s0", encodings),
+            lambda: pl.evaluate(st, "s0", table, archs, encodings=encodings),
+            lambda: pl.transfer(st, target, table, ids[:8], sources, archs,
+                                pl.TrainConfig(transfer_epochs=1), encodings=encodings, seed=0),
+            lambda: pl.latency_constrained_search(
+                [archs[a] for a in ids[:10]], lambda a: 1.0, st, "s0", np.inf, top_k=3,
+                encodings=encodings,
+            ),
+        )
+        for call in calls:
+            with pytest.raises(BadSupplementaryDim,
+                               match=f"width {encodings.dim} .* supplementary_dim {supplementary_dim}$"):
+                call()
 
 
 def test_eval_report_aggregates_recompute_exactly():

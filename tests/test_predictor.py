@@ -26,6 +26,7 @@ from nasflat.errors import (
     BadCheckpoint,
     BadSupplementaryDim,
     InsufficientOverlap,
+    MissingEncoding,
     SpaceMismatch,
     UnknownDevice,
 )
@@ -244,7 +245,7 @@ def test_predict_batch_scores_in_fixed_chunks(state, nb201):
     ])
     assert np.array_equal(pred.predict_batch(state, archs, "d0"), want)
     with pytest.raises(BadSupplementaryDim):
-        pred.predict_batch(state, archs[:3], "d0", np.zeros((2, 0)))
+        pred.predict_batch(state, archs[:3], "d0", asp.proxy_table(archs[:3], nb201))
 
 
 def test_predict_unknown_device(state, nb201):
@@ -298,9 +299,10 @@ def test_inference_reuses_heap_memory_unless_malloc_is_configured():
 def test_supplementary_dim_zero_rejects_payload_but_not_empty(state, nb201):
     archs = [asp.random_architecture(nb201, 0)]
     base = pred.predict_batch(state, archs, "d0")
-    assert np.array_equal(pred.predict_batch(state, archs, "d0", np.zeros((1, 0))), base)
+    empty = asp.EncodingTable(0, {archs[0].arch_id: np.zeros(0)})
+    assert np.array_equal(pred.predict_batch(state, archs, "d0", empty), base)
     with pytest.raises(BadSupplementaryDim):
-        pred.predict_batch(state, archs, "d0", np.ones((1, 4)))
+        pred.predict_batch(state, archs, "d0", asp.EncodingTable(4, {archs[0].arch_id: np.ones(4)}))
 
 
 def test_supplementary_only_touches_head(nb201, monkeypatch):
@@ -318,7 +320,8 @@ def test_supplementary_only_touches_head(nb201, monkeypatch):
     monkeypatch.setattr(pred, "_mlp", spy)
     archs = [asp.random_architecture(nb201, 5)]
     supps = np.array([[1.0, 2.0, 3.0]]), np.array([[-9.0, 0.0, 4.0]])
-    out_a, out_b = (pred.predict_batch(st, archs, "d0", supp) for supp in supps)
+    tables = [asp.EncodingTable(3, {archs[0].arch_id: s[0]}) for s in supps]
+    out_a, out_b = (pred.predict_batch(st, archs, "d0", table) for table in tables)
     sink_a, sink_b = (x[:, : config.gcn_dims[-1]] for x in head_inputs)
     assert np.array_equal(sink_a, sink_b)
     assert [x[:, config.gcn_dims[-1]:].tolist() for x in head_inputs] == [s.tolist() for s in supps]
@@ -330,6 +333,27 @@ def test_missing_supplementary_rejected(nb201):
     st = pred.init_predictor(config, [nb201], ["d0"], seed=4)
     with pytest.raises(BadSupplementaryDim):
         pred.predict_batch(st, [asp.random_architecture(nb201, 0)], "d0")
+
+
+def test_supplementary_row_missing_from_the_table_is_named(nb201):
+    """An arch without a row raises MissingEncoding naming it."""
+    st = pred.init_predictor(pred.PredictorConfig(supplementary_dim=13), [nb201], ["d0"], seed=4)
+    archs = [asp.random_architecture(nb201, s) for s in range(3)]
+    with pytest.raises(MissingEncoding, match=archs[2].arch_id):
+        pred.predict_batch(st, archs, "d0", asp.proxy_table(archs[:2], nb201))
+
+
+@pytest.mark.parametrize("kind", pred.GNN_KINDS)
+def test_predict_batch_with_encodings_bitwise_equals_dense_oracle(fbnet, kind):
+    """predict_batch stacks each arch's table row, as the dense forward pass fed those rows."""
+    st = pred.init_predictor(pred.PredictorConfig(gnn_kind=kind, supplementary_dim=asp.GRAPH_PROXY_DIM),
+                             [fbnet], ["d0", "d1"], seed=8)
+    archs = [asp.random_architecture(fbnet, s) for s in range(64)]
+    table = asp.proxy_table(archs, fbnet)
+    for b in (1, 16, 64):
+        ops = np.array([a.ops for a in archs[:b]], dtype=np.intp)
+        want = dense_forward(st, ops, 1, table.matrix([a.arch_id for a in archs[:b]])).data[:, 0]
+        assert pred.predict_batch(st, archs[:b], "d1", table).tobytes() == want.tobytes(), b
 
 
 @pytest.mark.parametrize("kind", ["dgf", "gat", "ensemble"])

@@ -46,7 +46,7 @@ def _proxy_encoding(pool, space):
 
 
 def _mean_pairwise_cosine(ids, encoding):
-    vecs = np.stack([encoding.vector(i) for i in ids])
+    vecs = encoding.matrix(ids)
     norms = np.linalg.norm(vecs, axis=1)
     unit = vecs / np.where(norms > 0, norms, 1.0)[:, None]
     sims = unit @ unit.T
