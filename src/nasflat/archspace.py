@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import BadOpIndex, DimMismatch, MissingEncoding, NonFiniteValue, ParseError
-from .inputs import open_text
+from .inputs import load_json, open_text
 from .rng import bounded_draws
 
 MICRO_CELL = "micro_cell"
@@ -421,7 +421,7 @@ def read_architectures(path) -> list[Architecture]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = load_json(line)
                 space = get_space(obj["space"])
                 if obj["adj"] != space._adj_list:
                     raise ValueError(f"adj is not the fixed topology of space {space.space_id!r}")

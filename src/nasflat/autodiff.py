@@ -164,9 +164,9 @@ _ACTIVE = _ActiveTapes()
 
 
 @contextmanager
-def recording(tape: Tape | None = None) -> Iterator[Tape]:
-    """Activate a tape on this thread; primitives this thread calls inside record onto it."""
-    tape = tape if tape is not None else Tape()
+def recording() -> Iterator[Tape]:
+    """Activate a new tape on this thread; primitives this thread calls inside record onto it."""
+    tape = Tape()
     stack = _ACTIVE.stack
     stack.append(tape)
     try:

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import SAMPLER_METHODS, __version__
 from .errors import BadField, BudgetTooSmall, InsufficientData, NasflatError
-from .inputs import open_text, recording
+from .inputs import load_json, open_text, recording
 
 if TYPE_CHECKING:
     from .archspace import Architecture, EncodingTable, SearchSpace
@@ -85,8 +85,8 @@ def _load_run_config(
     if path is None:
         return TrainConfig.for_space(space), PredictorConfig(), {}
     try:
-        doc = json.load(open_text(path))
-    except json.JSONDecodeError as e:
+        doc = load_json(open_text(path).read())
+    except ValueError as e:
         raise NasflatError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise NasflatError(f"{path}: /: config must be an object")
@@ -231,6 +231,9 @@ def cmd_sample(args) -> int:
     from .sampler import run_sampler
 
     archs, space = _load_archs(args.archs)
+    size = len({a.arch_id for a in archs})
+    if args.n > size:
+        raise NasflatError(f"--n {args.n}: {args.archs} holds only {size} distinct archs")
     encoding = _load_encoding(args.encoding)
     reference = LatencyTable.load_csv(args.latency) if args.latency else None
     picked = run_sampler(
@@ -431,18 +434,18 @@ def cmd_search(args) -> int:
     device = args.device or extra.get("target_device")
     if device is None:
         raise NasflatError("no target device recorded in checkpoint; pass --device")
+    archmap = {a.arch_id: a for a in archs}
     calibration = None
-    if args.latency:
+    if args.latency:  # the checkpoint's samples in --archs that are measured on the device
         table = LatencyTable.load_csv(args.latency)
         sampled = extra.get("sampled_ids") or table.archs_for(device)
-        calibration = table.subset(device_ids=[device], arch_ids=sampled)
-    archmap = {a.arch_id: a for a in archs}
+        calibration = [(archmap[a], table.latency(a, device))
+                       for a in sorted({a for a in sampled if a in archmap and table.has(a, device)})]
     accuracy = synthetic_accuracies(archs, args.seed)
     try:
         result = latency_constrained_search(
-            archs, lambda a: accuracy[a.arch_id], state, device,
-            args.constraint_ms, args.top_k, encodings=encodings,
-            calibration=calibration, archs_by_id=archmap,
+            archs, accuracy, state, device, args.constraint_ms, args.top_k,
+            encodings=encodings, calibration=calibration,
         )
     except InsufficientData as e:  # the calibration's
         raise NasflatError(f"{args.latency}: {e}") from None
@@ -451,7 +454,7 @@ def cmd_search(args) -> int:
     lines = ["rank,arch_id,accuracy,predicted_latency_ms"]
     for rank, arch_id in enumerate(result.ranked, start=1):
         lines.append(
-            f"{rank},{arch_id},{repr(result.accuracy[arch_id])},{repr(result.predicted_latency[arch_id])}"
+            f"{rank},{arch_id},{repr(accuracy[arch_id])},{repr(result.predicted_latency[arch_id])}"
         )
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     timing = {

@@ -28,7 +28,7 @@ from .errors import (
     SideTooSmall,
     TooFewDevices,
 )
-from .inputs import open_text
+from .inputs import load_json, open_text
 from .rng import rng_for
 
 
@@ -217,7 +217,7 @@ class DeviceSplit:
         is not a non-empty list of distinct device ids, a device in both
         pools, or an objective that is not a finite number raises BadField
         with the value's JSON pointer."""
-        obj = json.loads(text)
+        obj = load_json(text)
         pools = {key: _device_ids(obj[key], key) for key in ("source", "target")}
         for i, device in enumerate(pools["target"]):
             if device in pools["source"]:

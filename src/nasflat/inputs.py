@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -47,3 +48,12 @@ def open_text(path) -> io.TextIOWrapper:
             line = len((buf[: e.start] + b".").splitlines())
             raise ParseError(f"{path}:{line}: not UTF-8: can't decode byte 0x{buf[e.start]:02x}") from None
     return io.TextIOWrapper(io.BytesIO(buf), encoding="utf-8")
+
+
+def load_json(doc: str | bytes | bytearray):
+    """The JSON value in `doc`. Any document it cannot decode raises ValueError:
+    malformed text, an integer too long to convert, or nesting too deep to parse."""
+    try:
+        return json.loads(doc)
+    except RecursionError:
+        raise ValueError("nested too deeply to decode") from None

@@ -399,7 +399,6 @@ def evaluate(
 class SearchResult:
     ranked: list[str]                  # top-k arch_ids, best accuracy first
     predicted_latency: dict[str, float]
-    accuracy: dict[str, float]
     predictor_time_s: float
     total_time_s: float
 
@@ -427,21 +426,21 @@ def calibrate_scores(
 
 def latency_constrained_search(
     candidate_archs: Sequence[Architecture],
-    accuracy_oracle: Callable[[Architecture], float],
+    accuracy: Mapping[str, float],
     state: PredictorState,
     device_id: str,
     constraint_ms: float,
     top_k: int,
     encodings: EncodingTable | None = None,
-    calibration: LatencyTable | None = None,
-    archs_by_id: Mapping[str, Architecture] | None = None,
+    calibration: Sequence[tuple[Architecture, float]] | None = None,
 ) -> SearchResult:
-    """Keep candidates predicted under the constraint and rank by accuracy.
+    """Keep candidates predicted under the constraint and rank them by `accuracy`,
+    which maps the arch_id of each candidate to its accuracy.
 
-    A calibration table maps raw scores to milliseconds before filtering, and
-    one that measures no candidate on the device raises InsufficientData;
-    without one, the constraint is in raw score units. Predictor invocation
-    time is accounted separately from total search time.
+    `calibration` holds measured (arch, ms) pairs on the device; they map raw
+    scores to milliseconds before filtering, and an empty sequence raises
+    InsufficientData. Without it, the constraint is in raw score units.
+    Predictor invocation time is accounted separately from total search time.
     """
     t_start = time.perf_counter()
     if not candidate_archs:
@@ -449,31 +448,24 @@ def latency_constrained_search(
     ids = [a.arch_id for a in candidate_archs]
     t0 = time.perf_counter()
     scores = predict_batch(state, candidate_archs, device_id, encodings)
+    if calibration is not None:
+        if not calibration:
+            raise InsufficientData(f"no measured calibration sample on device {device_id!r}")
+        cal_scores = predict_batch(state, [a for a, _ in calibration], device_id, encodings)
     predictor_time = time.perf_counter() - t0
     if calibration is not None:
-        lookup = archs_by_id if archs_by_id is not None else dict(zip(ids, candidate_archs))
-        cal_ids = [a for a in sorted(calibration.archs_for(device_id)) if a in lookup]
-        if not cal_ids:
-            raise InsufficientData(f"no calibration row measures a candidate on device {device_id!r}")
-        t0 = time.perf_counter()
-        cal_scores = predict_batch(state, [lookup[a] for a in cal_ids], device_id, encodings)
-        predictor_time += time.perf_counter() - t0
-        measured = np.array([calibration.latency(a, device_id) for a in cal_ids])
-        scores = calibrate_scores(scores, cal_scores, measured)
+        scores = calibrate_scores(scores, cal_scores, np.array([ms for _, ms in calibration]))
     predicted = dict(zip(ids, scores.tolist()))
-    feasible = [a for a in candidate_archs if predicted[a.arch_id] <= constraint_ms]
+    feasible = [a for a in ids if predicted[a] <= constraint_ms]
     if not feasible:
         raise EmptyFeasibleSet(
             f"no candidate has predicted latency <= {constraint_ms} ms"
         )
-    accuracy = {a.arch_id: float(accuracy_oracle(a)) for a in feasible}
-    ranked = sorted(feasible, key=lambda a: (-accuracy[a.arch_id], a.arch_id))
-    top = [a.arch_id for a in ranked[:top_k]]
+    top = sorted(feasible, key=lambda a: (-accuracy[a], a))[:top_k]
     total_time = time.perf_counter() - t_start
     return SearchResult(
         ranked=top,
         predicted_latency={a: predicted[a] for a in top},
-        accuracy={a: accuracy[a] for a in top},
         predictor_time_s=predictor_time,
         total_time_s=total_time,
     )

@@ -60,7 +60,7 @@ from .errors import (
     SpaceMismatch,
     UnknownDevice,
 )
-from .inputs import read_input
+from .inputs import load_json, read_input
 
 CHECKPOINT_VERSION = 4
 
@@ -615,7 +615,7 @@ def save_checkpoint(state: PredictorState, path, extra: dict | None = None) -> N
 def _read_meta(path: Path, keys: tuple[str, ...]) -> dict:
     """The parsed meta document at `path`, version and keys checked."""
     try:
-        doc = json.loads(read_input(path)[0])
+        doc = load_json(read_input(path)[0])
     except OSError as e:
         raise BadCheckpoint(f"{path}: cannot read: {e.strerror or e}") from None
     except ValueError as e:

@@ -476,10 +476,9 @@ def test_criterion_9_constrained_search(e2e):
         truths = np.array([table.latency(a.arch_id, target) for a in candidates])
         constraint = float(np.quantile(truths, 0.5))
         accuracy = {a.arch_id: float(rng_for("acc", a.arch_id).uniform()) for a in candidates}
-        calibration = table.subset(device_ids=[target], arch_ids=picked)
+        calibration = [(archmap[a], table.latency(a, target)) for a in sorted(picked)]
         result = pl.latency_constrained_search(
-            candidates, lambda a: accuracy[a.arch_id], adapted, target,
-            constraint, top_k=10, calibration=calibration, archs_by_id=archmap,
+            candidates, accuracy, adapted, target, constraint, top_k=10, calibration=calibration,
         )
         violations = sum(1 for a in result.ranked if table.latency(a, target) > constraint)
         rates.append(violations / len(result.ranked))

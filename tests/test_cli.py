@@ -479,6 +479,91 @@ def test_non_utf8_text_input_is_data_error_at_its_line(workspace, tmp_path, caps
     assert not (tmp_path / "ckpt.json").exists()
 
 
+_UNDECODABLE = {"deep": "[" * 100_000 + "]" * 100_000, "huge_int": "9" * 4_301}
+
+
+@pytest.mark.parametrize("value", sorted(_UNDECODABLE))
+@pytest.mark.parametrize("which", ["config", "split", "meta", "archs"])
+def test_json_that_cannot_be_decoded_is_data_error(workspace, tmp_path, capsys, which, value):
+    """A JSON input nested too deeply, or holding an integer too long to convert, exits 3
+    naming the file (at `path:line` in JSONL), not 4."""
+    _, data, split, config, ckpt = workspace
+    bad = _UNDECODABLE[value]
+    pretrain = ["pretrain", "--latency", str(data / "latency.csv"), "--archs", str(data / "archs.jsonl"),
+                "--out", str(tmp_path / "out.json")]
+    if which == "config":
+        named = tmp_path / "run.json"
+        named.write_text('{"version": 1, "train": {"epochs": %s}}' % bad)
+        argv = [*pretrain, "--config", str(named), "--split", str(split)]
+    elif which == "split":
+        named = tmp_path / "split.json"
+        named.write_text('{"source": %s, "target": ["d"], "objective": 0.5}' % bad)
+        argv = [*pretrain, "--config", str(config), "--split", str(named)]
+    elif which == "meta":
+        shutil.copy(ckpt, tmp_path / "ckpt.json")
+        named = tmp_path / "ckpt.json.meta.json"
+        named.write_text('{"version": 4, "extra": %s}' % bad)
+        argv = ["eval", "--latency", str(data / "latency.csv"), "--archs", str(data / "archs.jsonl"),
+                "--checkpoint", str(tmp_path / "ckpt.json"), "--out-prefix", str(tmp_path / "out")]
+    else:
+        lines = (data / "archs.jsonl").read_text().splitlines()
+        lines[1] = lines[1][: lines[1].index('"ops":') + len('"ops":')] + bad + "}"
+        path = tmp_path / "archs.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        named = f"{path}:2"
+        argv = ["sample", "--method", "random", "--archs", str(path), "--n", "2",
+                "--out", str(tmp_path / "out.json")]
+    capsys.readouterr()
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 3, err[:500]
+    assert f"{named}: " in err, err[:500]
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_sample_more_than_the_distinct_archs_is_a_data_error_naming_n(workspace, tmp_path, capsys):
+    _, data, _, _, _ = workspace
+    archs = tmp_path / "archs.jsonl"
+    archs.write_text((data / "archs.jsonl").read_text() * 2)  # 80 distinct archs, each twice
+    out = tmp_path / "sel.json"
+    capsys.readouterr()
+    assert run(["sample", "--method", "random", "--archs", str(archs), "--n", "81",
+                "--out", str(out)]) == 3
+    assert f"error: --n 81: {archs} holds only 80 distinct archs" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["sample", "--method", "random", "--archs", str(archs), "--n", "80",
+                "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("unusable", ["not_in_archs", "not_measured"])
+def test_search_latency_without_a_usable_sample_is_data_error(workspace, transfers, tmp_path, capsys,
+                                                              unusable):
+    """When no sample of the checkpoint is both in --archs and measured on its device,
+    search exits 3 naming the --latency file."""
+    _, data, _, _, _ = workspace
+    ckpt = sorted(c for c in transfers.glob("transfer_*.json") if not c.name.endswith(".meta.json"))[0]
+    _, extra = load_checkpoint(ckpt)
+    sampled, device = set(extra["sampled_ids"]), extra["target_device"]
+    archs, latency = data / "archs.jsonl", data / "latency.csv"
+    if unusable == "not_in_archs":
+        archs = tmp_path / "archs.jsonl"
+        asp.write_architectures(
+            [a for a in asp.read_architectures(data / "archs.jsonl") if a.arch_id not in sampled], archs)
+    else:
+        latency = tmp_path / "latency.csv"
+        rows = (data / "latency.csv").read_text().splitlines()
+        kept = [r for r in rows if (r.split(",")[1], r.split(",")[0] in sampled) != (device, True)]
+        assert len(kept) == len(rows) - len(sampled)
+        latency.write_text("\n".join(kept) + "\n")
+    capsys.readouterr()
+    code = run(["search", "--archs", str(archs), "--checkpoint", str(ckpt), "--latency", str(latency),
+                "--constraint-ms", "1e9", "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"error: {latency}: " in err and repr(device) in err, err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_search_latency_measuring_no_sample_is_data_error(workspace, transfers, tmp_path, capsys):
     """A --latency CSV with no row for the checkpoint's samples on its device exits 3 naming
     the file and the device; it used to filter raw scores as if they were milliseconds."""

@@ -374,7 +374,7 @@ def test_encodings_given_to_a_predictor_without_supplementary_input_are_rejected
             lambda: pl.transfer(st, target, table, ids[:8], sources, archs,
                                 pl.TrainConfig(transfer_epochs=1), encodings=encodings, seed=0),
             lambda: pl.latency_constrained_search(
-                [archs[a] for a in ids[:10]], lambda a: 1.0, st, "s0", np.inf, top_k=3,
+                [archs[a] for a in ids[:10]], dict.fromkeys(ids, 1.0), st, "s0", np.inf, top_k=3,
                 encodings=encodings,
             ),
         )
@@ -405,9 +405,7 @@ def test_search_infinite_constraint_is_accuracy_ranking(nb201, small_world):
     st = _fresh_state(nb201, sources, seed=6)
     pool = [archs[a] for a in sorted(archs)[:30]]
     acc = {a.arch_id: float(i) for i, a in enumerate(pool)}
-    result = pl.latency_constrained_search(
-        pool, lambda a: acc[a.arch_id], st, "s0", np.inf, top_k=5,
-    )
+    result = pl.latency_constrained_search(pool, acc, st, "s0", np.inf, top_k=5)
     want = [a.arch_id for a in sorted(pool, key=lambda x: -acc[x.arch_id])[:5]]
     assert result.ranked == want
     assert result.predictor_time_s > 0
@@ -419,18 +417,18 @@ def test_search_empty_feasible_set(nb201, small_world):
     st = _fresh_state(nb201, sources, seed=6)
     pool = [archs[a] for a in sorted(archs)[:10]]
     with pytest.raises(EmptyFeasibleSet):
-        pl.latency_constrained_search(pool, lambda a: 1.0, st, "s0", -np.inf, top_k=3)
+        pl.latency_constrained_search(pool, dict.fromkeys(archs, 1.0), st, "s0", -np.inf, top_k=3)
 
 
 def test_search_calibration_without_rows_for_the_device_raises(nb201, small_world):
-    """A calibration table that measures no candidate on the device is refused, not
-    skipped: the constraint would then be compared against raw scores."""
+    """A calibration with no measured pair on the device is refused, not skipped: the
+    constraint would then be compared against raw scores."""
     table, archs, sources, _ = small_world
     st = _fresh_state(nb201, sources, seed=6)
     pool = [archs[a] for a in sorted(archs)[:10]]
     with pytest.raises(InsufficientData, match="'s0'"):
-        pl.latency_constrained_search(pool, lambda a: 1.0, st, "s0", np.inf, top_k=3,
-                                      calibration=table.subset(device_ids=["s1"]))
+        pl.latency_constrained_search(pool, dict.fromkeys(archs, 1.0), st, "s0", np.inf, top_k=3,
+                                      calibration=[])
 
 
 def test_calibration_maps_scores_to_ms():
