@@ -149,10 +149,14 @@ def _load_split(path: str, table: LatencyTable, latency_path: str) -> DeviceSpli
 
 
 def _load_archs(path: str) -> tuple[list[Architecture], SearchSpace]:
-    """The architectures at `path` and their space: at least one, all of one space."""
+    """The distinct architectures at `path`, first line first, and their space:
+    at least one, all of one space."""
     from .archspace import get_space, read_architectures
 
-    archs = read_architectures(path)
+    by_id: dict[str, Architecture] = {}
+    for arch in read_architectures(path):
+        by_id.setdefault(arch.arch_id, arch)  # a line listed twice counts once
+    archs = list(by_id.values())
     ids = {a.space_id for a in archs}
     if not ids:
         raise NasflatError(f"{path}: holds no architectures")
@@ -231,9 +235,8 @@ def cmd_sample(args) -> int:
     from .sampler import run_sampler
 
     archs, space = _load_archs(args.archs)
-    size = len({a.arch_id for a in archs})
-    if args.n > size:
-        raise NasflatError(f"--n {args.n}: {args.archs} holds only {size} distinct archs")
+    if args.n > len(archs):
+        raise NasflatError(f"--n {args.n}: {args.archs} holds only {len(archs)} distinct archs")
     encoding = _load_encoding(args.encoding)
     reference = LatencyTable.load_csv(args.latency) if args.latency else None
     picked = run_sampler(
@@ -317,10 +320,9 @@ def cmd_transfer(args) -> int:
     targets = [args.target] if args.target else list(split.target)
     pools = {device: [a for a in archs if table.has(a.arch_id, device)] for device in targets}
     for device, pool in pools.items():
-        size = len({a.arch_id for a in pool})
-        if args.samples > size:
+        if args.samples > len(pool):
             raise NasflatError(
-                f"{where} {args.samples}: target {device!r} has only {size} "
+                f"{where} {args.samples}: target {device!r} has only {len(pool)} "
                 f"archs of {args.archs} measured in {args.latency}"
             )
     base, _ = load_checkpoint(args.checkpoint)
@@ -392,7 +394,7 @@ def cmd_eval(args) -> int:
             raise NasflatError(f"{ckpt}: no target device recorded; pass --device")
         entry = evaluate(
             state, device, table, archmap, encodings=encodings,
-            trial=args.trial, n_target_samples=int(extra.get("samples", 0)),
+            trial=args.trial, n_target_samples=extra.get("samples", 0),
             exclude=extra.get("sampled_ids", []),
         )
         for arch_id, pred, truth in zip(entry.arch_ids, entry.preds, entry.truths):
@@ -567,7 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encoding", help="supplementary encoding CSV")
     p.add_argument("--device", help="override the device recorded in the checkpoint")
     p.add_argument("--trial", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the manifest only: eval draws nothing at random")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -103,61 +103,62 @@ def pairwise_hinge_loss(preds: Tensor, targets: Sequence[float], margin: float =
 
 
 def _train_batch(
-    state: PredictorState,
-    adam: AdamState,
-    device_id: str,
-    arch_ids: Sequence[str],
-    archs: Mapping[str, Architecture],
-    table: LatencyTable,
-    encodings: EncodingTable | None,
-    lr: float,
-    weight_decay: float,
-    margin: float,
+    state: PredictorState, adam: AdamState, device_row: int, ops_rows: np.ndarray,
+    targets: np.ndarray, supp: np.ndarray | None, lr: float, weight_decay: float, margin: float,
 ) -> float:
-    ops_rows = np.array([archs[a].ops for a in arch_ids], dtype=np.intp)
-    targets = [table.latency(a, device_id) for a in arch_ids]
-    supp = _supplementary_rows(state, encodings, arch_ids)
-    row = state.device_row(device_id)
     with ad.recording() as tape:
-        preds = _forward(state, ops_rows, row, supp)
+        preds = _forward(state, ops_rows, device_row, supp)
         loss = pairwise_hinge_loss(preds, targets, margin)
     grads = ad.named_grads(state.params, ad.backward(tape, loss))
     ad.adam_step(state.params, grads, adam, lr, weight_decay)
     return float(loss.data)
 
 
-def _require_finite_loss(loss: float, stage: str, epoch: int, step: int, device: str) -> None:
-    if not math.isfinite(loss):
-        raise NonFiniteValue(
-            f"{stage}: loss is {loss} at epoch {epoch}, step {step}, device {device!r}"
-        )
-
-
-def _require_finite_params(state: PredictorState, stage: str) -> None:
-    """Once after the last step: a non-finite last update has no later loss to show it."""
-    for name, t in state.params.items():
-        if not np.isfinite(t.data).all():
-            raise NonFiniteValue(f"{stage}: parameter {name!r} is non-finite after training")
-
-
 def _epoch_batches(
-    rng: np.random.Generator,
-    device_ids: Sequence[str],
-    ids_by_device: Mapping[str, list[str]],
-    batch_size: int,
-) -> list[tuple[str, list[str]]]:
-    """Seeded shuffle of per-device minibatches; sub-pair remainders dropped."""
-    batches: list[tuple[str, list[str]]] = []
-    for device in device_ids:
-        ids = list(ids_by_device[device])
-        perm = rng.permutation(len(ids))
-        shuffled = [ids[i] for i in perm]
-        for i in range(0, len(shuffled), batch_size):
-            chunk = shuffled[i : i + batch_size]
-            if len(chunk) >= 2:
-                batches.append((device, chunk))
+    rng: np.random.Generator, sizes: Sequence[int], batch_size: int
+) -> list[tuple[int, np.ndarray]]:
+    """Seeded shuffle of (device position, row indices) minibatches over devices
+    of `sizes` rows; sub-pair remainders dropped."""
+    batches = []
+    for device, n in enumerate(sizes):
+        perm = rng.permutation(n)
+        chunks = [perm[i : i + batch_size] for i in range(0, n, batch_size)]
+        batches += [(device, chunk) for chunk in chunks if len(chunk) >= 2]
     order = rng.permutation(len(batches))
     return [batches[i] for i in order]
+
+
+def _fit(
+    state: PredictorState, ids_by_device: Mapping[str, Sequence[str]], table: LatencyTable,
+    archs: Mapping[str, Architecture], encodings: EncodingTable | None, epochs: int,
+    batch_size: int, lr: float, config: TrainConfig, rng: np.random.Generator, stage: str,
+) -> list[float]:
+    """Train `state` in place on each device's archs in `ids_by_device`, with
+    minibatches drawn from `rng`; returns the per-epoch mean loss."""
+    devices, sizes = list(ids_by_device), [len(ids) for ids in ids_by_device.values()]
+    data = [  # gathered once: hardware row, op indices, latencies, supplementary rows
+        (state.device_row(d), np.array([archs[a].ops for a in ids], dtype=np.intp),
+         np.array([table.latency(a, d) for a in ids]), _supplementary_rows(state, encodings, ids))
+        for d, ids in ids_by_device.items()
+    ]
+    adam = AdamState.for_params(state.params)
+    log = []
+    for epoch in range(epochs):
+        losses = []
+        for step, (d, rows) in enumerate(_epoch_batches(rng, sizes, batch_size)):
+            row, ops, latencies, supp = data[d]
+            loss = _train_batch(state, adam, row, ops[rows], latencies[rows],
+                                None if supp is None else supp[rows], lr, config.weight_decay,
+                                config.hinge_margin)
+            if not math.isfinite(loss):
+                raise NonFiniteValue(f"{stage}: loss is {loss} at epoch {epoch}, step {step}, "
+                                     f"device {devices[d]!r}")
+            losses.append(loss)
+        log.append(float(np.mean(losses)) if losses else 0.0)
+    for name, t in state.params.items():  # a non-finite last update has no later loss to show it
+        if not np.isfinite(t.data).all():
+            raise NonFiniteValue(f"{stage}: parameter {name!r} is non-finite after training")
+    return log
 
 
 def pretrain(
@@ -172,6 +173,7 @@ def pretrain(
 ) -> tuple[PredictorState, list[float]]:
     """Rank-loss training over all source devices; returns per-epoch mean loss.
 
+    A device's rows are its archs in `archs` that `source_table` measures.
     `seed` picks the per-device budget subsets and orders the minibatches.
     """
     if not archs:
@@ -180,7 +182,7 @@ def pretrain(
     ids_by_device: dict[str, list[str]] = {}
     budget_rng = rng_for("pretrain-budget", seed)
     for device in source_devices:
-        ids = sorted(source_table.archs_for(device))
+        ids = sorted(a for a in source_table.archs_for(device) if a in archs)
         if len(ids) < config.batch_size:
             raise InsufficientData(
                 f"source device {device!r} has {len(ids)} measured archs "
@@ -195,23 +197,8 @@ def pretrain(
                 f"source device {device!r} no pair of archs to rank"
             )
         ids_by_device[device] = ids
-
-    adam = AdamState.for_params(state.params)
-    rng = rng_for("pretrain", seed)
-    log: list[float] = []
-    for epoch in range(config.epochs):
-        losses = []
-        batches = _epoch_batches(rng, source_devices, ids_by_device, config.batch_size)
-        for step, (device, chunk) in enumerate(batches):
-            loss = _train_batch(
-                state, adam, device, chunk, archs, source_table, encodings,
-                config.lr, config.weight_decay, config.hinge_margin,
-            )
-            _require_finite_loss(loss, "pretrain", epoch, step, device)
-            losses.append(loss)
-        log.append(float(np.mean(losses)) if losses else 0.0)
-    _require_finite_params(state, "pretrain")
-    return state, log
+    return state, _fit(state, ids_by_device, source_table, archs, encodings, config.epochs,
+                       config.batch_size, config.lr, config, rng_for("pretrain", seed), "pretrain")
 
 
 def transfer(
@@ -243,19 +230,9 @@ def transfer(
     state = PredictorState(base.config, base.space, params, dict(base.device_index))
     register_device(state, target_device)
     warm_start = init_target_hw_embedding(state, few_shot, target_device, source_devices)
-
-    adam = AdamState.for_params(state.params)
-    rng = rng_for("transfer", seed, target_device)
-    batch = min(config.batch_size, len(sampled))
-    for epoch in range(config.transfer_epochs):
-        batches = _epoch_batches(rng, [target_device], {target_device: sampled}, batch)
-        for step, (device, chunk) in enumerate(batches):
-            loss = _train_batch(
-                state, adam, device, chunk, archs, few_shot, encodings,
-                config.transfer_lr, config.weight_decay, config.hinge_margin,
-            )
-            _require_finite_loss(loss, "transfer", epoch, step, device)
-    _require_finite_params(state, "transfer")
+    _fit(state, {target_device: sampled}, few_shot, archs, encodings, config.transfer_epochs,
+         min(config.batch_size, len(sampled)), config.transfer_lr, config,
+         rng_for("transfer", seed, target_device), "transfer")
     return state, warm_start
 
 

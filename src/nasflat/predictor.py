@@ -633,17 +633,27 @@ def _read_meta(path: Path, keys: tuple[str, ...]) -> dict:
     return doc
 
 
+# The `extra` fields a transfer checkpoint records for `eval` and `search`: (what, check).
+_EXTRA_FIELDS = {
+    "target_device": ("a string", lambda v: isinstance(v, str)),
+    "samples": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "sampled_ids": ("a list of strings",
+                    lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v)),
+}
+
+
 def load_checkpoint(path) -> tuple[PredictorState, dict]:
     """Read a checkpoint written by `save_checkpoint`; returns (state, extra).
 
     Raises BadCheckpoint naming the file if the meta is unreadable, of
     another version or missing keys (config fields included: a default would
     silently stand in for the trained value), or if its `space_ids` does not
-    name one space whose vocabulary size is its `null_op_index`; if the
-    parameter file's SHA-256 differs from the meta's `params_sha256`; or if
-    its byte length differs from what the meta's config, space and device
-    registry imply. The parameters are views of the one buffer the file was
-    read and hashed into.
+    name one space whose vocabulary size is its `null_op_index`; if `extra`
+    is not an object or holds a `target_device`, `samples` or `sampled_ids`
+    of the wrong type (`/extra/<key>`); if the parameter file's SHA-256
+    differs from the meta's `params_sha256`; or if its byte length differs
+    from what the meta's config, space and device registry imply. The
+    parameters are views of the one buffer the file was read and hashed into.
     """
     path = Path(path)
     meta_path = checkpoint_meta_path(path)
@@ -673,6 +683,9 @@ def load_checkpoint(path) -> tuple[PredictorState, dict]:
         raise BadCheckpoint(f"{meta_path}: device rows are not 0..{len(device_index) - 1}")
     if null_op_index != len(space.op_vocab):
         raise BadCheckpoint(f"{meta_path}: null_op_index {null_op_index} does not fit space {space.space_id!r}")
+    for key, (what, ok) in _EXTRA_FIELDS.items():
+        if key in meta["extra"] and not ok(meta["extra"][key]):
+            raise BadCheckpoint(f"{meta_path}: /extra/{key}: must be {what}")
 
     try:
         buf, digest = read_input(path)

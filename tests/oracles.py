@@ -280,3 +280,21 @@ def distinct_architectures_oracle(space, n, seed):
             seen.add(arch.arch_id)
             archs.append(arch)
     return archs, draw
+
+
+def epoch_batches(rng, device_ids, ids_by_device, batch_size):
+    """One epoch's minibatch plan as (device, arch ids) lists, built id by id:
+    per device one permutation cut into `batch_size` chunks, a chunk of fewer
+    than 2 ids dropped, then one permutation over all the batches. The
+    reference for `pipeline._epoch_batches`, which plans on row indices."""
+    batches = []
+    for device in device_ids:
+        ids = list(ids_by_device[device])
+        perm = rng.permutation(len(ids))
+        shuffled = [ids[i] for i in perm]
+        for i in range(0, len(shuffled), batch_size):
+            chunk = shuffled[i : i + batch_size]
+            if len(chunk) >= 2:
+                batches.append((device, chunk))
+    order = rng.permutation(len(batches))
+    return [batches[i] for i in order]

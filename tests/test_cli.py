@@ -535,6 +535,50 @@ def test_sample_more_than_the_distinct_archs_is_a_data_error_naming_n(workspace,
                 "--out", str(out)]) == 0
 
 
+def test_search_over_an_archs_file_listing_each_arch_twice_ranks_each_once(workspace, transfers,
+                                                                        tmp_path):
+    _, data, _, _, _ = workspace
+    ckpt = sorted(c for c in transfers.glob("transfer_*.json") if not c.name.endswith(".meta.json"))[0]
+    doubled = tmp_path / "archs.jsonl"
+    doubled.write_text((data / "archs.jsonl").read_text() * 2)
+    results = {}
+    for name, archs in (("single", data / "archs.jsonl"), ("doubled", doubled)):
+        results[name] = tmp_path / f"{name}.csv"
+        assert run(["search", "--archs", str(archs), "--checkpoint", str(ckpt),
+                    "--latency", str(data / "latency.csv"), "--constraint-ms", "1e9",
+                    "--top-k", "10", "--seed", "7", "--out", str(results[name])]) == 0
+    assert results["doubled"].read_bytes() == results["single"].read_bytes()
+
+
+@pytest.mark.parametrize("command", ["eval", "search"])
+@pytest.mark.parametrize("key, value", [
+    ("target_device", 5), ("samples", "abc"), ("samples", True), ("sampled_ids", [[1]]),
+])
+def test_checkpoint_extra_field_of_the_wrong_type_is_data_error(workspace, transfers, tmp_path, capsys,
+                                                                 command, key, value):
+    """The transfer fields eval and search read from a meta's extra are type-checked
+    where the meta is read: a wrong type exits 3 naming the meta and the field."""
+    _, data, _, _, _ = workspace
+    src = sorted(transfers.glob("transfer_*.json.meta.json"))[0]
+    ckpt = tmp_path / src.name[: -len(".meta.json")]
+    shutil.copy(transfers / ckpt.name, ckpt)
+    shutil.copy(src, tmp_path / src.name)
+    meta_path = _edit_meta(ckpt, lambda meta: meta["extra"].update({key: value}))
+    out = tmp_path / "out"
+    argv = {
+        "eval": ["eval", "--latency", str(data / "latency.csv"), "--archs", str(data / "archs.jsonl"),
+                 "--checkpoint", str(ckpt), "--out-prefix", str(out)],
+        "search": ["search", "--archs", str(data / "archs.jsonl"), "--checkpoint", str(ckpt),
+                   "--latency", str(data / "latency.csv"), "--constraint-ms", "1e9", "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"error: {meta_path}: /extra/{key}: must be " in err, err
+    assert not list(tmp_path.glob("out*"))
+
+
 @pytest.mark.parametrize("unusable", ["not_in_archs", "not_measured"])
 def test_search_latency_without_a_usable_sample_is_data_error(workspace, transfers, tmp_path, capsys,
                                                               unusable):
@@ -907,6 +951,26 @@ def test_eval_ignores_rows_for_archs_not_in_file(workspace, transfers, tmp_path)
         sampled = set(meta["extra"]["sampled_ids"])
         want = [a for a in table.archs_for(row["device_id"]) if a in known and a not in sampled]
         assert row["n_heldout"] == len(want) < 30
+
+
+@pytest.mark.parametrize("kept, code", [(30, 0), (10, 3)])
+def test_pretrain_trains_on_the_archs_of_its_file_that_the_csv_measures(workspace, tmp_path, capsys,
+                                                                        kept, code):
+    """Rows the latency CSV holds for archs missing from --archs are left out; a source
+    device left with fewer than batch_size archs is a data error naming the device."""
+    _, data, split, config, _ = workspace
+    archs = tmp_path / "archs.jsonl"
+    archs.write_text("\n".join((data / "archs.jsonl").read_text().splitlines()[:kept]) + "\n")
+    capsys.readouterr()
+    assert run([
+        "pretrain", "--config", str(config), "--latency", str(data / "latency.csv"),
+        "--archs", str(archs), "--split", str(split), "--out", str(tmp_path / "c.json"),
+    ]) == code
+    err = capsys.readouterr().err
+    source = json.loads(split.read_text())["source"][0]
+    if code:
+        assert f"error: source device {source!r} has {kept} measured archs" in err, err
+    assert (tmp_path / "c.json").exists() == (code == 0)
 
 
 def test_non_finite_latency_is_data_error(workspace, tmp_path, capsys):

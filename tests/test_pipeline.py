@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import finite_diff_check
+from oracles import epoch_batches, finite_diff_check
 
 from nasflat import archspace as asp
 from nasflat import autodiff as ad
@@ -18,6 +18,7 @@ from nasflat import pipeline as pl
 from nasflat import predictor as pred
 from nasflat import synthbench as sb
 from nasflat.devicesets import LatencyTable
+from nasflat.rng import rng_for
 from nasflat.errors import (
     BadSupplementaryDim,
     EmptyFeasibleSet,
@@ -139,6 +140,24 @@ def test_pretrain_insufficient_data(nb201, small_world):
         pl.pretrain(st, tiny, sources, archs, pl.TrainConfig(epochs=1, batch_size=16), seed=0)
 
 
+def test_pretrain_trains_on_the_measured_archs_it_is_given(nb201, small_world):
+    """Measured ids missing from `archs` are left out: the run equals one on a table
+    restricted to the archs given, and too few left names the device."""
+    table, archs, sources, _ = small_world
+    given = {a: archs[a] for a in sorted(archs)[::2]}  # 40 of the 80 measured
+    cfg = pl.TrainConfig(epochs=2, source_samples=30)
+    a = _fresh_state(nb201, sources, seed=2)
+    b = _fresh_state(nb201, sources, seed=2)
+    _, log_a = pl.pretrain(a, table, sources, given, cfg, seed=4)
+    _, log_b = pl.pretrain(b, table.subset(arch_ids=given), sources, given, cfg, seed=4)
+    assert log_a == log_b
+    for k in a.params:
+        assert np.array_equal(a.params[k].data, b.params[k].data)
+    few = {a: archs[a] for a in sorted(archs)[:10]}
+    with pytest.raises(InsufficientData, match=r"^source device 's0' has 10 measured archs"):
+        pl.pretrain(_fresh_state(nb201, sources), table, sources, few, cfg, seed=4)
+
+
 def test_training_trajectory_scale_invariant(nb201, small_world):
     """Rescaling one device's latencies must not change a single bit."""
     table, archs, sources, _ = small_world
@@ -242,6 +261,75 @@ def test_concurrent_transfers_on_threads_match_serial(nb201, small_world):
     finally:
         sys.setswitchinterval(switch)
     assert threaded == serial
+
+
+# --- minibatch plan --------------------------------------------------------------------
+
+def _record_steps(monkeypatch):
+    """Record (device row, op rows, targets) of every training step."""
+    steps = []
+    train_batch = pl._train_batch
+
+    def spy(state, adam, device_row, ops_rows, targets, *rest):
+        steps.append((device_row, ops_rows.copy(), np.array(targets)))
+        return train_batch(state, adam, device_row, ops_rows, targets, *rest)
+
+    monkeypatch.setattr(pl, "_train_batch", spy)
+    return steps
+
+
+def _planned_steps(state, table, archs, ids_by_device, rng, epochs, batch_size):
+    steps = []
+    for _ in range(epochs):
+        for device, chunk in epoch_batches(rng, list(ids_by_device), ids_by_device, batch_size):
+            steps.append((state.device_row(device), np.array([archs[a].ops for a in chunk]),
+                          np.array([table.latency(a, device) for a in chunk])))
+    return steps
+
+
+def _assert_same_steps(got, want):
+    assert len(got) == len(want)
+    for (row, ops, targets), (want_row, want_ops, want_targets) in zip(got, want):
+        assert row == want_row
+        assert ops.dtype == np.intp and np.array_equal(ops, want_ops)
+        assert targets.dtype == np.float64 and np.array_equal(targets, want_targets)
+
+
+@pytest.mark.parametrize("n_archs, budget, n_steps", [
+    (33, 900, 2 * 3 * 2),  # 16 + 16 + a 1-arch remainder, dropped
+    (80, 20, 2 * 3 * 2),   # the budget keeps 20 of 80 archs: 16 + 4
+])
+def test_pretrain_steps_follow_the_reference_plan(nb201, small_world, monkeypatch,
+                                                  n_archs, budget, n_steps):
+    table, archs, sources, _ = small_world
+    given = {a: archs[a] for a in sorted(archs)[:n_archs]}
+    cfg = pl.TrainConfig(epochs=2, batch_size=16, source_samples=budget)
+    ids_by_device = {}
+    budget_rng = rng_for("pretrain-budget", 6)
+    for device in sources:
+        ids = sorted(a for a in table.archs_for(device) if a in given)
+        if len(ids) > budget:
+            ids = [ids[i] for i in sorted(budget_rng.permutation(len(ids))[:budget])]
+        ids_by_device[device] = ids
+    st = _fresh_state(nb201, sources, seed=1)
+    want = _planned_steps(st, table, given, ids_by_device, rng_for("pretrain", 6), 2, 16)
+    steps = _record_steps(monkeypatch)
+    pl.pretrain(st, table, sources, given, cfg, seed=6)
+    assert len(steps) == n_steps
+    _assert_same_steps(steps, want)
+
+
+def test_transfer_with_fewer_samples_than_a_batch_follows_the_reference_plan(
+        nb201, small_world, monkeypatch):
+    table, archs, sources, target = small_world
+    picked = sorted(archs)[5:15]
+    cfg = pl.TrainConfig(batch_size=16, transfer_epochs=3)
+    st = _fresh_state(nb201, sources, seed=1)
+    steps = _record_steps(monkeypatch)
+    adapted, _ = pl.transfer(st, target, table, picked, sources, archs, cfg, seed=8)
+    want = _planned_steps(adapted, table, archs, {target: picked}, rng_for("transfer", 8, target), 3, 10)
+    assert len(steps) == 3  # one batch of all 10 samples per epoch
+    _assert_same_steps(steps, want)
 
 
 # --- map_targets ----------------------------------------------------------------------
