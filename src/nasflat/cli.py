@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import SAMPLER_METHODS, __version__
 from .errors import BadField, BudgetTooSmall, InsufficientData, NasflatError
-from .inputs import load_json, open_text, recording
+from .inputs import is_finite_number, load_json, open_text, recording
 
 if TYPE_CHECKING:
     from .archspace import Architecture, EncodingTable, SearchSpace
@@ -146,6 +146,18 @@ def _load_split(path: str, table: LatencyTable, latency_path: str) -> DeviceSpli
     if unknown:
         raise NasflatError(f"{path}: unknown device(s) {unknown}: no rows in {latency_path}")
     return split
+
+
+def _scored_device(flag: str | None, extra: dict, state: PredictorState, ckpt) -> str:
+    """--device, else the target device checkpoint `ckpt` records; either must
+    have a hardware row in it."""
+    device = flag or extra.get("target_device")
+    if device is None:
+        raise NasflatError(f"{ckpt}: no target device recorded; pass --device")
+    if device not in state.device_index:
+        raise NasflatError(f"{ckpt}: device {device!r} has no hardware row; it has "
+                           f"{sorted(state.device_index)}")
+    return device
 
 
 def _load_archs(path: str) -> tuple[list[Architecture], SearchSpace]:
@@ -389,9 +401,7 @@ def cmd_eval(args) -> int:
     for ckpt in ckpts:
         state, extra = load_checkpoint(ckpt)
         _check_width(args.encoding, encodings, state, ckpt)
-        device = args.device or extra.get("target_device")
-        if device is None:
-            raise NasflatError(f"{ckpt}: no target device recorded; pass --device")
+        device = _scored_device(args.device, extra, state, ckpt)
         entry = evaluate(
             state, device, table, archmap, encodings=encodings,
             trial=args.trial, n_target_samples=extra.get("samples", 0),
@@ -433,9 +443,7 @@ def cmd_search(args) -> int:
     state, extra = load_checkpoint(args.checkpoint)
     encodings = _load_encoding(args.encoding, archs)
     _check_width(args.encoding, encodings, state, args.checkpoint)
-    device = args.device or extra.get("target_device")
-    if device is None:
-        raise NasflatError("no target device recorded in checkpoint; pass --device")
+    device = _scored_device(args.device, extra, state, args.checkpoint)
     archmap = {a.arch_id: a for a in archs}
     calibration = None
     if args.latency:  # the checkpoint's samples in --archs that are measured on the device
@@ -476,10 +484,10 @@ def cmd_search(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 def _at_least(low: int, number: type = int):
-    """argparse type: a finite `number` (int or float) >= low."""
+    """argparse type: a `number` (int or float) >= low, within the float range."""
     def parse(text: str):
         value = number(text)
-        if not math.isfinite(value):
+        if not is_finite_number(value):
             raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")

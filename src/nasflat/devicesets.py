@@ -28,7 +28,7 @@ from .errors import (
     SideTooSmall,
     TooFewDevices,
 )
-from .inputs import load_json, open_text
+from .inputs import is_finite_number, load_json, open_text
 from .rng import rng_for
 
 
@@ -223,8 +223,7 @@ class DeviceSplit:
             if device in pools["source"]:
                 raise BadField(f"/target/{i}: device {device!r} is also a source device")
         objective = obj["objective"]
-        if isinstance(objective, bool) or not isinstance(objective, (int, float)) \
-                or not math.isfinite(objective):
+        if not is_finite_number(objective):
             raise BadField(f"/objective: must be a finite number, got {objective!r}")
         return cls(pools["source"], pools["target"], float(objective))
 

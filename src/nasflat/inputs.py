@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -48,6 +49,18 @@ def open_text(path) -> io.TextIOWrapper:
             line = len((buf[: e.start] + b".").splitlines())
             raise ParseError(f"{path}:{line}: not UTF-8: can't decode byte 0x{buf[e.start]:02x}") from None
     return io.TextIOWrapper(io.BytesIO(buf), encoding="utf-8")
+
+
+def is_integer(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """An int or float, not a bool, within the float range: NaN, the
+    infinities and ints beyond the largest float fail."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
 
 
 def load_json(doc: str | bytes | bytearray):

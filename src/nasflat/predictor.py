@@ -29,10 +29,16 @@ same way. Each layer gets a rectangular (output rows x input rows) slice of
 the adjacency. The op slots inside the refinement's first layer's output
 rows are the live slots: the only ones whose op can change a score.
 
+A refinement gate depends only on a node's op and the device, not on the
+arch, so each refinement layer computes it once per op, on the V+1 rows of
+the op table (each op_embed row, null op included, joined with the device's
+hw_embed row), and gathers it by node op. `predict_batch` runs one forward
+per PREDICT_CHUNK archs.
+
 Scores are a deterministic function of (inputs, parameters): identical calls
 are bitwise reproducible. Different batch partitionings of the same inputs
-agree to ~1e-12 but not bitwise, because BLAS blocks matmuls differently per
-batch shape.
+agree to about 1e-14 relative but not always bitwise, because BLAS rounds a
+product's rows differently for some row counts.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -60,11 +65,11 @@ from .errors import (
     SpaceMismatch,
     UnknownDevice,
 )
-from .inputs import load_json, read_input
+from .inputs import is_finite_number, is_integer, load_json, read_input
 
 CHECKPOINT_VERSION = 4
 
-PREDICT_CHUNK = 64  # archs per inference forward in predict_batch
+PREDICT_CHUNK = 128  # archs per inference forward in predict_batch
 
 GNN_KINDS = ("dgf", "gat", "ensemble")
 
@@ -85,10 +90,10 @@ def require_number_fields(config) -> None:
         else:
             continue
         for pointer, v in items:
-            if f.type == "float":  # NaN, infinities and ints beyond any float fail the bound
-                if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+            if f.type == "float":
+                if not is_finite_number(v):
                     raise BadField(f"{pointer}: must be a finite number, got {v!r}")
-            elif isinstance(v, bool) or not isinstance(v, int):
+            elif not is_integer(v):
                 raise BadField(f"{pointer}: must be an integer, got {v!r}")
 
 
@@ -152,7 +157,11 @@ def dgf_layer(x, adjacency: np.ndarray, op_feat, weights: DgfWeights, self_rows=
     `adjacency` is (output rows x input rows), and self_rows[i] is output
     row i's position among the input rows.
     """
-    gate = ad.sigmoid(ad.matmul(op_feat, weights.w_gate))
+    return _dgf_update(x, adjacency, ad.sigmoid(ad.matmul(op_feat, weights.w_gate)), weights, self_rows)
+
+
+def _dgf_update(x, adjacency: np.ndarray, gate, weights: DgfWeights, self_rows=None) -> Tensor:
+    """`dgf_layer` after its gate: gate * (A x W) + x W + b, for a given gate."""
     h = ad.matmul(x, weights.w_feat)
     agg = ad.matmul(np.asarray(adjacency, dtype=np.float64), h)
     if self_rows is not None:
@@ -446,18 +455,23 @@ def _refined_op_features(
     device_row: int,
 ) -> Tensor:
     """Joint op+hw embedding refined over the DAG along the row plan `plan`:
-    one feature row per output row of its last layer."""
-    ops = node_ops[:, plan[0].out]
-    joint = ad.concat([
-        ad.gather(state.params["op_embed"], ops),
-        ad.gather(state.params["hw_embed"], np.full(ops.shape, device_row, dtype=np.intp)),
+    one feature row per output row of its last layer.
+
+    A refinement gate depends only on a node's op and the device, so each
+    layer computes it once per op (null op included) on the op table
+    [op_embed | device's hw_embed row] and gathers it by the nodes' ops.
+    """
+    op_embed = state.params["op_embed"]
+    n_ops = op_embed.data.shape[0]
+    table = ad.concat([
+        op_embed, ad.gather(state.params["hw_embed"], np.full(n_ops, device_row, dtype=np.intp))
     ], axis=-1)
     # Layer 0 starts from node rows shared by every arch, so at batch 1 it
     # runs its x @ W and A @ h once and broadcasts against the per-arch gate.
     x = ad.gather(state.params["node_embed"], plan[0].inp[None, :])
     for rows, w in zip(plan, state._views.ophw_layers):
-        feats = joint if rows.gate_pos is None else ad.take_rows(joint, rows.gate_pos)
-        x = dgf_layer(x, rows.agg, feats, w, rows.self_pos)
+        gate = ad.gather(ad.sigmoid(ad.matmul(table, w.w_gate)), node_ops[:, rows.out])
+        x = _dgf_update(x, rows.agg, gate, w, rows.self_pos)
     return _mlp(x, state._views.ophw_mlp)
 
 
@@ -523,7 +537,7 @@ def predict_batch(
 ) -> np.ndarray:
     """Latency scores for architectures from one space on one device.
 
-    Scores in chunks of PREDICT_CHUNK (64) archs. `encodings` holds each
+    Scores in forwards of PREDICT_CHUNK (128) archs. `encodings` holds each
     arch's supplementary row and must be as wide as the config's
     supplementary_dim (no table is width 0).
     """
@@ -636,7 +650,7 @@ def _read_meta(path: Path, keys: tuple[str, ...]) -> dict:
 # The `extra` fields a transfer checkpoint records for `eval` and `search`: (what, check).
 _EXTRA_FIELDS = {
     "target_device": ("a string", lambda v: isinstance(v, str)),
-    "samples": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "samples": ("an integer", is_integer),
     "sampled_ids": ("a list of strings",
                     lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v)),
 }
@@ -648,7 +662,9 @@ def load_checkpoint(path) -> tuple[PredictorState, dict]:
     Raises BadCheckpoint naming the file if the meta is unreadable, of
     another version or missing keys (config fields included: a default would
     silently stand in for the trained value), or if its `space_ids` does not
-    name one space whose vocabulary size is its `null_op_index`; if `extra`
+    name one space whose vocabulary size is its `null_op_index`; if
+    `devices` is not an object of integer rows or `null_op_index` not an
+    integer (bools are not; the JSON pointer is named); if `extra`
     is not an object or holds a `target_device`, `samples` or `sampled_ids`
     of the wrong type (`/extra/<key>`); if the parameter file's SHA-256
     differs from the meta's `params_sha256`; or if its byte length differs
@@ -668,8 +684,14 @@ def load_checkpoint(path) -> tuple[PredictorState, dict]:
         if not isinstance(meta["space_ids"], list) or len(meta["space_ids"]) != 1:
             raise BadCheckpoint(f"{meta_path}: space_ids {meta['space_ids']!r} must name one space")
         space = get_space(meta["space_ids"][0])
-        device_index = {d: int(i) for d, i in meta["devices"].items()}
-        null_op_index = int(meta["null_op_index"])
+        device_index, null_op_index = meta["devices"], meta["null_op_index"]
+        if not isinstance(device_index, dict):
+            raise BadCheckpoint(f"{meta_path}: /devices: must be an object, got {device_index!r}")
+        ints = {f"/devices/{d}": i for d, i in device_index.items()}
+        ints["/null_op_index"] = null_op_index
+        for pointer, v in ints.items():
+            if not is_integer(v):
+                raise BadCheckpoint(f"{meta_path}: {pointer}: must be an integer, got {v!r}")
         expected = _param_specs(config, space, len(device_index))
         if not isinstance(meta["extra"], dict):
             raise TypeError("extra is not an object")

@@ -120,6 +120,29 @@ def test_synth_rejects_counts_it_cannot_use(tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
+_HUGE = "1" + "0" * 400  # an integer beyond the largest float
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--devices", ["synth", "--space", "nb201", "--devices", _HUGE, "--archs", "10", "--out-dir", "x"]),
+    ("--archs", ["synth", "--space", "nb201", "--devices", "3", "--archs", "-" + _HUGE, "--out-dir", "x"]),
+    ("--m", ["partition", "--latency", "l.csv", "--m", _HUGE, "--n", "2", "--out", "x"]),
+    ("--n", ["sample", "--method", "random", "--archs", "a.jsonl", "--n", _HUGE, "--out", "x"]),
+    ("--samples", ["transfer", "--latency", "l.csv", "--archs", "a.jsonl", "--split", "s.json",
+                   "--checkpoint", "c.json", "--samples", _HUGE, "--out-dir", "x"]),
+    ("--top-k", ["search", "--archs", "a.jsonl", "--checkpoint", "c.json", "--constraint-ms", "1",
+                 "--top-k", _HUGE, "--out", "x"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_count_flag_beyond_the_float_range_is_usage_error(tmp_path, monkeypatch, capsys, flag, argv):
+    """A 400-digit count exits 2 naming the flag, not 1 with an OverflowError traceback."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a finite number" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, device, value", [
     (["--devices", "2", "--archs", "50", "--sigma", "300"], "d01", "inf"),
     (["--devices", "1", "--archs", "4", "--seed", "8", "--sigma", "400"], "d00", "0.0"),
@@ -384,6 +407,34 @@ def _null_op_index_off_its_space(ckpt, archs):
     return meta_path, "null_op_index 9 does not fit space 'nb201'"
 
 
+def _infinite_device_row(ckpt, archs):
+    """JSON's Infinity is a float; int() of it raised OverflowError (exit 4)."""
+    meta_path = _edit_meta(ckpt, lambda meta: meta["devices"].update(d00=float("inf")))
+    return meta_path, "/devices/d00: must be an integer, got inf"
+
+
+def _bool_device_row(ckpt, archs):
+    """int(true) is 1: a bool used to load as device row 1."""
+    meta_path = _edit_meta(ckpt, lambda meta: meta["devices"].update(d00=True))
+    return meta_path, "/devices/d00: must be an integer, got True"
+
+
+def _devices_as_a_list(ckpt, archs):
+    meta_path = _edit_meta(ckpt, lambda meta: meta.update(devices=[["d00", 0]]))
+    return meta_path, "/devices: must be an object, got [['d00', 0]]"
+
+
+def _infinite_null_op_index(ckpt, archs):
+    meta_path = _edit_meta(ckpt, lambda meta: meta.update(null_op_index=float("-inf")))
+    return meta_path, "/null_op_index: must be an integer, got -inf"
+
+
+def _string_null_op_index(ckpt, archs):
+    """int("5") is 5: a string used to load as the null-op index."""
+    meta_path = _edit_meta(ckpt, lambda meta: meta.update(null_op_index="5"))
+    return meta_path, "/null_op_index: must be an integer, got '5'"
+
+
 def _missing_meta(ckpt, archs):
     meta_path = Path(str(ckpt) + ".meta.json")
     meta_path.unlink()
@@ -432,7 +483,8 @@ def _archs_line_not_utf8(ckpt, archs):
     _as_version_1, _wrong_version, _truncated, _digest_mismatch, _short_param,
     _config_implies_other_layout, _devices_imply_other_layout, _float_dims_in_meta,
     _missing_key, _missing_config_field, _two_space_ids, _null_op_index_off_its_space,
-    _missing_meta, _op_index_out_of_vocab,
+    _infinite_device_row, _bool_device_row, _devices_as_a_list, _infinite_null_op_index,
+    _string_null_op_index, _missing_meta, _op_index_out_of_vocab,
     _adj_back_edge, _adj_dropped_edge, _adj_extra_forward_edge, _archs_line_not_utf8,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_unreadable_input_is_data_error(workspace, transfers, tmp_path, capsys, corrupt):
@@ -1291,6 +1343,67 @@ def test_checkpoint_meta_number_field_of_the_wrong_type_names_the_field(workspac
     assert f"{bad}.meta.json: /config/{name}" in err.getvalue(), (case, err.getvalue())
 
 
+_ODD_VALUES = [10**400, -10**400, float("inf"), float("-inf"), float("nan"), 1.5, True, None, "x",
+               [], {}, [[1]]]
+_TRANSFER_META_KEYS = ("version", "config", "devices", "space_ids", "null_op_index", "params_sha256", "extra")
+_TRANSFER_EXTRA_KEYS = ("stage", "target_device", "source_devices", "sampler", "samples", "sampled_ids",
+                        "warm_start_source", "live_slots")
+# (file, JSON path): a devices entry is its index among the meta's sorted device ids.
+_ODD_FIELDS = (
+    [("split", (key,)) for key in ("source", "target", "objective")]
+    + [("meta", (key,)) for key in _TRANSFER_META_KEYS]
+    + [("meta", ("config", f.name)) for f in fields(PredictorConfig)]
+    + [("meta", ("devices", i)) for i in range(4)]
+    + [("meta", ("extra", key)) for key in _TRANSFER_EXTRA_KEYS]
+)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(field=st.sampled_from(_ODD_FIELDS), value=st.sampled_from(_ODD_VALUES))
+@example(field=("split", ("objective",)), value=10**400)
+@example(field=("meta", ("devices", 0)), value=float("inf"))
+@example(field=("meta", ("null_op_index",)), value=float("-inf"))
+@example(field=("meta", ("extra", "target_device")), value="x")
+@example(field=("meta", ("extra",)), value={})
+def test_odd_value_in_a_split_or_meta_field_exits_0_or_3_naming_the_file(workspace, transfers, field,
+                                                                       value):
+    """Any field of a split file, or of a transfer checkpoint's meta, set to an
+    out-of-range, non-finite or wrongly typed JSON value: pretrain (0 epochs)
+    and search --latency return 0 or 3, never 4, and exit 3 names the file."""
+    root, data, split, _, _ = workspace
+    which, path = field
+    if which == "split":
+        named = doc_path = root / "odd_split.json"
+        doc = json.loads(split.read_text())
+        config = root / "zero_epochs.json"
+        config.write_text(json.dumps({"version": 1, "train": {"epochs": 0, "source_samples": 60}}))
+        argv = ["pretrain", "--config", str(config), "--latency", str(data / "latency.csv"),
+                "--archs", str(data / "archs.jsonl"), "--split", str(named),
+                "--out", str(root / "odd_ckpt.json")]
+    else:
+        src = sorted(transfers.glob("transfer_*.json.meta.json"))[0]
+        named = root / "odd_transfer.json"
+        shutil.copy(transfers / src.name[: -len(".meta.json")], named)
+        doc_path = Path(f"{named}.meta.json")
+        doc = json.loads(src.read_text())
+        if path[0] == "devices":
+            path = ("devices", sorted(doc["devices"])[path[1]])
+        argv = ["search", "--archs", str(data / "archs.jsonl"), "--checkpoint", str(named),
+                "--latency", str(data / "latency.csv"), "--constraint-ms", "1e9", "--top-k", "3",
+                "--out", str(root / "odd.csv")]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    doc_path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 3), (field, value, err.getvalue()[-500:])
+    if code == 3:
+        assert f"{named}" in err.getvalue(), (field, value, err.getvalue()[-500:])
+
+
 def test_pretrain_budget_without_a_pair_is_data_error(workspace, tmp_path, capsys):
     """A one-arch per-device budget would train zero steps: exit 3 naming the field."""
     _, data, split, _, _ = workspace
@@ -1401,11 +1514,17 @@ def _split_with_nan_objective(split):
     return doc, "/objective: must be a finite number, got nan"
 
 
+def _split_with_huge_objective(split):
+    """math.isfinite of an int beyond the largest float raised OverflowError (exit 4)."""
+    doc = {"source": list(split.source), "target": list(split.target), "objective": -10**400}
+    return doc, "/objective: must be a finite number, got -1000000"
+
+
 @pytest.mark.parametrize("corrupt", [
     _split_as_list, _split_without_objective, _split_with_unknown_source, _split_with_unknown_target,
     _split_with_string_source, _split_with_empty_target, _split_with_numeric_device,
     _split_with_repeated_device, _split_with_shared_device, _split_with_string_objective,
-    _split_with_nan_objective,
+    _split_with_nan_objective, _split_with_huge_objective,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_bad_split_is_data_error(workspace, tmp_path, capsys, corrupt):
     """pretrain and transfer exit 3 on a bad split file and name it, not 4 or a later symptom."""

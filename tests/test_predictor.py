@@ -503,7 +503,9 @@ def test_nb201_gradients_agree_with_dense_oracle(nb201, overrides):
 
 
 def test_layers_project_only_the_rows_the_readout_reads(nb201, fbnet, monkeypatch):
-    """The last main layer gates one row per arch; the fbnet refinement projects at most 5."""
+    """The last main layer gates one row per arch; the fbnet refinement
+    gates on one row per op (null op included), at any batch, and projects
+    at most 5 node rows."""
     rows = {}
     real = ad.matmul
 
@@ -511,18 +513,23 @@ def test_layers_project_only_the_rows_the_readout_reads(nb201, fbnet, monkeypatc
         rows.setdefault(id(b), set()).add(ad._data(a).shape[-2])
         return real(a, b)
 
+    def seen_at(st, archs):
+        rows.clear()
+        pred.predict_batch(st, archs, "d0")
+        return {name: rows[id(t)] for name, t in st.params.items() if id(t) in rows}
+
     monkeypatch.setattr(ad, "matmul", spy)
     for space in (nb201, fbnet):
-        rows.clear()
         st = pred.init_predictor(pred.PredictorConfig(), [space], ["d0"], seed=2)
-        pred.predict_batch(st, [asp.random_architecture(space, s) for s in range(4)], "d0")
-        seen = {name: rows[id(t)] for name, t in st.params.items() if id(t) in rows}
+        seen = seen_at(st, [asp.random_architecture(space, s) for s in range(4)])
         assert seen["dgf2.w_gate"] == seen["gat2.w_gate"] == {1}, space.space_id
         if space is fbnet:
-            for name, n in seen.items():
-                if name.startswith("ophw_gcn"):
-                    assert max(n) <= 5, name
             assert seen["dgf2.w_feat"] == seen["gat2.w_proj"] == {2}
+            for batch in (1, 500):
+                seen = seen_at(st, [asp.random_architecture(space, s) for s in range(batch)])
+                for i in range(len(st.config.ophw_gcn_dims)):
+                    assert seen[f"ophw_gcn{i}.w_gate"] == {len(space.op_vocab) + 1}, (i, batch)
+                    assert max(seen[f"ophw_gcn{i}.w_feat"]) <= 5, (i, batch)
 
 
 # --- hardware embedding init ----------------------------------------------------
