@@ -23,7 +23,18 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from . import SAMPLER_METHODS, __version__
-from .errors import BadField, BudgetTooSmall, InsufficientData, NasflatError
+from .errors import (
+    BadField,
+    BudgetTooSmall,
+    ConstantInput,
+    InsufficientData,
+    InsufficientOverlap,
+    LengthMismatch,
+    MissingReference,
+    NasflatError,
+    SideTooSmall,
+    TooFewDevices,
+)
 from .inputs import is_finite_number, load_json, open_text, recording
 
 if TYPE_CHECKING:
@@ -231,9 +242,15 @@ def cmd_partition(args) -> int:
     from .devicesets import CorrelationGraph, LatencyTable, kl_bisect, prune_to_sizes
 
     table = LatencyTable.load_csv(args.latency)
-    graph = CorrelationGraph.from_latency_table(table)
-    sides = kl_bisect(graph, args.seed)
-    split = prune_to_sizes(sides, args.m, args.n, graph)
+    try:
+        graph = CorrelationGraph.from_latency_table(table)
+        sides = kl_bisect(graph, args.seed)
+    except (ConstantInput, InsufficientOverlap, TooFewDevices) as e:
+        raise NasflatError(f"{args.latency}: {e}") from None
+    try:
+        split = prune_to_sizes(sides, args.m, args.n, graph)
+    except SideTooSmall as e:
+        raise NasflatError(f"--m {args.m} --n {args.n}: {e}") from None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(split.to_json() + "\n", encoding="utf-8")
@@ -249,12 +266,17 @@ def cmd_sample(args) -> int:
     archs, space = _load_archs(args.archs)
     if args.n > len(archs):
         raise NasflatError(f"--n {args.n}: {args.archs} holds only {len(archs)} distinct archs")
+    if args.method == "latency_oracle" and not args.latency:
+        raise NasflatError("--method latency_oracle needs --latency")
     encoding = _load_encoding(args.encoding)
     reference = LatencyTable.load_csv(args.latency) if args.latency else None
-    picked = run_sampler(
-        args.method, archs, args.n, args.seed,
-        space=space, encoding=encoding, reference_latencies=reference,
-    )
+    try:
+        picked = run_sampler(
+            args.method, archs, args.n, args.seed,
+            space=space, encoding=encoding, reference_latencies=reference,
+        )
+    except MissingReference as e:
+        raise NasflatError(f"{args.latency}: {e}") from None
     out = Path(args.out)
     _write_json(out, {"method": args.method, "n": args.n, "arch_ids": picked})
     _write_manifest(args, "sample", Path(f"{out}.manifest.json"), {"method": args.method, "n": args.n}, [out])
@@ -330,7 +352,8 @@ def cmd_transfer(args) -> int:
     if args.target and args.target not in table.devices():
         raise NasflatError(f"--target {args.target!r} has no rows in {args.latency}")
     targets = [args.target] if args.target else list(split.target)
-    pools = {device: [a for a in archs if table.has(a.arch_id, device)] for device in targets}
+    archmap = {a.arch_id: a for a in archs}
+    pools = {device: [archmap[a] for a in table.measured(device, archmap)[0]] for device in targets}
     for device, pool in pools.items():
         if args.samples > len(pool):
             raise NasflatError(
@@ -342,7 +365,6 @@ def cmd_transfer(args) -> int:
     _check_width(args.encoding, encodings, base, args.checkpoint)
     same = args.sampler_encoding == args.encoding  # read a file given twice once
     sampler_encoding = encodings if same else _load_encoding(args.sampler_encoding)
-    archmap = {a.arch_id: a for a in archs}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reference = table.subset(device_ids=split.source)
@@ -353,10 +375,13 @@ def cmd_transfer(args) -> int:
             seed=stable_seed("sample", args.seed, device, args.sampler),
             space=space, encoding=sampler_encoding, reference_latencies=reference,
         )
-        state, warm_start = transfer(
-            base, device, table, picked, list(split.source), archmap, train_cfg,
-            encodings=encodings, seed=stable_seed("transfer", args.seed, device),
-        )
+        try:
+            state, warm_start = transfer(
+                base, device, table, picked, list(split.source), archmap, train_cfg,
+                encodings=encodings, seed=stable_seed("transfer", args.seed, device),
+            )
+        except ConstantInput as e:  # the warm start's
+            raise NasflatError(f"{args.latency}: {e}") from None
         ckpt = out_dir / f"transfer_{device}.json"
         save_checkpoint(
             state, ckpt,
@@ -402,11 +427,14 @@ def cmd_eval(args) -> int:
         state, extra = load_checkpoint(ckpt)
         _check_width(args.encoding, encodings, state, ckpt)
         device = _scored_device(args.device, extra, state, ckpt)
-        entry = evaluate(
-            state, device, table, archmap, encodings=encodings,
-            trial=args.trial, n_target_samples=extra.get("samples", 0),
-            exclude=extra.get("sampled_ids", []),
-        )
+        try:
+            entry = evaluate(
+                state, device, table, archmap, encodings=encodings,
+                trial=args.trial, n_target_samples=extra.get("samples", 0),
+                exclude=extra.get("sampled_ids", []),
+            )
+        except (ConstantInput, LengthMismatch) as e:  # the Spearman's
+            raise NasflatError(f"{ckpt}: {e}") from None
         for arch_id, pred, truth in zip(entry.arch_ids, entry.preds, entry.truths):
             scatter_lines.append(f"{device},{arch_id},{repr(float(pred))},{repr(float(truth))}")
         entries.append(entry)
@@ -448,9 +476,9 @@ def cmd_search(args) -> int:
     calibration = None
     if args.latency:  # the checkpoint's samples in --archs that are measured on the device
         table = LatencyTable.load_csv(args.latency)
-        sampled = extra.get("sampled_ids") or table.archs_for(device)
-        calibration = [(archmap[a], table.latency(a, device))
-                       for a in sorted({a for a in sampled if a in archmap and table.has(a, device)})]
+        sampled = [a for a in extra.get("sampled_ids") or archmap if a in archmap]
+        ids, ms = table.measured(device, sampled)
+        calibration = [(archmap[a], latency) for a, latency in zip(ids, ms.tolist())]
     accuracy = synthetic_accuracies(archs, args.seed)
     try:
         result = latency_constrained_search(

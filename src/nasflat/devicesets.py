@@ -51,29 +51,16 @@ class LatencyTable:
     def devices(self) -> list[str]:
         return list(self._by_device)
 
-    def archs_for(self, device_id: str) -> list[str]:
-        return list(self._by_device.get(device_id, {}))
-
-    def latency(self, arch_id: str, device_id: str) -> float:
-        return self._by_device[device_id][arch_id]
-
-    def has(self, arch_id: str, device_id: str) -> bool:
-        return arch_id in self._by_device.get(device_id, {})
-
     def __len__(self) -> int:
         return sum(len(r) for r in self._by_device.values())
 
-    def shared_archs(self, device_a: str, device_b: str) -> list[str]:
-        rows_a = self._by_device.get(device_a, {})
-        rows_b = self._by_device.get(device_b, {})
-        return sorted(a for a in rows_a if a in rows_b)
-
-    def vectors(self, device_a: str, device_b: str) -> tuple[np.ndarray, np.ndarray]:
-        """Latency vectors over the two devices' shared archs, sorted by id."""
-        shared = self.shared_archs(device_a, device_b)
-        xa = np.array([self._by_device[device_a][s] for s in shared])
-        xb = np.array([self._by_device[device_b][s] for s in shared])
-        return xa, xb
+    def measured(self, device_id: str, arch_ids: Iterable[str] | None = None) -> tuple[list[str], np.ndarray]:
+        """The distinct archs of `arch_ids` (all when None) measured on the
+        device, sorted by arch_id, and their float64 latencies in that order."""
+        rows = self._by_device.get(device_id, {})
+        wanted = rows if arch_ids is None else set(arch_ids)
+        ids = sorted(a for a in rows if a in wanted)
+        return ids, np.array([rows[a] for a in ids], dtype=np.float64)
 
     def subset(self, device_ids: Iterable[str] | None = None, arch_ids: Iterable[str] | None = None) -> "LatencyTable":
         device_set = None if device_ids is None else set(device_ids)
@@ -155,14 +142,18 @@ def correlation_matrix(table: LatencyTable, devices: Sequence[str]) -> np.ndarra
     """Pairwise Spearman over each pair's shared archs; diagonal is 1."""
     k = len(devices)
     corr = np.eye(k)
+    ids = [table.measured(d)[0] for d in devices]
     for i in range(k):
         for j in range(i + 1, k):
-            xa, xb = table.vectors(devices[i], devices[j])
-            if len(xa) < 2:
-                raise InsufficientOverlap(
-                    f"devices {devices[i]!r} and {devices[j]!r} share {len(xa)} archs (need >= 2)"
-                )
-            corr[i, j] = corr[j, i] = spearman(xa, xb)
+            shared, xb = table.measured(devices[j], ids[i])
+            _, xa = table.measured(devices[i], shared)
+            pair = f"devices {devices[i]!r} and {devices[j]!r}"
+            if len(shared) < 2:
+                raise InsufficientOverlap(f"{pair} share {len(shared)} archs (need >= 2)")
+            try:
+                corr[i, j] = corr[j, i] = spearman(xa, xb)
+            except ConstantInput as e:
+                raise ConstantInput(f"{pair} over {len(shared)} shared archs: {e}") from None
     return corr
 
 

@@ -28,6 +28,7 @@ from .autodiff import AdamState, Tensor, blas_thread_setter
 from .devicesets import LatencyTable, spearman
 from .errors import (
     BudgetTooSmall,
+    ConstantInput,
     EmptyFeasibleSet,
     InsufficientData,
     LengthMismatch,
@@ -129,17 +130,17 @@ def _epoch_batches(
 
 
 def _fit(
-    state: PredictorState, ids_by_device: Mapping[str, Sequence[str]], table: LatencyTable,
+    state: PredictorState, rows_by_device: Mapping[str, tuple[Sequence[str], np.ndarray]],
     archs: Mapping[str, Architecture], encodings: EncodingTable | None, epochs: int,
     batch_size: int, lr: float, config: TrainConfig, rng: np.random.Generator, stage: str,
 ) -> list[float]:
-    """Train `state` in place on each device's archs in `ids_by_device`, with
+    """Train `state` in place on each device's (arch ids, latencies) rows, with
     minibatches drawn from `rng`; returns the per-epoch mean loss."""
-    devices, sizes = list(ids_by_device), [len(ids) for ids in ids_by_device.values()]
+    devices, sizes = list(rows_by_device), [len(ids) for ids, _ in rows_by_device.values()]
     data = [  # gathered once: hardware row, op indices, latencies, supplementary rows
-        (state.device_row(d), np.array([archs[a].ops for a in ids], dtype=np.intp),
-         np.array([table.latency(a, d) for a in ids]), _supplementary_rows(state, encodings, ids))
-        for d, ids in ids_by_device.items()
+        (state.device_row(d), np.array([archs[a].ops for a in ids], dtype=np.intp), ms,
+         _supplementary_rows(state, encodings, ids))
+        for d, (ids, ms) in rows_by_device.items()
     ]
     adam = AdamState.for_params(state.params)
     log = []
@@ -179,25 +180,25 @@ def pretrain(
     if not archs:
         raise InsufficientData("no architectures provided")
     state.check_space(archs.values())
-    ids_by_device: dict[str, list[str]] = {}
+    rows_by_device = {}
     budget_rng = rng_for("pretrain-budget", seed)
     for device in source_devices:
-        ids = sorted(a for a in source_table.archs_for(device) if a in archs)
+        ids, ms = source_table.measured(device, archs)
         if len(ids) < config.batch_size:
             raise InsufficientData(
                 f"source device {device!r} has {len(ids)} measured archs "
                 f"(need >= batch_size={config.batch_size})"
             )
         if len(ids) > config.source_samples:
-            picks = budget_rng.permutation(len(ids))[: config.source_samples]
-            ids = [ids[i] for i in sorted(picks)]
+            picks = np.sort(budget_rng.permutation(len(ids))[: config.source_samples])
+            ids, ms = [ids[i] for i in picks], ms[picks]
         if len(ids) < 2:
             raise BudgetTooSmall(
                 f"/train/source_samples: a budget of {config.source_samples} leaves "
                 f"source device {device!r} no pair of archs to rank"
             )
-        ids_by_device[device] = ids
-    return state, _fit(state, ids_by_device, source_table, archs, encodings, config.epochs,
+        rows_by_device[device] = ids, ms
+    return state, _fit(state, rows_by_device, archs, encodings, config.epochs,
                        config.batch_size, config.lr, config, rng_for("pretrain", seed), "pretrain")
 
 
@@ -222,7 +223,7 @@ def transfer(
     is left unchanged. Returns the adapted state and the warm-start source.
     """
     few_shot = table.subset(device_ids=list(source_devices) + [target_device], arch_ids=picked)
-    sampled = sorted(few_shot.archs_for(target_device))
+    sampled, ms = few_shot.measured(target_device)
     if len(sampled) < 2:
         raise InsufficientData(f"need >= 2 target samples, got {len(sampled)}")
     base.check_space(archs[a] for a in sampled)
@@ -230,7 +231,7 @@ def transfer(
     state = PredictorState(base.config, base.space, params, dict(base.device_index))
     register_device(state, target_device)
     warm_start = init_target_hw_embedding(state, few_shot, target_device, source_devices)
-    _fit(state, {target_device: sampled}, few_shot, archs, encodings, config.transfer_epochs,
+    _fit(state, {target_device: (sampled, ms)}, archs, encodings, config.transfer_epochs,
          min(config.batch_size, len(sampled)), config.transfer_lr, config,
          rng_for("transfer", seed, target_device), "transfer")
     return state, warm_start
@@ -354,12 +355,14 @@ def evaluate(
     device, minus `exclude` (typically the transfer samples).
     """
     skip = set(exclude)
-    ids = sorted(a for a in table.archs_for(target_device) if a in archs and a not in skip)
+    ids, truths = table.measured(target_device, (a for a in archs if a not in skip))
     if not ids:
         raise InsufficientData(f"no held-out rows for device {target_device!r}")
     preds = predict_batch(state, [archs[a] for a in ids], target_device, encodings)
-    truths = np.array([table.latency(a, target_device) for a in ids])
-    rho = spearman(preds, truths)
+    try:
+        rho = spearman(preds, truths)
+    except (ConstantInput, LengthMismatch) as e:
+        raise type(e)(f"device {target_device!r} over {len(ids)} held-out archs: {e}") from None
     return EvalEntry(
         device_id=target_device,
         trial=trial,

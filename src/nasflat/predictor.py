@@ -566,26 +566,25 @@ def init_target_hw_embedding(
     sources = list(source_device_ids)
     target_row = state.device_row(target)
 
-    shared = set(target_samples.archs_for(target))
+    shared, _ = target_samples.measured(target)
     for src in sources:
-        shared &= {a for a in target_samples.archs_for(src)}
-    shared_sorted = sorted(shared)
-    if len(shared_sorted) < 2:
+        shared, _ = target_samples.measured(src, shared)
+    if len(shared) < 2:
         raise InsufficientOverlap(
-            f"only {len(shared_sorted)} archs shared between target and all sources (need >= 2)"
+            f"only {len(shared)} archs shared between target and all sources (need >= 2)"
         )
-    t_vec = np.array([target_samples.latency(a, target) for a in shared_sorted])
+    _, t_vec = target_samples.measured(target, shared)
     best_rho, best_src = -np.inf, None
     for src in sources:
-        s_vec = np.array([target_samples.latency(a, src) for a in shared_sorted])
         try:
-            rho = spearman(t_vec, s_vec)
+            rho = spearman(t_vec, target_samples.measured(src, shared)[1])
         except ConstantInput:
             continue
         if rho > best_rho:
             best_rho, best_src = rho, src
     if best_src is None:
-        raise ConstantInput("no source device has a defined correlation with the target")
+        raise ConstantInput(f"no source device has a defined correlation with target {target!r} "
+                            f"over {len(shared)} shared archs (constant latencies)")
     hw = state.params["hw_embed"]
     hw.data[target_row] = hw.data[state.device_row(best_src)]
     return best_src

@@ -175,17 +175,14 @@ def sample_latency_oracle(
     """
     archs = _canonical_pool(pool, n)
     ids = [a.arch_id for a in archs]
-    devices = [
-        d for d in sorted(reference_latencies.devices())
-        if all(reference_latencies.has(i, d) for i in ids)
-    ]
-    if not devices:
-        raise MissingReference("no reference device covers the candidate pool")
     cols = []
-    for d in devices:
-        v = np.array([reference_latencies.latency(i, d) for i in ids])
-        std = v.std()
-        cols.append((v - v.mean()) / std if std > 0 else np.zeros_like(v))
+    for d in sorted(reference_latencies.devices()):
+        got, v = reference_latencies.measured(d, ids)
+        if len(got) == len(ids):  # the device covers the pool: ids are sorted and distinct
+            std = v.std()
+            cols.append((v - v.mean()) / std if std > 0 else np.zeros_like(v))
+    if not cols:
+        raise MissingReference(f"no reference device covers the candidate pool of {len(ids)} archs")
     cols.append(np.ones(len(ids)))
     vectors = np.stack(cols, axis=1)
     rng = rng_for("sample", "latency_oracle", seed)

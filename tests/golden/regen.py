@@ -6,13 +6,15 @@ Runs the flows of tests/golden_flow.py under a temporary directory and
 records the SHA-256 of every output, the eval scatter scores as text and the
 environment fingerprint (numpy version, OpenBLAS config and kernel).
 
-It then measures how far the scores move on another kernel, which is the
-tolerance tests/test_golden.py allows where the fingerprint differs: it
-reruns the flows in child processes with OPENBLAS_CORETYPE set to each of
-CORETYPES, skipping a kernel whose run fails or that reports the same
-corename as the default run or as one already measured, and records the
-largest score drift from the default run, MARGIN and their product. At least
-one other kernel must run.
+The `tolerance` block, which bounds how far tests/test_golden.py lets the
+scores move where the fingerprint differs, is kept as committed: digests and
+the gate have different reasons to change. Only when golden.json has no
+`tolerance` block is it measured: the flows rerun in child processes with
+OPENBLAS_CORETYPE set to each of CORETYPES, skipping a kernel whose run
+fails or that reports the same corename as the default run or as one
+already measured, and the block records the largest score drift from the
+default run, MARGIN and their product. At least one other kernel must run.
+To re-measure the gate, delete the block and run this script.
 
 Regenerate only for a change that moves output bits on purpose, and say in
 CHANGES.md which digests moved, why, and the score agreement measured.
@@ -60,16 +62,8 @@ def _child_run(coretype: str) -> dict | None:
     return json.loads(done.stdout)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.child:
-        run = _fresh_run()
-        print(json.dumps({"fingerprint": run["fingerprint"], "scores": run["scores"]}))
-        return 0
-
-    base = _fresh_run()
+def _measured_tolerance(base: dict) -> dict | None:
+    """The `tolerance` block from the score drift of each other kernel against `base`."""
     seen = {base["fingerprint"]["openblas_corename"]}
     drifts = {}
     for coretype in CORETYPES:
@@ -82,21 +76,34 @@ def main(argv=None) -> int:
               f"score drift {drifts[coretype]:.3g}")
     if not drifts:
         print("no other OpenBLAS kernel ran; cannot measure the tolerance", file=sys.stderr)
-        return 1
+        return None
     worst = max(drifts.values())
+    return {"measured_on": drifts, "max_drift": worst, "margin": MARGIN, "relative": worst * MARGIN}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        run = _fresh_run()
+        print(json.dumps({"fingerprint": run["fingerprint"], "scores": run["scores"]}))
+        return 0
+
+    base = _fresh_run()
+    tolerance = json.loads(GOLDEN.read_text()).get("tolerance") if GOLDEN.exists() else None
+    if tolerance is None:
+        tolerance = _measured_tolerance(base)
+        if tolerance is None:
+            return 1
     doc = {
         "fingerprint": base["fingerprint"],
         "digests": base["digests"],
         "scores": base["scores"],
-        "tolerance": {
-            "measured_on": drifts,
-            "max_drift": worst,
-            "margin": MARGIN,
-            "relative": worst * MARGIN,
-        },
+        "tolerance": tolerance,
     }
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN}: {len(base['digests'])} digests, tolerance {worst * MARGIN:.3g}")
+    print(f"wrote {GOLDEN}: {len(base['digests'])} digests, tolerance {tolerance['relative']:.3g}")
     return 0
 
 

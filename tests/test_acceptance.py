@@ -473,14 +473,15 @@ def test_criterion_9_constrained_search(e2e):
             [e for e in e2e["entries"]["random"] if e.trial == 0 and e.device_id == target][0].spearman
         )
         candidates = [archmap[a] for a in sorted(archmap) if a not in set(picked)]
-        truths = np.array([table.latency(a.arch_id, target) for a in candidates])
+        latency = dict(zip(*table.measured(target)))
+        truths = np.array([latency[a.arch_id] for a in candidates])
         constraint = float(np.quantile(truths, 0.5))
         accuracy = {a.arch_id: float(rng_for("acc", a.arch_id).uniform()) for a in candidates}
-        calibration = [(archmap[a], table.latency(a, target)) for a in sorted(picked)]
+        calibration = [(archmap[a], latency[a]) for a in sorted(picked)]
         result = pl.latency_constrained_search(
             candidates, accuracy, adapted, target, constraint, top_k=10, calibration=calibration,
         )
-        violations = sum(1 for a in result.ranked if table.latency(a, target) > constraint)
+        violations = sum(1 for a in result.ranked if latency[a] > constraint)
         rates.append(violations / len(result.ranked))
         timing_ok = timing_ok and 0 < result.predictor_time_s <= result.total_time_s
     mean_rate = float(np.mean(rates))

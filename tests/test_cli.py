@@ -196,11 +196,33 @@ def test_partition_separates_planted_pairs(tmp_path):
     assert not set(split.source) & set(split.target)
 
 
-def test_partition_oversized_request_fails_with_data_exit(workspace):
+def test_partition_oversized_request_fails_with_data_exit(workspace, tmp_path, capsys):
+    """An oversized request, and the other data errors of partition and sample, exit 3
+    naming the flag or the input file at fault."""
     root, data, _, _, _ = workspace
-    code = run(["partition", "--latency", str(data / "latency.csv"),
-                "--m", "5", "--n", "3", "--seed", "1", "--out", str(root / "x.json")])
-    assert code == 3
+    latency, archs = data / "latency.csv", data / "archs.jsonl"
+    rows = latency.read_text().splitlines()
+    device, arch = rows[1].split(",")[1], rows[1].split(",")[0]
+    one_device, uncovered = tmp_path / "one_device.csv", tmp_path / "uncovered.csv"
+    one_device.write_text("\n".join(r for r in rows if r.split(",")[1] in ("device_id", device)) + "\n")
+    uncovered.write_text("\n".join(r for r in rows if r.split(",")[0] != arch) + "\n")  # each device lacks it
+    sample = ["sample", "--method", "latency_oracle", "--archs", str(archs), "--n", "5",
+              "--out", str(tmp_path / "sel.json")]
+    for argv, why in [
+        (["partition", "--latency", str(latency), "--m", "5", "--n", "3", "--seed", "1",
+          "--out", str(root / "x.json")], "--m 5 --n 3: sides of sizes (3, 3) cannot provide (5, 3)"),
+        (["partition", "--latency", str(one_device), "--m", "1", "--n", "1",
+          "--out", str(root / "x.json")], f"{one_device}: need >= 2 devices, got 1"),
+        (sample + ["--latency", str(uncovered)],
+         f"{uncovered}: no reference device covers the candidate pool of 80 archs"),
+        (sample, "--method latency_oracle needs --latency"),
+    ]:
+        capsys.readouterr()
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err == f"error: {why}\n"
+    assert not (root / "x.json").exists() and not (tmp_path / "sel.json").exists()
 
 
 @pytest.mark.parametrize("m, n", [("0", "2"), ("3", "0"), ("-1", "2")])
@@ -215,6 +237,29 @@ def test_partition_rejects_an_empty_pool(workspace, tmp_path, capsys, m, n):
     flag, value = ("--m", m) if int(m) < 1 else ("--n", n)
     assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _constant_on(device: str, src: Path, out: Path) -> Path:
+    """Write to `out` the latency CSV at `src` with every row on `device` set to 1.0 ms."""
+    rows = [line.split(",") for line in src.read_text().splitlines()]
+    out.write_text("".join(f"{a},{d},{'1.0' if d == device else ms}\n" for a, d, ms in rows))
+    return out
+
+
+def test_partition_with_a_constant_device_names_the_file_devices_and_archs(workspace, tmp_path, capsys):
+    """Rank correlation with a device whose latencies are all equal is undefined: partition
+    exits 3 naming the latency file, the device pair and the archs they share."""
+    _, data, _, _, _ = workspace
+    devices = sorted(LatencyTable.load_csv(data / "latency.csv").devices())
+    latency = _constant_on(devices[-1], data / "latency.csv", tmp_path / "latency.csv")
+    capsys.readouterr()
+    code = run(["partition", "--latency", str(latency), "--m", "3", "--n", "2",
+                "--out", str(tmp_path / "split.json")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err == (f"error: {latency}: devices {devices[0]!r} and {devices[-1]!r} over 80 shared "
+                   "archs: rank correlation undefined for constant input\n")
+    assert not (tmp_path / "split.json").exists()
 
 
 def test_partition_output_revalidates(workspace):
@@ -960,7 +1005,7 @@ def test_transfer_samples_beyond_a_target_pool_exit_before_any_worker(workspace,
         argv[argv.index("--archs") + 1] = str(archs)
         table = LatencyTable.load_csv(data / "latency.csv")
         ids = {a.arch_id for a in asp.read_architectures(archs)}
-        where, samples, size = "default --samples", 20, sum(table.has(i, target) for i in ids)
+        where, samples, size = "default --samples", 20, len(table.measured(target, ids)[0])
         assert size < samples
     capsys.readouterr()
     code = run(argv)
@@ -1001,8 +1046,53 @@ def test_eval_ignores_rows_for_archs_not_in_file(workspace, transfers, tmp_path)
     for row in summary["per_device"]:
         meta = json.loads((tdir / f"transfer_{row['device_id']}.json.meta.json").read_text())
         sampled = set(meta["extra"]["sampled_ids"])
-        want = [a for a in table.archs_for(row["device_id"]) if a in known and a not in sampled]
+        want = [a for a in table.measured(row["device_id"])[0] if a in known and a not in sampled]
         assert row["n_heldout"] == len(want) < 30
+
+
+@pytest.mark.parametrize("heldout", ["one_arch", "constant"])
+def test_eval_with_undefined_spearman_names_the_checkpoint_device_and_archs(workspace, transfers,
+                                                                           tmp_path, capsys, heldout):
+    """A held-out set of one arch, or of archs with equal latencies, has no rank correlation:
+    eval exits 3 naming the checkpoint, the device and the held-out count."""
+    _, data, _, _, _ = workspace
+    ckpt = sorted(c for c in transfers.glob("transfer_*.json") if not c.name.endswith(".meta.json"))[0]
+    _, extra = load_checkpoint(ckpt)
+    sampled, device = set(extra["sampled_ids"]), extra["target_device"]
+    header, *rows = (data / "latency.csv").read_text().splitlines()
+    held = [r.split(",")[0] for r in rows if r.split(",")[1] == device and r.split(",")[0] not in sampled]
+    if heldout == "one_arch":
+        kept = [r for r in rows if r.split(",")[:2] == [held[0], device]]
+        why = "need at least 2 observations"
+    else:
+        kept = [f"{a},{device},2.5" for a in held[:5]]
+        why = "rank correlation undefined for constant input"
+    latency = tmp_path / "latency.csv"
+    latency.write_text("\n".join([header, *kept]) + "\n")
+    capsys.readouterr()
+    code = run(["eval", "--latency", str(latency), "--archs", str(data / "archs.jsonl"),
+                "--checkpoint", str(ckpt), "--out-prefix", str(tmp_path / "report")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err == f"error: {ckpt}: device {device!r} over {len(kept)} held-out archs: {why}\n"
+    assert not list(tmp_path.glob("report*"))
+
+
+def test_transfer_to_a_constant_target_names_the_file_device_and_archs(workspace, tmp_path, capsys):
+    """No source correlates with a target whose latencies are all equal: transfer exits 3
+    naming the latency file, the target and the archs it shares with the sources."""
+    _, data, split, _, _ = workspace
+    target = DeviceSplit.from_json(split.read_text()).target[0]
+    latency = _constant_on(target, data / "latency.csv", tmp_path / "latency.csv")
+    argv = _transfer_argv(workspace, tmp_path / "out", "--target", target)
+    argv[argv.index("--latency") + 1] = str(latency)
+    capsys.readouterr()
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err == (f"error: {latency}: no source device has a defined correlation with target "
+                   f"{target!r} over 8 shared archs (constant latencies)\n")
+    assert not list((tmp_path / "out").glob("transfer_*"))
 
 
 @pytest.mark.parametrize("kept, code", [(30, 0), (10, 3)])

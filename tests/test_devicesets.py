@@ -98,14 +98,32 @@ def test_spearman_monotone_transform_invariance():
 
 def test_latency_table_roundtrip(tmp_path):
     table = ds.LatencyTable()
+    table.add("a3", "dev0", 0.1 + 0.2)  # a value whose shortest repr has 17 digits
     table.add("a1", "dev0", 2.5)
     table.add("a2", "dev0", 1.25)
     table.add("a1", "dev1", 7.0)
     path = tmp_path / "lat.csv"
     table.save_csv(path)
     loaded = ds.LatencyTable.load_csv(path)
-    assert loaded.latency("a2", "dev0") == 1.25
+    assert dict(zip(*loaded.measured("dev0"))) == {"a1": 2.5, "a2": 1.25, "a3": 0.1 + 0.2}
     assert sorted(loaded.devices()) == ["dev0", "dev1"]
+    # measured, on the table as built (rows out of order) and as loaded: distinct ids sorted by
+    # arch_id, unmeasured ones skipped, latencies bit-equal to the CSV
+    rows = (line.split(",") for line in path.read_text().splitlines()[1:])
+    csv = {(a, d): float(ms) for a, d, ms in rows}
+    for device, arch_ids, want in [
+        ("dev0", ["a3", "a1", "a9", "a3", "a1"], ["a1", "a3"]),
+        ("dev0", None, ["a1", "a2", "a3"]),  # None: every arch measured on the device
+        ("dev1", ("a2", "a1", "a1"), ["a1"]),
+        ("dev1", [], []),
+        ("nope", ["a1"], []),  # an unknown device measures nothing
+        ("nope", None, []),
+    ]:
+        for source in (table, loaded):
+            ids, ms = source.measured(device, arch_ids)
+            assert ids == want
+            assert ms.dtype == np.float64 and ms.shape == (len(want),)
+            assert [v.hex() for v in ms.tolist()] == [csv[a, device].hex() for a in want]
 
 
 def test_latency_table_rejects_duplicates_and_nonpositive():

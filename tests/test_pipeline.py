@@ -163,8 +163,7 @@ def test_training_trajectory_scale_invariant(nb201, small_world):
     table, archs, sources, _ = small_world
     scaled = LatencyTable()
     for dev in table.devices():
-        for arch_id in table.archs_for(dev):
-            v = table.latency(arch_id, dev)
+        for arch_id, v in zip(*table.measured(dev)):
             scaled.add(arch_id, dev, v * (737.0 if dev == "s1" else 1.0))
     cfg = pl.TrainConfig(epochs=3, source_samples=60)
     a = _fresh_state(nb201, sources, seed=5)
@@ -280,10 +279,11 @@ def _record_steps(monkeypatch):
 
 def _planned_steps(state, table, archs, ids_by_device, rng, epochs, batch_size):
     steps = []
+    latency = {device: dict(zip(*table.measured(device))) for device in ids_by_device}
     for _ in range(epochs):
         for device, chunk in epoch_batches(rng, list(ids_by_device), ids_by_device, batch_size):
             steps.append((state.device_row(device), np.array([archs[a].ops for a in chunk]),
-                          np.array([table.latency(a, device) for a in chunk])))
+                          np.array([latency[device][a] for a in chunk])))
     return steps
 
 
@@ -307,7 +307,7 @@ def test_pretrain_steps_follow_the_reference_plan(nb201, small_world, monkeypatc
     ids_by_device = {}
     budget_rng = rng_for("pretrain-budget", 6)
     for device in sources:
-        ids = sorted(a for a in table.archs_for(device) if a in given)
+        ids = sorted(a for a in table.measured(device)[0] if a in given)
         if len(ids) > budget:
             ids = [ids[i] for i in sorted(budget_rng.permutation(len(ids))[:budget])]
         ids_by_device[device] = ids
@@ -428,7 +428,8 @@ def test_evaluate_heldout_rule(nb201, small_world):
     entry = pl.evaluate(st, "s0", table, known, exclude=ids[:10] + ids[60:70])
     assert entry.n_heldout == 40
     assert entry.arch_ids == ids[10:50]
-    assert list(entry.truths) == [table.latency(a, "s0") for a in ids[10:50]]
+    latency = dict(zip(*table.measured("s0")))
+    assert list(entry.truths) == [latency[a] for a in ids[10:50]]
     with pytest.raises(InsufficientData):
         pl.evaluate(st, "s0", table, known, exclude=ids)
 

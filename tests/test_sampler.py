@@ -232,8 +232,9 @@ def _reference_table(pool, fn):
 def test_latency_oracle_spans_quantiles(pool):
     table = _reference_table(pool, lambda i: 1.0 + i)
     out = smp.sample_latency_oracle(pool, table, 5, seed=1)
-    lats = sorted(table.latency(i, "ref0") for i in out)
-    all_lats = sorted(table.latency(a.arch_id, "ref0") for a in pool)
+    latency = dict(zip(*table.measured("ref0")))
+    lats = sorted(latency[i] for i in out)
+    all_lats = sorted(latency[a.arch_id] for a in pool)
     # the monotone reference forces coverage of both extremes
     assert lats[0] <= np.quantile(all_lats, 0.25)
     assert lats[-1] >= np.quantile(all_lats, 0.75)
@@ -251,9 +252,10 @@ def test_latency_oracle_spread_beats_random(pool):
     rng = np.random.default_rng(17)
     values = rng.uniform(1, 100, size=len(pool))
     table = _reference_table(pool, lambda i: float(values[i]))
+    latency = dict(zip(*table.measured("ref0")))
 
     def spread(ids):
-        lats = [table.latency(i, "ref0") for i in ids]
+        lats = [latency[i] for i in ids]
         return max(lats) - min(lats)
 
     oracle_spreads, random_spreads = [], []
