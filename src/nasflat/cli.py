@@ -49,6 +49,7 @@ EXIT_INTERNAL = 4
 
 CONFIG_VERSION = 1
 SAMPLER_DEFAULTS = {"method": "random", "samples": 20}
+ENCODING_SAMPLERS = ("cosine", "kmeans")  # the samplers that read an encoding CSV
 
 
 def _write_json(path: Path, obj) -> None:
@@ -239,16 +240,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    from .devicesets import CorrelationGraph, LatencyTable, kl_bisect, prune_to_sizes
+    from .devicesets import LatencyTable, partition
 
     table = LatencyTable.load_csv(args.latency)
     try:
-        graph = CorrelationGraph.from_latency_table(table)
-        sides = kl_bisect(graph, args.seed)
+        split = partition(table, args.m, args.n, args.seed)
     except (ConstantInput, InsufficientOverlap, TooFewDevices) as e:
         raise NasflatError(f"{args.latency}: {e}") from None
-    try:
-        split = prune_to_sizes(sides, args.m, args.n, graph)
     except SideTooSmall as e:
         raise NasflatError(f"--m {args.m} --n {args.n}: {e}") from None
     out = Path(args.out)
@@ -268,7 +266,10 @@ def cmd_sample(args) -> int:
         raise NasflatError(f"--n {args.n}: {args.archs} holds only {len(archs)} distinct archs")
     if args.method == "latency_oracle" and not args.latency:
         raise NasflatError("--method latency_oracle needs --latency")
-    encoding = _load_encoding(args.encoding)
+    reads_encoding = args.method in ENCODING_SAMPLERS
+    if reads_encoding and not args.encoding:
+        raise NasflatError(f"--method {args.method} needs --encoding")
+    encoding = _load_encoding(args.encoding, archs if reads_encoding else ())
     reference = LatencyTable.load_csv(args.latency) if args.latency else None
     try:
         picked = run_sampler(
@@ -343,7 +344,7 @@ def cmd_transfer(args) -> int:
         where, args.samples = f"{args.config}: /sampler/samples", sampler_cfg["samples"]
     else:
         where, args.samples = "default --samples", SAMPLER_DEFAULTS["samples"]
-    if args.sampler in ("cosine", "kmeans") and not args.sampler_encoding:
+    if args.sampler in ENCODING_SAMPLERS and not args.sampler_encoding:
         raise NasflatError(f"--sampler {args.sampler} needs --sampler-encoding")
     table = LatencyTable.load_csv(args.latency)
     split = _load_split(args.split, table, args.latency)
@@ -364,10 +365,13 @@ def cmd_transfer(args) -> int:
     encodings = _load_encoding(args.encoding, archs)
     _check_width(args.encoding, encodings, base, args.checkpoint)
     same = args.sampler_encoding == args.encoding  # read a file given twice once
-    sampler_encoding = encodings if same else _load_encoding(args.sampler_encoding)
+    reads = args.sampler in ENCODING_SAMPLERS  # then it reads the rows of the target pools' archs
+    pooled = {a.arch_id for pool in pools.values() for a in pool}
+    sampler_encoding = encodings if same else _load_encoding(
+        args.sampler_encoding, [a for a in archs if reads and a.arch_id in pooled])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reference = table.subset(device_ids=split.source)
+    reference = table.subset(device_ids=split.source) if args.sampler == "latency_oracle" else None
 
     def adapt(device: str) -> list[Path]:
         picked = run_sampler(

@@ -1,11 +1,10 @@
 """Latency tables, rank correlation, and device-set partitioning.
 
-Devices are partitioned into low-mutual-correlation source/target pools by
-building a complete graph whose edge weights are negative Spearman
-correlations, bisecting it with Kernighan-Lin (minimizing the cut weight
-pushes correlated devices onto opposite sides), and pruning each side down to
-the requested sizes by repeatedly dropping the device with the highest total
-cross-side correlation.
+`partition` splits devices into low-mutual-correlation source/target pools:
+it bisects their Spearman correlation matrix with Kernighan-Lin on the
+negated correlations (minimizing the cut weight pushes correlated devices
+onto opposite sides), then prunes each side down to the requested size by
+repeatedly dropping the device with the highest total cross-side correlation.
 """
 
 from __future__ import annotations
@@ -158,37 +157,6 @@ def correlation_matrix(table: LatencyTable, devices: Sequence[str]) -> np.ndarra
 
 
 @dataclass(frozen=True)
-class CorrelationGraph:
-    """Complete device graph weighted by negative Spearman correlation."""
-
-    devices: tuple[str, ...]
-    weights: np.ndarray  # symmetric, zero diagonal, entries = -correlation
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (len(self.devices), len(self.devices)):
-            raise ValueError("weight matrix shape does not match device count")
-        if not np.allclose(w, w.T):
-            raise ValueError("weight matrix must be symmetric")
-        w = w.copy()
-        np.fill_diagonal(w, 0.0)
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def correlations(self) -> np.ndarray:
-        corr = -self.weights.copy()
-        np.fill_diagonal(corr, 1.0)
-        return corr
-
-    @classmethod
-    def from_latency_table(cls, table: LatencyTable, devices: Sequence[str] | None = None) -> "CorrelationGraph":
-        devices = sorted(table.devices()) if devices is None else list(devices)
-        corr = correlation_matrix(table, devices)
-        return cls(devices=tuple(devices), weights=-corr)
-
-
-@dataclass(frozen=True)
 class DeviceSplit:
     """Disjoint source/target device pools plus the achieved objective."""
 
@@ -276,29 +244,29 @@ def _kl_pass(weights: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, float]:
     return side, best_gain
 
 
-def kl_bisect(graph: CorrelationGraph, seed: int) -> tuple[list[str], list[str]]:
-    """Balanced bipartition locally minimizing cut weight.
+def kl_bisect(corr: np.ndarray, seed: int) -> tuple[list[int], list[int]]:
+    """Balanced bipartition of the rows of a device correlation matrix,
+    locally minimizing cut weight.
 
-    Weights are negative correlations, so minimizing the cut maximizes the
-    correlation severed between the two sides and leaves each side internally
-    decorrelated. Odd device counts are handled with a phantom zero-weight
-    vertex. Eight seeded restarts are run and the best final cut kept.
+    Weights are negative correlations (zero on the diagonal), so minimizing
+    the cut maximizes the correlation severed between the two sides and
+    leaves each side internally decorrelated. Odd device counts are handled
+    with a phantom zero-weight vertex, so the sides hold floor(k/2) and
+    ceil(k/2) rows. Eight seeded restarts are run and the best final cut kept.
     """
-    devices = graph.devices
-    n = len(devices)
+    n = len(corr)
     if n < 2:
         raise TooFewDevices(f"need >= 2 devices, got {n}")
-    weights = graph.weights
-    padded = n % 2 == 1
-    if padded:
+    weights = -np.asarray(corr, dtype=np.float64)
+    np.fill_diagonal(weights, 0.0)
+    if n % 2 == 1:
         weights = np.pad(weights, ((0, 1), (0, 1)))
-        n += 1
 
     best_side, best_cut = None, np.inf
     for r in range(8):
         rng = rng_for("kl", seed, r)
-        side = np.zeros(n, dtype=bool)
-        side[rng.permutation(n)[: n // 2]] = True
+        side = np.zeros(len(weights), dtype=bool)
+        side[rng.permutation(len(weights))[: len(weights) // 2]] = True
         prev_cut = _cut_of(weights, side)
         for _ in range(200):  # gains are bounded away from 0, so this never binds
             side, gain = _kl_pass(weights, side)
@@ -309,10 +277,7 @@ def kl_bisect(graph: CorrelationGraph, seed: int) -> tuple[list[str], list[str]]
             prev_cut = new_cut
         if new_cut < best_cut - 1e-12:
             best_cut, best_side = new_cut, side
-    side = best_side
-    idx_a = [i for i in range(len(devices)) if side[i]]
-    idx_b = [i for i in range(len(devices)) if not side[i]]
-    return [devices[i] for i in idx_a], [devices[i] for i in idx_b]
+    return [i for i in range(n) if best_side[i]], [i for i in range(n) if not best_side[i]]
 
 
 def _cut_of(weights: np.ndarray, side: np.ndarray) -> float:
@@ -322,18 +287,14 @@ def _cut_of(weights: np.ndarray, side: np.ndarray) -> float:
 
 
 def prune_to_sizes(
-    bipartite: tuple[Sequence[str], Sequence[str]],
-    m: int,
-    n: int,
-    graph: CorrelationGraph,
-) -> DeviceSplit:
-    """Trim a bipartition to exactly (m, n) devices.
+    bipartite: tuple[Sequence[int], Sequence[int]], m: int, n: int, corr: np.ndarray
+) -> tuple[list[int], list[int]]:
+    """Trim a bipartition of the rows of `corr` to exactly (m, n) rows.
 
-    While a side is oversized, remove from it the device with the highest
-    total correlation to the current opposite side (ties to the
-    lexicographically smallest device_id). The first side becomes the source
-    pool; if the sides only fit the requested sizes after swapping roles,
-    they are swapped.
+    While a side is oversized, remove from it the row with the highest total
+    correlation to the current opposite side (ties to the lowest row). The
+    first side becomes the source pool; if the sides only fit the requested
+    sizes after swapping roles, they are swapped.
     """
     side_a, side_b = list(bipartite[0]), list(bipartite[1])
     if len(side_a) < m or len(side_b) < n:
@@ -343,22 +304,29 @@ def prune_to_sizes(
             raise SideTooSmall(
                 f"sides of sizes ({len(side_a)}, {len(side_b)}) cannot provide ({m}, {n})"
             )
-    index = {d: i for i, d in enumerate(graph.devices)}
-    corr = graph.correlations
 
-    def cross_corr(device: str, other_side: list[str]) -> float:
-        i = index[device]
-        return float(sum(corr[i, index[o]] for o in other_side))
+    def cross_corr(i: int, other_side: list[int]) -> float:
+        return float(sum(corr[i, o] for o in other_side))
 
     while len(side_a) > m or len(side_b) > n:
         if len(side_a) > m:
-            victim = max(sorted(side_a), key=lambda d: cross_corr(d, side_b))
+            victim = max(sorted(side_a), key=lambda i: cross_corr(i, side_b))
             side_a.remove(victim)
         if len(side_b) > n:
-            victim = max(sorted(side_b), key=lambda d: cross_corr(d, side_a))
+            victim = max(sorted(side_b), key=lambda i: cross_corr(i, side_a))
             side_b.remove(victim)
+    return side_a, side_b
 
-    objective = float(
-        np.mean([corr[index[a], index[b]] for a in side_a for b in side_b])
+
+def partition(table: LatencyTable, m: int, n: int, seed: int) -> DeviceSplit:
+    """Split the table's devices into m source and n target devices: bisect
+    the correlation matrix of the sorted device ids, then prune the sides.
+    The objective is the mean source<->target correlation."""
+    devices = sorted(table.devices())
+    corr = correlation_matrix(table, devices)
+    source, target = prune_to_sizes(kl_bisect(corr, seed), m, n, corr)
+    return DeviceSplit(
+        source=tuple(devices[i] for i in source),
+        target=tuple(devices[i] for i in target),
+        objective=float(np.mean([corr[a, b] for a in source for b in target])),
     )
-    return DeviceSplit(source=tuple(side_a), target=tuple(side_b), objective=objective)

@@ -181,15 +181,9 @@ def test_criterion_4_partitioner_quality():
         corr = rng.uniform(-1, 1, size=(n, n))
         corr = (corr + corr.T) / 2
         np.fill_diagonal(corr, 1.0)
-        graph = ds.CorrelationGraph(
-            devices=tuple(f"d{i}" for i in range(n)), weights=-corr
-        )
-        side_a, side_b = ds.kl_bisect(graph, seed=trial)
-        index = {d: i for i, d in enumerate(graph.devices)}
-        got = cut_weight(
-            graph.weights, [index[d] for d in side_a], [index[d] for d in side_b]
-        )
-        cuts = [cut_weight(graph.weights, a, b) for a, b in balanced_bipartitions(n)]
+        side_a, side_b = ds.kl_bisect(corr, seed=trial)
+        got = cut_weight(-corr, side_a, side_b)
+        cuts = [cut_weight(-corr, a, b) for a, b in balanced_bipartitions(n)]
         beaten = sum(1 for c in cuts if got <= c + 1e-12)
         if beaten / len(cuts) < 0.95:
             failures.append(trial)
@@ -201,13 +195,12 @@ def test_criterion_4_partitioner_quality():
         corr = rng.uniform(-1, 1, size=(8, 8))
         corr = (corr + corr.T) / 2
         np.fill_diagonal(corr, 1.0)
-        graph = ds.CorrelationGraph(devices=tuple(f"d{i}" for i in range(8)), weights=-corr)
-        side_a = [f"d{i}" for i in range(4)]
-        side_b = [f"d{i}" for i in range(4, 8)]
+        side_a = list(range(4))
+        side_b = list(range(4, 8))
         for m, n_tgt in [(3, 3), (2, 2), (1, 1), (2, 1), (1, 3)]:
-            split = ds.prune_to_sizes((side_a, side_b), m, n_tgt, graph)
-            oa, ob, _ = prune_oracle(side_a, side_b, m, n_tgt, graph.devices, graph.correlations)
-            if list(split.source) != oa or list(split.target) != ob:
+            source, target = ds.prune_to_sizes((side_a, side_b), m, n_tgt, corr)
+            oa, ob, _ = prune_oracle(side_a, side_b, m, n_tgt, range(8), corr)
+            if source != oa or target != ob:
                 order_ok = False
     _report(
         4, "partitioner quality", not failures and order_ok,

@@ -206,8 +206,13 @@ def test_partition_oversized_request_fails_with_data_exit(workspace, tmp_path, c
     one_device, uncovered = tmp_path / "one_device.csv", tmp_path / "uncovered.csv"
     one_device.write_text("\n".join(r for r in rows if r.split(",")[1] in ("device_id", device)) + "\n")
     uncovered.write_text("\n".join(r for r in rows if r.split(",")[0] != arch) + "\n")  # each device lacks it
+    short_zcp = tmp_path / "short_zcp.csv"
+    short_zcp.write_text("".join(r for r in (data / "zcp.csv").read_text().splitlines(keepends=True)
+                                 if r.split(",")[0] != arch))
     sample = ["sample", "--method", "latency_oracle", "--archs", str(archs), "--n", "5",
               "--out", str(tmp_path / "sel.json")]
+    cosine = ["sample", "--method", "cosine", *sample[3:]]
+    kmeans = ["sample", "--method", "kmeans", *sample[3:]]
     for argv, why in [
         (["partition", "--latency", str(latency), "--m", "5", "--n", "3", "--seed", "1",
           "--out", str(root / "x.json")], "--m 5 --n 3: sides of sizes (3, 3) cannot provide (5, 3)"),
@@ -216,6 +221,10 @@ def test_partition_oversized_request_fails_with_data_exit(workspace, tmp_path, c
         (sample + ["--latency", str(uncovered)],
          f"{uncovered}: no reference device covers the candidate pool of 80 archs"),
         (sample, "--method latency_oracle needs --latency"),
+        (cosine, "--method cosine needs --encoding"),
+        (kmeans, "--method kmeans needs --encoding"),
+        (cosine + ["--encoding", str(short_zcp)], f"{short_zcp}: no row for arch {arch}"),
+        (kmeans + ["--encoding", str(short_zcp)], f"{short_zcp}: no row for arch {arch}"),
     ]:
         capsys.readouterr()
         code = run(argv)
@@ -1804,11 +1813,12 @@ def test_encoding_width_must_match_the_checkpoint(knob_world, encoded_ckpts, tmp
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "search", "transfer"])
+@pytest.mark.parametrize("command", ["eval", "search", "transfer", "transfer-sampler"])
 def test_encoding_without_a_row_for_an_arch_is_a_data_error(knob_world, encoded_ckpts, tmp_path,
                                                              capsys, command):
-    """An --encoding CSV that lacks an arch of --archs exits 3 naming the CSV and the first
-    such arch, in archs-file order."""
+    """An --encoding CSV that lacks an arch of --archs, or a cosine --sampler-encoding that lacks
+    an arch of the target pools, exits 3 naming the CSV and the first such arch, in archs-file
+    order."""
     _, data, split, _ = knob_world
     ckpts, files = encoded_ckpts
     short_csv = tmp_path / "zcp29.csv"
@@ -1826,6 +1836,10 @@ def test_encoding_without_a_row_for_an_arch_is_a_data_error(knob_world, encoded_
                    "--out", str(out / "r.csv")],
         "transfer": ["transfer", *common, "--latency", str(data / "latency.csv"),
                      "--split", str(split), "--samples", "8", "--out-dir", str(out)],
+        "transfer-sampler": ["transfer", "--archs", str(data / "archs.jsonl"),
+                             "--checkpoint", str(ckpts[0]), "--latency", str(data / "latency.csv"),
+                             "--split", str(split), "--samples", "8", "--sampler", "cosine",
+                             "--sampler-encoding", str(short_csv), "--out-dir", str(out)],
     }[command]
     capsys.readouterr()
     code = run(argv)
@@ -1833,6 +1847,22 @@ def test_encoding_without_a_row_for_an_arch_is_a_data_error(knob_world, encoded_
     assert code == 3, err
     assert err == f"error: {short_csv}: no row for arch {first_missing}\n"
     assert not out.exists()
+
+
+def test_sampler_encoding_needs_rows_only_for_the_target_pools(knob_world, encoded_ckpts, tmp_path):
+    """A cosine --sampler-encoding may lack an arch of --archs that the target does not measure."""
+    root, data, split, _ = knob_world
+    ckpts, _ = encoded_ckpts
+    arch = asp.read_architectures(data / "archs.jsonl")[0].arch_id
+    latency, zcp = tmp_path / "latency.csv", tmp_path / "zcp.csv"
+    latency.write_text("".join(r for r in (data / "latency.csv").read_text().splitlines(keepends=True)
+                               if not r.startswith(f"{arch},d03,")))
+    zcp.write_text("".join(r for r in (data / "zcp.csv").read_text().splitlines(keepends=True)
+                           if r.split(",")[0] != arch))
+    assert run(["transfer", "--config", str(root / "base" / "run.json"), "--archs",
+                str(data / "archs.jsonl"), "--checkpoint", str(ckpts[0]), "--latency", str(latency),
+                "--split", str(split), "--samples", "8", "--sampler", "cosine",
+                "--sampler-encoding", str(zcp), "--out-dir", str(tmp_path / "out")]) == 0
 
 
 # --- a mutated archs.jsonl line is a data error at its line ---------------------------

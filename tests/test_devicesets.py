@@ -201,56 +201,47 @@ def test_correlation_matrix_insufficient_overlap():
 
 # --- kl_bisect --------------------------------------------------------------------
 
-def _graph(weights, ids=None):
-    n = len(weights)
-    ids = ids or tuple(f"d{i}" for i in range(n))
-    return ds.CorrelationGraph(devices=tuple(ids), weights=np.asarray(weights, dtype=float))
-
-
 def test_kl_two_devices():
-    g = _graph([[0.0, -0.5], [-0.5, 0.0]])
-    a, b = ds.kl_bisect(g, seed=0)
+    corr = np.array([[1.0, 0.5], [0.5, 1.0]])
+    a, b = ds.kl_bisect(corr, seed=0)
     assert len(a) == 1 and len(b) == 1
-    assert set(a) | set(b) == {"d0", "d1"}
+    assert set(a) | set(b) == {0, 1}
 
 
 def test_kl_too_few():
     with pytest.raises(TooFewDevices):
-        ds.kl_bisect(_graph([[0.0]]), seed=0)
+        ds.kl_bisect(np.eye(1), seed=0)
 
 
 def test_kl_perfect_pairs_split_apart():
-    # two perfectly correlated pairs: weights -1 within pairs, 0 across
-    w = np.zeros((4, 4))
-    w[0, 1] = w[1, 0] = -1.0
-    w[2, 3] = w[3, 2] = -1.0
-    g = _graph(w)
-    side_a, side_b = ds.kl_bisect(g, seed=0)
+    # two perfectly correlated pairs: correlation 1 within pairs, 0 across
+    corr = np.eye(4)
+    corr[0, 1] = corr[1, 0] = 1.0
+    corr[2, 3] = corr[3, 2] = 1.0
+    side_a, side_b = ds.kl_bisect(corr, seed=0)
     # brute-force optimum of the cut objective over all balanced bipartitions
     best_cut = min(
-        cut_weight(g.weights, a, b) for a, b in balanced_bipartitions(4)
+        cut_weight(-corr, a, b) for a, b in balanced_bipartitions(4)
     )
-    idx = {d: i for i, d in enumerate(g.devices)}
-    got = cut_weight(g.weights, [idx[d] for d in side_a], [idx[d] for d in side_b])
+    got = cut_weight(-corr, side_a, side_b)
     assert got == pytest.approx(best_cut)
     # the optimum separates each correlated pair
-    assert ("d0" in side_a) != ("d1" in side_a)
-    assert ("d2" in side_a) != ("d3" in side_a)
+    assert (0 in side_a) != (1 in side_a)
+    assert (2 in side_a) != (3 in side_a)
 
 
 def test_kl_beats_most_bipartitions_on_random_graphs():
     rng = np.random.default_rng(5)
-    for trial in range(20):
-        n = int(rng.choice([4, 6, 8]))
+    for trial in range(40):
+        n = int(rng.choice([3, 4, 5, 6, 7, 8]))
         corr = rng.uniform(-1, 1, size=(n, n))
         corr = (corr + corr.T) / 2
-        g = _graph(-corr)
-        side_a, side_b = ds.kl_bisect(g, seed=trial)
+        side_a, side_b = ds.kl_bisect(corr, seed=trial)
+        assert sorted([len(side_a), len(side_b)]) == [n // 2, n - n // 2]
         assert not set(side_a) & set(side_b)
-        assert set(side_a) | set(side_b) == set(g.devices)
-        idx = {d: i for i, d in enumerate(g.devices)}
-        got = cut_weight(g.weights, [idx[d] for d in side_a], [idx[d] for d in side_b])
-        cuts = sorted(cut_weight(g.weights, a, b) for a, b in balanced_bipartitions(n))
+        assert set(side_a) | set(side_b) == set(range(n))  # no phantom row
+        got = cut_weight(-corr, side_a, side_b)
+        cuts = sorted(cut_weight(-corr, a, b) for a, b in balanced_bipartitions(n))
         beaten = sum(1 for c in cuts if got <= c + 1e-12)
         assert beaten / len(cuts) >= 0.95
 
@@ -258,10 +249,8 @@ def test_kl_beats_most_bipartitions_on_random_graphs():
 # --- prune_to_sizes --------------------------------------------------------------
 
 def test_prune_noop_when_sizes_match():
-    g = _graph(-np.eye(4) * 0 - 0.1 * (1 - np.eye(4)))
-    split = ds.prune_to_sizes((["d0", "d1"], ["d2", "d3"]), 2, 2, g)
-    assert split.source == ("d0", "d1")
-    assert split.target == ("d2", "d3")
+    corr = 0.1 * (1 - np.eye(4))
+    assert ds.prune_to_sizes(([0, 1], [2, 3]), 2, 2, corr) == ([0, 1], [2, 3])
 
 
 def test_prune_removes_strongest_cross_correlator_first():
@@ -269,16 +258,14 @@ def test_prune_removes_strongest_cross_correlator_first():
     corr[0, 2] = corr[2, 0] = 0.99
     corr[1, 2] = corr[2, 1] = 0.05
     corr[0, 1] = corr[1, 0] = 0.1
-    g = _graph(-corr + np.eye(3) * 0)
-    # side ("d0","d1") must shrink to one device; d0 correlates 0.99 with d2
-    split = ds.prune_to_sizes((["d0", "d1"], ["d2"]), 1, 1, g)
-    assert split.source == ("d1",)
+    # side (0, 1) must shrink to one device; row 0 correlates 0.99 with row 2
+    source, _ = ds.prune_to_sizes(([0, 1], [2]), 1, 1, corr)
+    assert source == [1]
 
 
 def test_prune_side_too_small():
-    g = _graph(np.zeros((3, 3)))
     with pytest.raises(SideTooSmall):
-        ds.prune_to_sizes((["d0"], ["d1", "d2"]), 2, 2, g)
+        ds.prune_to_sizes(([0], [1, 2]), 2, 2, np.eye(3))
 
 
 def test_prune_matches_greedy_oracle():
@@ -288,14 +275,13 @@ def test_prune_matches_greedy_oracle():
         corr = rng.uniform(-1, 1, size=(n_dev, n_dev))
         corr = (corr + corr.T) / 2
         np.fill_diagonal(corr, 1.0)
-        g = _graph(-corr)
-        side_a = [f"d{i}" for i in range(4)]
-        side_b = [f"d{i}" for i in range(4, 8)]
+        side_a = list(range(4))
+        side_b = list(range(4, 8))
         m, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        split = ds.prune_to_sizes((side_a, side_b), m, n, g)
-        oa, ob, _ = prune_oracle(side_a, side_b, m, n, g.devices, g.correlations)
-        assert list(split.source) == oa
-        assert list(split.target) == ob
+        source, target = ds.prune_to_sizes((side_a, side_b), m, n, corr)
+        oa, ob, _ = prune_oracle(side_a, side_b, m, n, range(n_dev), corr)
+        assert source == oa
+        assert target == ob
 
 
 def test_split_json_roundtrip():
@@ -320,12 +306,10 @@ def test_full_partition_beats_random_splits_on_paired_family():
             noisy = base + 0.15 * rng.normal(size=n_arch)
             for i, v in enumerate(noisy):
                 table.add(f"arch{i}", dev, float(np.exp(v)))
-    graph = ds.CorrelationGraph.from_latency_table(table, devices)
-    sides = ds.kl_bisect(graph, seed=1)
-    split = ds.prune_to_sizes(sides, 3, 2, graph)
+    split = ds.partition(table, 3, 2, seed=1)
 
-    corr = graph.correlations
-    index = {d: i for i, d in enumerate(graph.devices)}
+    corr = ds.correlation_matrix(table, devices)
+    index = {d: i for i, d in enumerate(devices)}
 
     def mean_cross(src, tgt):
         return float(np.mean([corr[index[a], index[b]] for a in src for b in tgt]))
