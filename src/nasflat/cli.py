@@ -27,11 +27,13 @@ from .errors import (
     BadField,
     BudgetTooSmall,
     ConstantInput,
+    EmptyFeasibleSet,
     InsufficientData,
     InsufficientOverlap,
     LengthMismatch,
     MissingReference,
     NasflatError,
+    NonFiniteValue,
     SideTooSmall,
     TooFewDevices,
 )
@@ -437,7 +439,7 @@ def cmd_eval(args) -> int:
                 trial=args.trial, n_target_samples=extra.get("samples", 0),
                 exclude=extra.get("sampled_ids", []),
             )
-        except (ConstantInput, LengthMismatch) as e:  # the Spearman's
+        except (ConstantInput, LengthMismatch, NonFiniteValue) as e:  # the scores' or the Spearman's
             raise NasflatError(f"{ckpt}: {e}") from None
         for arch_id, pred, truth in zip(entry.arch_ids, entry.preds, entry.truths):
             scatter_lines.append(f"{device},{arch_id},{repr(float(pred))},{repr(float(truth))}")
@@ -491,6 +493,8 @@ def cmd_search(args) -> int:
         )
     except InsufficientData as e:  # the calibration's
         raise NasflatError(f"{args.latency}: {e}") from None
+    except (EmptyFeasibleSet, NonFiniteValue) as e:  # the checkpoint's scores
+        raise NasflatError(f"{args.checkpoint}: {e}") from None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["rank,arch_id,accuracy,predicted_latency_ms"]

@@ -37,8 +37,8 @@ per PREDICT_CHUNK archs.
 
 Scores are a deterministic function of (inputs, parameters): identical calls
 are bitwise reproducible. Different batch partitionings of the same inputs
-agree to about 1e-14 relative but not always bitwise, because BLAS rounds a
-product's rows differently for some row counts.
+agree closely but not always bitwise, because BLAS rounds a product's rows
+differently for some row counts (README "Determinism" gives the bounds).
 """
 
 from __future__ import annotations
@@ -62,12 +62,13 @@ from .errors import (
     BadCheckpoint,
     ConstantInput,
     InsufficientOverlap,
+    NonFiniteValue,
     SpaceMismatch,
     UnknownDevice,
 )
 from .inputs import is_finite_number, is_integer, load_json, read_input
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 PREDICT_CHUNK = 128  # archs per inference forward in predict_batch
 
@@ -275,7 +276,7 @@ class PredictorState:
         ids = {a.space_id for a in archs}
         if ids != {self.space.space_id}:
             raise SpaceMismatch(
-                f"architectures from space(s) {sorted(ids)}; predictor built for {[self.space.space_id]}"
+                f"architectures from space(s) {sorted(ids)}; predictor built for {self.space.space_id!r}"
             )
 
 
@@ -539,7 +540,8 @@ def predict_batch(
 
     Scores in forwards of PREDICT_CHUNK (128) archs. `encodings` holds each
     arch's supplementary row and must be as wide as the config's
-    supplementary_dim (no table is width 0).
+    supplementary_dim (no table is width 0). Raises NonFiniteValue if a
+    score is NaN or infinite, as extreme finite parameters can make one.
     """
     if not archs:
         return np.zeros(0)
@@ -551,6 +553,9 @@ def predict_batch(
         ops_rows = np.array([a.ops for a in chunk], dtype=np.intp)
         supp = _supplementary_rows(state, encodings, [a.arch_id for a in chunk])
         out[start : start + len(chunk)] = _forward(state, ops_rows, row, supp).data[:, 0]
+    bad = np.count_nonzero(~np.isfinite(out))
+    if bad:
+        raise NonFiniteValue(f"{bad} of {len(archs)} scores on device {device_id!r} are NaN or infinite")
     return out
 
 
@@ -616,9 +621,8 @@ def save_checkpoint(state: PredictorState, path, extra: dict | None = None) -> N
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(state.config),
-        "devices": state.device_index,
-        "space_ids": [state.space.space_id],
-        "null_op_index": len(state.space.op_vocab),
+        "space": state.space.space_id,
+        "devices": sorted(state.device_index, key=state.device_index.get),  # in row order
         "params_sha256": digest.hexdigest(),
         "extra": extra or {},
     }
@@ -660,50 +664,40 @@ def load_checkpoint(path) -> tuple[PredictorState, dict]:
 
     Raises BadCheckpoint naming the file if the meta is unreadable, of
     another version or missing keys (config fields included: a default would
-    silently stand in for the trained value), or if its `space_ids` does not
-    name one space whose vocabulary size is its `null_op_index`; if
-    `devices` is not an object of integer rows or `null_op_index` not an
-    integer (bools are not; the JSON pointer is named); if `extra`
-    is not an object or holds a `target_device`, `samples` or `sampled_ids`
-    of the wrong type (`/extra/<key>`); if the parameter file's SHA-256
-    differs from the meta's `params_sha256`; or if its byte length differs
-    from what the meta's config, space and device registry imply. The
-    parameters are views of the one buffer the file was read and hashed into.
+    silently stand in for the trained value); if `space` is not a known
+    space id or `devices` not a list of distinct device-id strings (device
+    i owns hw_embed row i); if `extra` is not an object or holds a
+    `target_device`, `samples` or `sampled_ids` of the wrong type
+    (`/extra/<key>`); if the parameter file's SHA-256 differs from the
+    meta's `params_sha256`; if its byte length differs from what the meta's
+    config, space and device count imply; or if a parameter holds a NaN or
+    an infinity. The parameters are views of the one buffer the file was
+    read and hashed into.
     """
     path = Path(path)
     meta_path = checkpoint_meta_path(path)
-    meta = _read_meta(
-        meta_path, ("config", "devices", "space_ids", "null_op_index", "params_sha256", "extra")
-    )
+    meta = _read_meta(meta_path, ("config", "space", "devices", "params_sha256", "extra"))
     try:
         missing = sorted({f.name for f in fields(PredictorConfig)} - set(meta["config"]))
         if missing:
             raise BadCheckpoint(f"{meta_path}: config is missing {missing}")
         config = PredictorConfig(**meta["config"])
-        if not isinstance(meta["space_ids"], list) or len(meta["space_ids"]) != 1:
-            raise BadCheckpoint(f"{meta_path}: space_ids {meta['space_ids']!r} must name one space")
-        space = get_space(meta["space_ids"][0])
-        device_index, null_op_index = meta["devices"], meta["null_op_index"]
-        if not isinstance(device_index, dict):
-            raise BadCheckpoint(f"{meta_path}: /devices: must be an object, got {device_index!r}")
-        ints = {f"/devices/{d}": i for d, i in device_index.items()}
-        ints["/null_op_index"] = null_op_index
-        for pointer, v in ints.items():
-            if not is_integer(v):
-                raise BadCheckpoint(f"{meta_path}: {pointer}: must be an integer, got {v!r}")
-        expected = _param_specs(config, space, len(device_index))
+        if not isinstance(meta["space"], str):
+            raise TypeError(f"/space: must be a space id, got {meta['space']!r}")
+        space = get_space(meta["space"])
+        devices = meta["devices"]
+        if (not isinstance(devices, list) or not all(isinstance(d, str) for d in devices)
+                or len(set(devices)) != len(devices)):
+            raise TypeError(f"/devices: must be a list of distinct device ids, got {devices!r}")
+        expected = _param_specs(config, space, len(devices))
         if not isinstance(meta["extra"], dict):
             raise TypeError("extra is not an object")
-    except KeyError as e:
-        raise BadCheckpoint(f"{meta_path}: key {e} missing or unknown") from None
+    except KeyError as e:  # the keys are checked: only get_space raises it
+        raise BadCheckpoint(f"{meta_path}: /space: {e.args[0]}") from None
     except BadField as e:
         raise BadCheckpoint(f"{meta_path}: /config/{e}") from None
     except (TypeError, ValueError, AttributeError) as e:
         raise BadCheckpoint(f"{meta_path}: {e}") from None
-    if sorted(device_index.values()) != list(range(len(device_index))):
-        raise BadCheckpoint(f"{meta_path}: device rows are not 0..{len(device_index) - 1}")
-    if null_op_index != len(space.op_vocab):
-        raise BadCheckpoint(f"{meta_path}: null_op_index {null_op_index} does not fit space {space.space_id!r}")
     for key, (what, ok) in _EXTRA_FIELDS.items():
         if key in meta["extra"] and not ok(meta["extra"][key]):
             raise BadCheckpoint(f"{meta_path}: /extra/{key}: must be {what}")
@@ -722,6 +716,9 @@ def load_checkpoint(path) -> tuple[PredictorState, dict]:
     flat = np.frombuffer(buf, dtype="<f8")
     params, start = {}, 0
     for (name, (_, shape, _)), size in zip(expected.items(), sizes):
-        params[name] = Tensor(flat[start : start + size].reshape(shape))
+        data = flat[start : start + size]
+        if not np.isfinite(data).all():  # per parameter: no file-sized mask
+            raise BadCheckpoint(f"{path}: parameter {name} holds a non-finite value")
+        params[name] = Tensor(data.reshape(shape))
         start += size
-    return PredictorState(config, space, params, device_index), meta["extra"]
+    return PredictorState(config, space, params, {d: i for i, d in enumerate(devices)}), meta["extra"]

@@ -4,7 +4,9 @@
 
 Runs the flows of tests/golden_flow.py under a temporary directory and
 records the SHA-256 of every output, the eval scatter scores as text and the
-environment fingerprint (numpy version, OpenBLAS config and kernel).
+environment fingerprint (numpy version, OpenBLAS config and kernel). Before
+it writes, it prints each output whose digest was added, removed or changed
+against the committed golden.json.
 
 The `tolerance` block, which bounds how far tests/test_golden.py lets the
 scores move where the fingerprint differs, is kept as committed: digests and
@@ -81,6 +83,12 @@ def _measured_tolerance(base: dict) -> dict | None:
     return {"measured_on": drifts, "max_drift": worst, "margin": MARGIN, "relative": worst * MARGIN}
 
 
+def digest_changes(old: dict, new: dict) -> list[str]:
+    """`added`, `removed` or `changed` and the output name, per output whose digest moved."""
+    return [f"{'added' if name not in old else 'removed' if name not in new else 'changed'} {name}"
+            for name in sorted(old.keys() | new.keys()) if old.get(name) != new.get(name)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
@@ -91,7 +99,10 @@ def main(argv=None) -> int:
         return 0
 
     base = _fresh_run()
-    tolerance = json.loads(GOLDEN.read_text()).get("tolerance") if GOLDEN.exists() else None
+    committed = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    changes = digest_changes(committed.get("digests", {}), base["digests"])
+    print("\n".join(changes) if changes else "no digest moved")
+    tolerance = committed.get("tolerance")
     if tolerance is None:
         tolerance = _measured_tolerance(base)
         if tolerance is None:

@@ -403,6 +403,14 @@ def _as_version_1(ckpt, archs):
     return _edit_meta(ckpt, edit), "version 1"
 
 
+def _as_version_4(ckpt, archs):
+    """The meta a version-4 build wrote: a space list, an id -> row map and the null-op row."""
+    def edit(meta):
+        meta.update(version=4, space_ids=[meta.pop("space")], null_op_index=5,
+                    devices={d: i for i, d in enumerate(meta["devices"])})
+    return _edit_meta(ckpt, edit), "version 4; only version 5 is readable, re-run pretrain/transfer"
+
+
 def _wrong_version(ckpt, archs):
     return _edit_meta(ckpt, lambda meta: meta.update(version=9)), "version 9"
 
@@ -433,7 +441,7 @@ def _config_implies_other_layout(ckpt, archs):
 
 
 def _devices_imply_other_layout(ckpt, archs):
-    meta_path = _edit_meta(ckpt, lambda meta: meta["devices"].update(extra=len(meta["devices"])))
+    meta_path = _edit_meta(ckpt, lambda meta: meta["devices"].append("extra"))
     return ckpt, f"the layout {meta_path} implies needs"
 
 
@@ -451,42 +459,57 @@ def _missing_config_field(ckpt, archs):
     return meta_path, "config is missing ['leaky_slope']"
 
 
-def _two_space_ids(ckpt, archs):
-    meta_path = _edit_meta(ckpt, lambda meta: meta.update(space_ids=["nb201", "fbnet"]))
-    return meta_path, "space_ids ['nb201', 'fbnet'] must name one space"
+def _unknown_space(ckpt, archs):
+    meta_path = _edit_meta(ckpt, lambda meta: meta.update(space="nb999"))
+    return meta_path, "/space: unknown space 'nb999'"
 
 
-def _null_op_index_off_its_space(ckpt, archs):
-    meta_path = _edit_meta(ckpt, lambda meta: meta.update(null_op_index=9))
-    return meta_path, "null_op_index 9 does not fit space 'nb201'"
+def _non_string_space(ckpt, archs):
+    """A version-4 style list of one space id is not a space id."""
+    meta_path = _edit_meta(ckpt, lambda meta: meta.update(space=["nb201"]))
+    return meta_path, "/space: must be a space id, got ['nb201']"
 
 
-def _infinite_device_row(ckpt, archs):
-    """JSON's Infinity is a float; int() of it raised OverflowError (exit 4)."""
-    meta_path = _edit_meta(ckpt, lambda meta: meta["devices"].update(d00=float("inf")))
-    return meta_path, "/devices/d00: must be an integer, got inf"
+def _devices_as_an_object(ckpt, archs):
+    """Version 4's id -> row object is not version 5's list in row order."""
+    meta_path = _edit_meta(ckpt, lambda meta: meta.update(devices={"d00": 0}))
+    return meta_path, "/devices: must be a list of distinct device ids, got {'d00': 0}"
 
 
-def _bool_device_row(ckpt, archs):
-    """int(true) is 1: a bool used to load as device row 1."""
-    meta_path = _edit_meta(ckpt, lambda meta: meta["devices"].update(d00=True))
-    return meta_path, "/devices/d00: must be an integer, got True"
+def _non_string_device_id(ckpt, archs):
+    meta_path = _edit_meta(ckpt, lambda meta: meta["devices"].__setitem__(0, 0))
+    return meta_path, "/devices: must be a list of distinct device ids, got [0,"
 
 
-def _devices_as_a_list(ckpt, archs):
-    meta_path = _edit_meta(ckpt, lambda meta: meta.update(devices=[["d00", 0]]))
-    return meta_path, "/devices: must be an object, got [['d00', 0]]"
+def _repeated_device_id(ckpt, archs):
+    """A repeat would give two rows one id: the later row would shadow the earlier."""
+    meta_path = _edit_meta(ckpt, lambda meta: meta["devices"].__setitem__(1, meta["devices"][0]))
+    return meta_path, "/devices: must be a list of distinct device ids, got ['d00', 'd00',"
 
 
-def _infinite_null_op_index(ckpt, archs):
-    meta_path = _edit_meta(ckpt, lambda meta: meta.update(null_op_index=float("-inf")))
-    return meta_path, "/null_op_index: must be an integer, got -inf"
+def _nan_word(ckpt, word):
+    """Overwrite float64 word `word` of the params file (negative: from the end)
+    with NaN and rewrite params_sha256 to match: the digest cannot catch it."""
+    blob = bytearray(ckpt.read_bytes())
+    at = 8 * (word % (len(blob) // 8))
+    blob[at : at + 8] = np.array(np.nan, dtype="<f8").tobytes()
+    ckpt.write_bytes(blob)
+    _edit_meta(ckpt, lambda meta: meta.update(params_sha256=hashlib.sha256(blob).hexdigest()))
 
 
-def _string_null_op_index(ckpt, archs):
-    """int("5") is 5: a string used to load as the null-op index."""
-    meta_path = _edit_meta(ckpt, lambda meta: meta.update(null_op_index="5"))
-    return meta_path, "/null_op_index: must be an integer, got '5'"
+def _nan_in_conv_3x3_embedding(ckpt, archs):
+    """It used to load: search then dropped every arch with conv_3x3 in a live slot
+    (NaN <= c is false) and wrote the rest, exit 0."""
+    meta = json.loads(Path(f"{ckpt}.meta.json").read_text())
+    row = asp.get_space("nb201").op_vocab.index("conv_3x3")  # op_embed is the first parameter
+    _nan_word(ckpt, row * meta["config"]["op_embed_dim"])
+    return ckpt, "parameter op_embed holds a non-finite value"
+
+
+def _nan_in_last_parameter(ckpt, archs):
+    """It used to load: every score was NaN, and search said no candidate was feasible."""
+    _nan_word(ckpt, -1)
+    return ckpt, "parameter head3.b holds a non-finite value"
 
 
 def _missing_meta(ckpt, archs):
@@ -534,11 +557,11 @@ def _archs_line_not_utf8(ckpt, archs):
 
 
 @pytest.mark.parametrize("corrupt", [
-    _as_version_1, _wrong_version, _truncated, _digest_mismatch, _short_param,
+    _as_version_1, _as_version_4, _wrong_version, _truncated, _digest_mismatch, _short_param,
     _config_implies_other_layout, _devices_imply_other_layout, _float_dims_in_meta,
-    _missing_key, _missing_config_field, _two_space_ids, _null_op_index_off_its_space,
-    _infinite_device_row, _bool_device_row, _devices_as_a_list, _infinite_null_op_index,
-    _string_null_op_index, _missing_meta, _op_index_out_of_vocab,
+    _missing_key, _missing_config_field, _unknown_space, _non_string_space,
+    _devices_as_an_object, _non_string_device_id, _repeated_device_id,
+    _nan_in_conv_3x3_embedding, _nan_in_last_parameter, _missing_meta, _op_index_out_of_vocab,
     _adj_back_edge, _adj_dropped_edge, _adj_extra_forward_edge, _archs_line_not_utf8,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_unreadable_input_is_data_error(workspace, transfers, tmp_path, capsys, corrupt):
@@ -795,7 +818,7 @@ def test_archs_from_another_space_are_data_error(transfers, tmp_path, capsys):
         code = run(argv)
         err = capsys.readouterr().err
         assert code == 3, err
-        assert "['fbnet']; predictor built for ['nb201']" in err, err
+        assert "['fbnet']; predictor built for 'nb201'\n" in err, err
     assert not list(tmp_path.glob("r.csv*")) and not list(tmp_path.glob("rep*"))
 
     mixed = tmp_path / "mixed.jsonl"
@@ -1142,8 +1165,10 @@ def test_non_finite_latency_is_data_error(workspace, tmp_path, capsys):
 
 
 def test_non_finite_training_loss_is_data_error(workspace, tmp_path, capsys):
+    """A finite weight so large that the forward overflows: loading cannot refuse it
+    (a NaN weight would be refused there), so training must."""
     state, extra = load_checkpoint(workspace[4])
-    state.params["head0.b"].data[0] = np.nan
+    state.params["gat0.w_proj"].data[0, 0] = 1e300
     poisoned = tmp_path / "nan.json"
     save_checkpoint(state, poisoned, extra)
     root, data, split, config, _ = workspace
@@ -1444,10 +1469,10 @@ def test_checkpoint_meta_number_field_of_the_wrong_type_names_the_field(workspac
 
 _ODD_VALUES = [10**400, -10**400, float("inf"), float("-inf"), float("nan"), 1.5, True, None, "x",
                [], {}, [[1]]]
-_TRANSFER_META_KEYS = ("version", "config", "devices", "space_ids", "null_op_index", "params_sha256", "extra")
+_TRANSFER_META_KEYS = ("version", "config", "space", "devices", "params_sha256", "extra")
 _TRANSFER_EXTRA_KEYS = ("stage", "target_device", "source_devices", "sampler", "samples", "sampled_ids",
                         "warm_start_source", "live_slots")
-# (file, JSON path): a devices entry is its index among the meta's sorted device ids.
+# (file, JSON path): a devices entry is its position in the meta's list of device ids.
 _ODD_FIELDS = (
     [("split", (key,)) for key in ("source", "target", "objective")]
     + [("meta", (key,)) for key in _TRANSFER_META_KEYS]
@@ -1461,7 +1486,7 @@ _ODD_FIELDS = (
 @given(field=st.sampled_from(_ODD_FIELDS), value=st.sampled_from(_ODD_VALUES))
 @example(field=("split", ("objective",)), value=10**400)
 @example(field=("meta", ("devices", 0)), value=float("inf"))
-@example(field=("meta", ("null_op_index",)), value=float("-inf"))
+@example(field=("meta", ("space",)), value=float("-inf"))
 @example(field=("meta", ("extra", "target_device")), value="x")
 @example(field=("meta", ("extra",)), value={})
 def test_odd_value_in_a_split_or_meta_field_exits_0_or_3_naming_the_file(workspace, transfers, field,
@@ -1485,8 +1510,6 @@ def test_odd_value_in_a_split_or_meta_field_exits_0_or_3_naming_the_file(workspa
         shutil.copy(transfers / src.name[: -len(".meta.json")], named)
         doc_path = Path(f"{named}.meta.json")
         doc = json.loads(src.read_text())
-        if path[0] == "devices":
-            path = ("devices", sorted(doc["devices"])[path[1]])
         argv = ["search", "--archs", str(data / "archs.jsonl"), "--checkpoint", str(named),
                 "--latency", str(data / "latency.csv"), "--constraint-ms", "1e9", "--top-k", "3",
                 "--out", str(root / "odd.csv")]
@@ -1501,6 +1524,48 @@ def test_odd_value_in_a_split_or_meta_field_exits_0_or_3_naming_the_file(workspa
     assert code in (0, 3), (field, value, err.getvalue()[-500:])
     if code == 3:
         assert f"{named}" in err.getvalue(), (field, value, err.getvalue()[-500:])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(edit=st.sampled_from(["truncate", "extend", "word"]), at=st.integers(0, 2**20),
+       value=st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, 1e300, "flip"]),
+       bit=st.integers(0, 63), rehash=st.booleans())
+@example(edit="word", at=0, value=float("nan"), bit=0, rehash=True)
+@example(edit="word", at=0, value=1e300, bit=0, rehash=True)  # every score 1e300 > 1e9
+@example(edit="word", at=139552, value=1e300, bit=0, rehash=True)  # gat2.w_proj: every score NaN
+def test_mutated_params_file_exits_0_or_3_naming_it(workspace, transfers, edit, at, value, bit, rehash):
+    """A transfer checkpoint's params file cut short, extended, or with one 8-byte
+    word (counted from the end) set to NaN, an infinity, 0 or 1e300 or with one bit
+    flipped, its params_sha256 rewritten to match or left stale: search returns 0
+    or 3, never 4, and exit 3 names the file. Each example used to exit 3 saying
+    only that no candidate was feasible."""
+    root, data, _, _, _ = workspace
+    src = sorted(transfers.glob("transfer_*.json.meta.json"))[0]
+    blob = bytearray((transfers / src.name[: -len(".meta.json")]).read_bytes())
+    meta = json.loads(src.read_text())
+    if edit == "truncate":
+        del blob[len(blob) - 1 - at % len(blob):]
+    elif edit == "extend":
+        blob += bytes(1 + at % 16)
+    else:
+        i = len(blob) - 8 * (1 + at % (len(blob) // 8))
+        if value == "flip":
+            blob[i + bit // 8] ^= 1 << bit % 8
+        else:
+            blob[i : i + 8] = np.array(value, dtype="<f8").tobytes()
+    if rehash:
+        meta["params_sha256"] = hashlib.sha256(blob).hexdigest()
+    ckpt = root / "mutated_transfer.json"
+    ckpt.write_bytes(blob)
+    Path(f"{ckpt}.meta.json").write_text(json.dumps(meta))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            np.errstate(over="ignore", invalid="ignore"):  # an extreme word overflows the forward
+        code = run(["search", "--archs", str(data / "archs.jsonl"), "--checkpoint", str(ckpt),
+                    "--constraint-ms", "1e9", "--top-k", "3", "--out", str(root / "mutated.csv")])
+    assert code in (0, 3), (edit, at, value, bit, rehash, err.getvalue()[-500:])
+    if code == 3:
+        assert f"{ckpt}:" in err.getvalue(), (edit, at, value, bit, rehash, err.getvalue()[-500:])
 
 
 def test_pretrain_budget_without_a_pair_is_data_error(workspace, tmp_path, capsys):
