@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BadOpIndex, DimMismatch, MissingEncoding, NonFiniteValue, ParseError
 from .inputs import load_json, open_text
-from .rng import bounded_draws
+from .rng import keyed_ints
 
 MICRO_CELL = "micro_cell"
 MACRO_CHAIN = "macro_chain"
@@ -264,15 +264,18 @@ def make_architecture(space: SearchSpace, ops: Sequence[int]) -> Architecture:
     return Architecture(space.space_id, ops)
 
 
-def random_ops(space: SearchSpace, seeds: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """For each seed in order, uniformly drawn op indices: the draw of
-    `np.random.default_rng(seed).integers(0, vocab, size=slot_count)`."""
-    return map(tuple, bounded_draws(seeds, len(space.op_vocab), space.slot_count).tolist())
+def random_ops(
+    space: SearchSpace, prefix: Sequence[object], keys: Iterable[object]
+) -> Iterator[tuple[int, ...]]:
+    """For each key in order, uniformly drawn op indices: its `keyed_ints` draws
+    over the op vocabulary, one per slot."""
+    return map(tuple, keyed_ints(prefix, keys, len(space.op_vocab), space.slot_count).tolist())
 
 
 def random_architecture(space: SearchSpace, seed: int) -> Architecture:
-    """Uniformly sample op indices on the space's fixed topology."""
-    return make_architecture(space, next(random_ops(space, [seed])))
+    """Uniformly sample op indices on the space's fixed topology: the first
+    draw of `synthbench.distinct_random_architectures(space, n, seed)`."""
+    return make_architecture(space, next(random_ops(space, ("arch", seed), [0])))
 
 
 def graph_proxies(arch: Architecture, space: SearchSpace) -> np.ndarray:

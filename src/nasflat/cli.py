@@ -388,6 +388,8 @@ def cmd_transfer(args) -> int:
             )
         except ConstantInput as e:  # the warm start's
             raise NasflatError(f"{args.latency}: {e}") from None
+        except NonFiniteValue as e:  # the fine-tuning's, from the checkpoint's weights
+            raise NasflatError(f"{args.checkpoint}: {e}") from None
         ckpt = out_dir / f"transfer_{device}.json"
         save_checkpoint(
             state, ckpt,
@@ -460,12 +462,12 @@ def cmd_eval(args) -> int:
 
 
 def synthetic_accuracies(archs: Sequence[Architecture], seed: int) -> dict[str, float]:
-    """Deterministic pseudo-accuracy in [0, 1] per arch_id: the first
-    uniform draw of `rng_for("accuracy", seed, arch_id)`."""
-    from .rng import stable_seeds, uniform_draws
+    """Deterministic pseudo-accuracy in (0, 1) per arch_id: its uniform keyed
+    by ("accuracy", seed, arch_id)."""
+    from .rng import keyed_uniforms
 
     ids = [a.arch_id for a in archs]
-    return dict(zip(ids, uniform_draws(stable_seeds(("accuracy", seed), ids)).tolist()))
+    return dict(zip(ids, keyed_uniforms(("accuracy", seed), ids, 1)[:, 0].tolist()))
 
 
 def cmd_search(args) -> int:
@@ -483,8 +485,7 @@ def cmd_search(args) -> int:
     if args.latency:  # the checkpoint's samples in --archs that are measured on the device
         table = LatencyTable.load_csv(args.latency)
         sampled = [a for a in extra.get("sampled_ids") or archmap if a in archmap]
-        ids, ms = table.measured(device, sampled)
-        calibration = [(archmap[a], latency) for a, latency in zip(ids, ms.tolist())]
+        calibration = dict(zip(*table.measured(device, sampled)))
     accuracy = synthetic_accuracies(archs, args.seed)
     try:
         result = latency_constrained_search(

@@ -107,11 +107,14 @@ def _train_batch(
     state: PredictorState, adam: AdamState, device_row: int, ops_rows: np.ndarray,
     targets: np.ndarray, supp: np.ndarray | None, lr: float, weight_decay: float, margin: float,
 ) -> float:
-    with ad.recording() as tape:
-        preds = _forward(state, ops_rows, device_row, supp)
-        loss = pairwise_hinge_loss(preds, targets, margin)
-    grads = ad.named_grads(state.params, ad.backward(tape, loss))
-    ad.adam_step(state.params, grads, adam, lr, weight_decay)
+    """One Adam step on one minibatch; returns its loss. Overflow and invalid
+    values raise no numpy warning: `_fit` reports a non-finite loss or parameter."""
+    with np.errstate(all="ignore"):
+        with ad.recording() as tape:
+            preds = _forward(state, ops_rows, device_row, supp)
+            loss = pairwise_hinge_loss(preds, targets, margin)
+        grads = ad.named_grads(state.params, ad.backward(tape, loss))
+        ad.adam_step(state.params, grads, adam, lr, weight_decay)
     return float(loss.data)
 
 
@@ -412,29 +415,35 @@ def latency_constrained_search(
     constraint_ms: float,
     top_k: int,
     encodings: EncodingTable | None = None,
-    calibration: Sequence[tuple[Architecture, float]] | None = None,
+    calibration: Mapping[str, float] | None = None,
 ) -> SearchResult:
     """Keep candidates predicted under the constraint and rank them by `accuracy`,
     which maps the arch_id of each candidate to its accuracy.
 
-    `calibration` holds measured (arch, ms) pairs on the device; they map raw
-    scores to milliseconds before filtering, and an empty sequence raises
-    InsufficientData. Without it, the constraint is in raw score units.
-    Predictor invocation time is accounted separately from total search time.
+    `calibration` maps the arch_id of candidates measured on the device to
+    their ms; their scores map raw scores to milliseconds before filtering.
+    An empty mapping raises InsufficientData and an id that is not a
+    candidate raises ValueError. Without it, the constraint is in raw score
+    units. Predictor invocation time is accounted separately from total
+    search time.
     """
     t_start = time.perf_counter()
     if not candidate_archs:
         raise EmptyFeasibleSet("no candidate architectures")
     ids = [a.arch_id for a in candidate_archs]
-    t0 = time.perf_counter()
-    scores = predict_batch(state, candidate_archs, device_id, encodings)
     if calibration is not None:
         if not calibration:
             raise InsufficientData(f"no measured calibration sample on device {device_id!r}")
-        cal_scores = predict_batch(state, [a for a, _ in calibration], device_id, encodings)
+        row = {a: i for i, a in enumerate(ids)}
+        missing = [a for a in calibration if a not in row]
+        if missing:
+            raise ValueError(f"calibration arch {missing[0]!r} is not a candidate")
+        cal_rows = [row[a] for a in calibration]
+    t0 = time.perf_counter()
+    scores = predict_batch(state, candidate_archs, device_id, encodings)
     predictor_time = time.perf_counter() - t0
     if calibration is not None:
-        scores = calibrate_scores(scores, cal_scores, np.array([ms for _, ms in calibration]))
+        scores = calibrate_scores(scores, scores[cal_rows], np.array(list(calibration.values())))
     predicted = dict(zip(ids, scores.tolist()))
     feasible = [a for a in ids if predicted[a] <= constraint_ms]
     if not feasible:

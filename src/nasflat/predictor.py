@@ -541,7 +541,8 @@ def predict_batch(
     Scores in forwards of PREDICT_CHUNK (128) archs. `encodings` holds each
     arch's supplementary row and must be as wide as the config's
     supplementary_dim (no table is width 0). Raises NonFiniteValue if a
-    score is NaN or infinite, as extreme finite parameters can make one.
+    score is NaN or infinite, as extreme finite parameters can make one; the
+    forward's overflow raises no numpy warning before it.
     """
     if not archs:
         return np.zeros(0)
@@ -552,7 +553,8 @@ def predict_batch(
         chunk = archs[start : start + PREDICT_CHUNK]
         ops_rows = np.array([a.ops for a in chunk], dtype=np.intp)
         supp = _supplementary_rows(state, encodings, [a.arch_id for a in chunk])
-        out[start : start + len(chunk)] = _forward(state, ops_rows, row, supp).data[:, 0]
+        with np.errstate(all="ignore"):
+            out[start : start + len(chunk)] = _forward(state, ops_rows, row, supp).data[:, 0]
     bad = np.count_nonzero(~np.isfinite(out))
     if bad:
         raise NonFiniteValue(f"{bad} of {len(archs)} scores on device {device_id!r} are NaN or infinite")

@@ -25,7 +25,7 @@ import numpy as np
 from .archspace import Architecture, SearchSpace, random_ops, write_architectures
 from .devicesets import LatencyTable
 from .errors import NoiseOutOfRange, PoolTooSmall
-from .rng import rng_for, seeded, stable_seed, stable_seeds
+from .rng import keyed_normals, rng_for, stable_seed
 
 DRAW_BLOCK = 1024  # random-architecture draws per call of `random_ops`
 
@@ -105,9 +105,9 @@ def latencies(archs: Sequence[Architecture], device: SyntheticDevice, space: Sea
         discount += pair * np.minimum(op_costs[:, su], op_costs[:, sv])
     values = op_costs.sum(axis=1) - discount
     if device.noise_sigma > 0:
-        seeds = stable_seeds(("noise", device.seed), [a.arch_id for a in archs])
+        z = keyed_normals(("noise", device.seed), [a.arch_id for a in archs])
         try:
-            values *= [math.exp(device.noise_sigma * rng.normal()) for rng in seeded(seeds)]
+            values *= [math.exp(device.noise_sigma * v) for v in z]
         except OverflowError:
             values[:] = math.inf
         bad = values[(values <= 0) | (values == math.inf)]
@@ -129,8 +129,8 @@ def measure(
 
 
 def distinct_random_architectures(space: SearchSpace, n: int, seed: int) -> list[Architecture]:
-    """n architectures with distinct ops: draw d is `random_ops` under
-    stable_seed("arch", seed, d), skipped if an earlier draw gave its ops."""
+    """n architectures with distinct ops: draw d is `random_ops` keyed by
+    ("arch", seed, d), skipped if an earlier draw gave its ops."""
     size = len(space.op_vocab) ** space.slot_count
     if n > size:
         raise PoolTooSmall(f"space {space.space_id!r} has {size} architectures; cannot draw {n} distinct ones")
@@ -138,8 +138,7 @@ def distinct_random_architectures(space: SearchSpace, n: int, seed: int) -> list
     seen: set[tuple[int, ...]] = set()
     start = 0
     while len(archs) < n:
-        seeds = stable_seeds(("arch", seed), range(start, start + DRAW_BLOCK))
-        for ops in random_ops(space, seeds):
+        for ops in random_ops(space, ("arch", seed), range(start, start + DRAW_BLOCK)):
             if ops not in seen:
                 seen.add(ops)
                 archs.append(Architecture(space.space_id, ops))

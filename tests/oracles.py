@@ -1,12 +1,14 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately written straight-line (python loops, counting
-formulas) so it shares no code path with the implementations under test. Two
+formulas) so it shares no code path with the implementations under test. Three
 exceptions: the finite-difference checker reuses the library's tape to get the
-analytic gradients it checks, and the dense forward pass reuses the layer
-functions to check the row plan that `predictor._forward` runs them on.
-The synthetic-world oracles seed a fresh `np.random.default_rng` per draw,
-the reference for the bulk `rng.seeded` path.
+analytic gradients it checks; the dense forward pass reuses the layer
+functions to check the row plan that `predictor._forward` runs them on; and
+the two synthetic-world oracles draw through `rng.keyed_ints` and
+`rng.keyed_uniforms`, one call per key, as the reference for the library's
+calls over whole key lists (the latency oracle turns its uniform into a
+normal with `NormalDist` itself).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -21,7 +24,7 @@ import numpy as np
 from nasflat import autodiff as ad
 from nasflat import archspace as asp
 from nasflat import predictor as pred
-from nasflat.rng import stable_seed
+from nasflat.rng import keyed_ints, keyed_uniforms
 
 
 def rank_by_counting(x):
@@ -252,7 +255,7 @@ def dense_forward(state, ops_rows, device_row, supplementary=None):
 
 def latency_oracle(arch, device, space):
     """One architecture's synthetic latency, one scalar step at a time, with
-    its noise from a fresh Generator per (device, arch)."""
+    its noise from one keyed uniform per (device, arch)."""
     costs = device.base_costs
     ops = arch.ops
     total = float(costs[list(ops)].sum())
@@ -262,19 +265,19 @@ def latency_oracle(arch, device, space):
         discount += device.fusion_discounts[a, b] * min(costs[a], costs[b])
     value = total - discount
     if device.noise_sigma > 0:
-        z = np.random.default_rng(stable_seed("noise", device.seed, arch.arch_id)).normal()
+        u = float(keyed_uniforms(("noise", device.seed), [arch.arch_id], 1)[0, 0])
+        z = NormalDist().inv_cdf(u)
         value *= math.exp(device.noise_sigma * z)
     return value
 
 
 def distinct_architectures_oracle(space, n, seed):
     """(n distinct architectures, draws made): draw d builds an Architecture from
-    a fresh `default_rng(stable_seed("arch", seed, d))` and keeps it if its
-    arch_id is new."""
+    the ints keyed by ("arch", seed, d) and keeps it if its arch_id is new."""
     archs, seen, draw = [], set(), 0
     while len(archs) < n:
-        rng = np.random.default_rng(stable_seed("arch", seed, draw))
-        arch = asp.Architecture(space.space_id, rng.integers(0, len(space.op_vocab), size=space.slot_count))
+        ops = keyed_ints(("arch", seed), [draw], len(space.op_vocab), space.slot_count)[0]
+        arch = asp.Architecture(space.space_id, ops.tolist())
         draw += 1
         if arch.arch_id not in seen:
             seen.add(arch.arch_id)

@@ -465,12 +465,12 @@ def test_criterion_9_constrained_search(e2e):
         rhos.append(
             [e for e in e2e["entries"]["random"] if e.trial == 0 and e.device_id == target][0].spearman
         )
-        candidates = [archmap[a] for a in sorted(archmap) if a not in set(picked)]
+        candidates = [archmap[a] for a in sorted(archmap)]
         latency = dict(zip(*table.measured(target)))
         truths = np.array([latency[a.arch_id] for a in candidates])
         constraint = float(np.quantile(truths, 0.5))
         accuracy = {a.arch_id: float(rng_for("acc", a.arch_id).uniform()) for a in candidates}
-        calibration = [(archmap[a], latency[a]) for a in sorted(picked)]
+        calibration = {a: latency[a] for a in sorted(picked)}
         result = pl.latency_constrained_search(
             candidates, accuracy, adapted, target, constraint, top_k=10, calibration=calibration,
         )

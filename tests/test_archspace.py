@@ -276,7 +276,7 @@ _PINNED = {
             6.0, 8.0, 10.0, 4.0, 0.35714285714285715, 5.0, 1.5607104090414063, 2.0, 4.0,
             0.39999999999999997, 6.489999999999999, 5.819999999999999, 1.0816666666666666,
         ],
-        "latency": 9.388054459585515,
+        "latency": 9.773995107576336,
     },
     "fbnet": {
         "ids": {
@@ -289,7 +289,7 @@ _PINNED = {
             22.0, 22.0, 21.0, 21.0, 0.09090909090909091, 9.0, 2.161287119576154, 4.0, 20.0,
             7.000000000000001, 66.00000000000001, 66.0, 3.0000000000000004,
         ],
-        "latency": 39.052143062445786,
+        "latency": 40.00095561870748,
     },
 }
 

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -144,8 +145,8 @@ def test_count_flag_beyond_the_float_range_is_usage_error(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("argv, device, value", [
-    (["--devices", "2", "--archs", "50", "--sigma", "300"], "d01", "inf"),
-    (["--devices", "1", "--archs", "4", "--seed", "8", "--sigma", "400"], "d00", "0.0"),
+    (["--devices", "2", "--archs", "50", "--seed", "1", "--sigma", "300"], "d01", "inf"),
+    (["--devices", "1", "--archs", "4", "--seed", "1", "--sigma", "400"], "d00", "0.0"),
 ], ids=["overflow", "underflow"])
 def test_synth_noise_out_of_float_range_is_data_error(tmp_path, capsys, argv, device, value):
     """A sigma whose noise factor overflows, or underflows to 0, exits 3 naming sigma and device."""
@@ -1184,6 +1185,37 @@ def test_non_finite_training_loss_is_data_error(workspace, tmp_path, capsys):
     assert not list(out_dir.glob("transfer_*.json"))
 
 
+@pytest.mark.parametrize("command", ["transfer", "eval", "search"])
+def test_overflowing_checkpoint_exits_3_naming_it_without_warnings(workspace, transfers, tmp_path, command):
+    """A finite weight that overflows the forward: each reader exits 3 with one
+    message naming the checkpoint, and numpy prints no RuntimeWarning first."""
+    root, data, split, config, ckpt = workspace
+    source = ckpt if command == "transfer" else sorted(transfers.glob("transfer_*.json"))[0]
+    state, extra = load_checkpoint(source)
+    state.params["gat0.w_proj"].data[0, 0] = 1e300
+    poisoned = tmp_path / "overflow.json"
+    save_checkpoint(state, poisoned, extra)
+    archs, latency = str(data / "archs.jsonl"), str(data / "latency.csv")
+    argv = {
+        "transfer": ["transfer", "--config", str(config), "--latency", latency, "--archs", archs,
+                     "--split", str(split), "--target", json.loads(split.read_text())["target"][0],
+                     "--samples", "8", "--seed", "4", "--out-dir", str(tmp_path / "out")],
+        "eval": ["eval", "--latency", latency, "--archs", archs, "--seed", "3",
+                 "--out-prefix", str(tmp_path / "report")],
+        "search": ["search", "--archs", archs, "--latency", latency, "--constraint-ms", "1e9",
+                   "--top-k", "3", "--out", str(tmp_path / "search.csv")],
+    }[command] + ["--checkpoint", str(poisoned)]
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = run(argv)
+    assert code == 3, err.getvalue()
+    assert err.getvalue().startswith(f"error: {poisoned}: "), err.getvalue()
+    assert err.getvalue().count("\n") == 1, err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_config_sampler_section_used_when_flags_absent(workspace, tmp_path):
     root, data, split, _, ckpt = workspace
     config = tmp_path / "run.json"
@@ -1559,8 +1591,7 @@ def test_mutated_params_file_exits_0_or_3_naming_it(workspace, transfers, edit, 
     ckpt.write_bytes(blob)
     Path(f"{ckpt}.meta.json").write_text(json.dumps(meta))
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
-            np.errstate(over="ignore", invalid="ignore"):  # an extreme word overflows the forward
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = run(["search", "--archs", str(data / "archs.jsonl"), "--checkpoint", str(ckpt),
                     "--constraint-ms", "1e9", "--top-k", "3", "--out", str(root / "mutated.csv")])
     assert code in (0, 3), (edit, at, value, bit, rehash, err.getvalue()[-500:])

@@ -8,6 +8,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
+import generator_worlds
 import numpy as np
 import pytest
 from oracles import epoch_batches, finite_diff_check
@@ -36,15 +37,18 @@ def nb201():
 @pytest.fixture(scope="module")
 def small_world(nb201):
     """Three correlated source devices, one clone target, 80 archs."""
+    table, archs = sb.gen_dataset(nb201, _clone_family(nb201), 80, seed=8)
+    return table, {a.arch_id: a for a in archs}, ["s0", "s1", "s2"], "t0"
+
+
+def _clone_family(nb201):
     parent = sb.gen_device(50, nb201, device_id="s0", sigma=0.02)
-    devices = [
+    return [
         parent,
         sb.gen_device(51, nb201, device_id="s1", sigma=0.02, clone_of=parent, cost_jitter=0.2),
         sb.gen_device(52, nb201, device_id="s2", sigma=0.02, clone_of=parent, cost_jitter=0.4),
         sb.gen_device(53, nb201, device_id="t0", sigma=0.03, clone_of=parent, cost_jitter=0.3),
     ]
-    table, archs = sb.gen_dataset(nb201, devices, 80, seed=8)
-    return table, {a.arch_id: a for a in archs}, ["s0", "s1", "s2"], "t0"
 
 
 # --- hinge loss ----------------------------------------------------------------
@@ -177,8 +181,10 @@ def test_training_trajectory_scale_invariant(nb201, small_world):
 
 # --- transfer ---------------------------------------------------------------------
 
-def test_transfer_improves_on_clone(nb201, small_world):
-    table, archs, sources, target = small_world
+def test_transfer_improves_on_clone(nb201):
+    """On `small_world` as numpy's Generator drew it (see generator_worlds)."""
+    table, archs = generator_worlds.dataset(nb201, _clone_family(nb201), 80, seed=8)
+    archs, sources, target = {a.arch_id: a for a in archs}, ["s0", "s1", "s2"], "t0"
     st = _fresh_state(nb201, sources, seed=3)
     cfg = pl.TrainConfig(epochs=8, source_samples=60, transfer_epochs=20)
     pl.pretrain(st, table, sources, archs, cfg, seed=2)
@@ -517,7 +523,32 @@ def test_search_calibration_without_rows_for_the_device_raises(nb201, small_worl
     pool = [archs[a] for a in sorted(archs)[:10]]
     with pytest.raises(InsufficientData, match="'s0'"):
         pl.latency_constrained_search(pool, dict.fromkeys(archs, 1.0), st, "s0", np.inf, top_k=3,
-                                      calibration=[])
+                                      calibration={})
+
+
+def test_search_calibration_scores_come_from_the_candidates_forward(nb201, small_world, monkeypatch):
+    """One forward scores candidates and calibration archs alike; a calibration id
+    that is not a candidate is refused by name before any forward."""
+    table, archs, sources, _ = small_world
+    st = _fresh_state(nb201, sources, seed=6)
+    pool = [archs[a] for a in sorted(archs)[:40]]
+    cal_ids, cal_ms = table.measured("s0", [a.arch_id for a in pool[::4]])
+    calibration = dict(zip(cal_ids, cal_ms.tolist()))
+    calls = []
+    real = pl.predict_batch
+    monkeypatch.setattr(pl, "predict_batch", lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+    result = pl.latency_constrained_search(pool, dict.fromkeys(archs, 1.0), st, "s0", np.inf,
+                                           top_k=40, calibration=calibration)
+    assert calls == [pool]
+    raw = real(st, pool, "s0")
+    want = pl.calibrate_scores(raw, raw[::4], cal_ms)
+    assert [result.predicted_latency[a.arch_id] for a in pool] == want.tolist()
+    outsider = next(a for a in sorted(archs) if archs[a] not in pool)
+    calls.clear()
+    with pytest.raises(ValueError, match=repr(outsider)):
+        pl.latency_constrained_search(pool, dict.fromkeys(archs, 1.0), st, "s0", np.inf, top_k=3,
+                                      calibration={**calibration, outsider: 5.0})
+    assert calls == []
 
 
 def test_calibration_maps_scores_to_ms():

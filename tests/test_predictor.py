@@ -12,6 +12,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import generator_worlds
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -393,9 +394,10 @@ def test_predict_batch_with_encodings_bitwise_equals_dense_oracle(fbnet, kind):
 
 @pytest.mark.parametrize("kind", ["dgf", "gat", "ensemble"])
 def test_full_gradient_check_all_kinds(nb201, kind):
+    """On archs as numpy's Generator drew them (see generator_worlds)."""
     config = pred.PredictorConfig(gnn_kind=kind, supplementary_dim=2)
     st = pred.init_predictor(config, [nb201], ["d0", "d1"], seed=11)
-    archs = [asp.random_architecture(nb201, s) for s in range(5)]
+    archs = [generator_worlds.architecture(nb201, s) for s in range(5)]
     ops_rows = np.array([a.ops for a in archs], dtype=np.intp)
     supp = np.random.default_rng(0).normal(size=(5, 2))
     weights = np.random.default_rng(1).normal(size=(5, 1))
