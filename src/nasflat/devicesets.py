@@ -1,5 +1,9 @@
 """Latency tables, rank correlation, and device-set partitioning.
 
+A `LatencyTable` is one device x arch float64 matrix, NaN where a device did
+not measure an arch, so a pair of devices finds its shared archs in the NaN
+mask and each device is ranked once for all its pairs.
+
 `partition` splits devices into low-mutual-correlation source/target pools:
 it bisects their Spearman correlation matrix with Kernighan-Lin on the
 negated correlations (minimizing the cut weight pushes correlated devices
@@ -13,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,78 +36,89 @@ from .rng import rng_for
 
 
 class LatencyTable:
-    """(arch_id, device_id, latency_ms) records, indexed both ways."""
+    """Latencies in ms as one float64 matrix `ms`, built once from
+    `{device_id: {arch_id: ms}}`: a row per device with a latency, in the order
+    given, a column per id of the sorted `arch_ids`, and NaN where the pair is
+    unmeasured. Latencies are finite and positive, so NaN is never one."""
 
-    def __init__(self):
-        self._by_device: dict[str, dict[str, float]] = {}
-
-    def add(self, arch_id: str, device_id: str, latency_ms: float) -> None:
-        if not (math.isfinite(latency_ms) and latency_ms > 0):
-            raise ValueError(
-                f"latency must be finite and positive, got {latency_ms} for {arch_id}/{device_id}"
-            )
-        rows = self._by_device.setdefault(device_id, {})
-        if arch_id in rows:
-            raise ValueError(f"duplicate measurement for ({arch_id}, {device_id})")
-        rows[arch_id] = float(latency_ms)
+    def __init__(self, rows: Mapping[str, Mapping[str, float]] | None = None):
+        rows = {device: row for device, row in (rows or {}).items() if row}
+        self._devices = list(rows)
+        self.arch_ids = sorted(set().union(*rows.values()))
+        self._column = dict(zip(self.arch_ids, range(len(self.arch_ids))))
+        self.ms = np.full((len(rows), len(self.arch_ids)), np.nan)
+        for i, (device, row) in enumerate(rows.items()):
+            values = np.fromiter(row.values(), np.float64, len(row))
+            if not (np.isfinite(values) & (values > 0)).all():
+                arch, ms = next((a, ms) for a, ms in row.items() if not 0 < ms < math.inf)
+                raise ValueError(f"latency must be finite and positive, got {ms} for {arch}/{device}")
+            self.ms[i, np.fromiter(map(self._column.__getitem__, row), np.intp, len(row))] = values
 
     def devices(self) -> list[str]:
-        return list(self._by_device)
+        return list(self._devices)
 
     def __len__(self) -> int:
-        return sum(len(r) for r in self._by_device.values())
+        return int(np.count_nonzero(~np.isnan(self.ms)))
+
+    def row(self, device_id: str) -> np.ndarray:
+        """The device's latencies over `arch_ids`; all NaN for an unknown device."""
+        if device_id in self._devices:
+            return self.ms[self._devices.index(device_id)]
+        return np.full(len(self.arch_ids), np.nan)
 
     def measured(self, device_id: str, arch_ids: Iterable[str] | None = None) -> tuple[list[str], np.ndarray]:
         """The distinct archs of `arch_ids` (all when None) measured on the
         device, sorted by arch_id, and their float64 latencies in that order."""
-        rows = self._by_device.get(device_id, {})
-        wanted = rows if arch_ids is None else set(arch_ids)
-        ids = sorted(a for a in rows if a in wanted)
-        return ids, np.array([rows[a] for a in ids], dtype=np.float64)
+        row = self.row(device_id)
+        wanted = np.full(len(self.arch_ids), arch_ids is None)
+        wanted[[self._column[a] for a in ([] if arch_ids is None else arch_ids) if a in self._column]] = True
+        cols = np.flatnonzero(wanted & ~np.isnan(row))
+        return [self.arch_ids[j] for j in cols], row[cols]
 
     def subset(self, device_ids: Iterable[str] | None = None, arch_ids: Iterable[str] | None = None) -> "LatencyTable":
-        device_set = None if device_ids is None else set(device_ids)
-        arch_set = None if arch_ids is None else set(arch_ids)
-        out = LatencyTable()
-        for device, rows in self._by_device.items():
-            if device_set is not None and device not in device_set:
-                continue
-            for arch, lat in rows.items():
-                if arch_set is not None and arch not in arch_set:
-                    continue
-                out.add(arch, device, lat)
-        return out
+        keep = self._devices if device_ids is None else set(device_ids)
+        wanted = None if arch_ids is None else set(arch_ids)
+        return LatencyTable({d: dict(zip(*self.measured(d, wanted))) for d in self._devices if d in keep})
 
     def save_csv(self, path) -> None:
         """Write `arch_id,device_id,latency_ms` sorted by (device, arch)."""
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as fh:
+        with Path(path).open("w", encoding="utf-8") as fh:
             fh.write("arch_id,device_id,latency_ms\n")
-            for device in sorted(self._by_device):
-                rows = self._by_device[device]
-                for arch in sorted(rows):
-                    fh.write(f"{arch},{device},{repr(rows[arch])}\n")
+            for device in sorted(self._devices):
+                ids, ms = self.measured(device)
+                fh.writelines(f"{arch},{device},{value!r}\n" for arch, value in zip(ids, ms.tolist()))
 
     @classmethod
     def load_csv(cls, path) -> "LatencyTable":
         path = Path(path)
-        table = cls()
+        rows: dict[str, dict[str, float]] = {}
         with open_text(path) as fh:
             header = fh.readline().strip()
             if header != "arch_id,device_id,latency_ms":
                 raise ParseError(f"{path}: unexpected header {header!r}")
+            device_of = row = None
             for lineno, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line:
                     continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise ParseError(f"{path}:{lineno}: expected 3 columns")
                 try:
-                    table.add(parts[0], parts[1], float(parts[2]))
+                    arch, device, text = line.split(",")
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: expected 3 columns") from None
+                try:
+                    if not arch or not device:
+                        raise ValueError("empty arch_id" if not arch else "empty device_id")
+                    ms = float(text)
+                    if not 0 < ms < math.inf:
+                        raise ValueError(f"latency must be finite and positive, got {ms} for {arch}/{device}")
+                    if device != device_of:  # a device's lines are usually consecutive
+                        device_of, row = device, rows.setdefault(device, {})
+                    if arch in row:
+                        raise ValueError(f"duplicate measurement for ({arch}, {device})")
+                    row[arch] = ms
                 except ValueError as e:
                     raise ParseError(f"{path}:{lineno}: {e}") from None
-        return table
+        return cls(rows)
 
 
 def _fractional_ranks(x: np.ndarray) -> np.ndarray:
@@ -130,29 +145,38 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
         raise NonFiniteValue("rank correlation undefined for non-finite input")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ConstantInput("rank correlation undefined for constant input")
-    rx = _fractional_ranks(x)
-    ry = _fractional_ranks(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
+    return _rank_correlation(_centred_ranks(x), _centred_ranks(y))
+
+
+def _centred_ranks(x: np.ndarray) -> np.ndarray:
+    ranks = _fractional_ranks(x)
+    return ranks - ranks.mean()
+
+
+def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
     return float((rx * ry).sum() / np.sqrt((rx * rx).sum() * (ry * ry).sum()))
 
 
 def correlation_matrix(table: LatencyTable, devices: Sequence[str]) -> np.ndarray:
-    """Pairwise Spearman over each pair's shared archs; diagonal is 1."""
+    """Pairwise Spearman over each pair's shared archs; diagonal is 1. A device
+    is ranked once, and a pair sharing all its archs reuses that ranking: ranks
+    are multiples of 0.5, so the sums are exact and the bits are `spearman`'s."""
     k = len(devices)
     corr = np.eye(k)
-    ids = [table.measured(d)[0] for d in devices]
+    rows = [table.row(d) for d in devices]
+    seen = [~np.isnan(r) for r in rows]
+    own = [_centred_ranks(r[s]) if np.count_nonzero(s) >= 2 else None for r, s in zip(rows, seen)]
     for i in range(k):
         for j in range(i + 1, k):
-            shared, xb = table.measured(devices[j], ids[i])
-            _, xa = table.measured(devices[i], shared)
+            shared = seen[i] & seen[j]
+            n = int(np.count_nonzero(shared))
             pair = f"devices {devices[i]!r} and {devices[j]!r}"
-            if len(shared) < 2:
-                raise InsufficientOverlap(f"{pair} share {len(shared)} archs (need >= 2)")
-            try:
-                corr[i, j] = corr[j, i] = spearman(xa, xb)
-            except ConstantInput as e:
-                raise ConstantInput(f"{pair} over {len(shared)} shared archs: {e}") from None
+            if n < 2:
+                raise InsufficientOverlap(f"{pair} share {n} archs (need >= 2)")
+            rx, ry = (own[d] if n == len(own[d]) else _centred_ranks(rows[d][shared]) for d in (i, j))
+            if not (rx.any() and ry.any()):
+                raise ConstantInput(f"{pair} over {n} shared archs: rank correlation undefined for constant input")
+            corr[i, j] = corr[j, i] = _rank_correlation(rx, ry)
     return corr
 
 
@@ -173,7 +197,7 @@ class DeviceSplit:
     @classmethod
     def from_json(cls, text: str) -> "DeviceSplit":
         """Parse `to_json` output. A missing key raises KeyError; a field that
-        is not a non-empty list of distinct device ids, a device in both
+        is not a non-empty list of distinct non-empty device ids, a device in both
         pools, or an objective that is not a finite number raises BadField
         with the value's JSON pointer."""
         obj = load_json(text)
@@ -193,6 +217,8 @@ def _device_ids(value, key: str) -> tuple[str, ...]:
     for i, device in enumerate(value):
         if not isinstance(device, str):
             raise BadField(f"/{key}/{i}: must be a device id string, got {device!r}")
+        if not device:
+            raise BadField(f"/{key}/{i}: empty device id")
         if device in value[:i]:
             raise BadField(f"/{key}/{i}: device {device!r} is listed twice")
     return tuple(value)
@@ -211,37 +237,22 @@ def _kl_pass(weights: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, float]:
         for v in range(n):
             same = side == side[v]
             ext[v] = weights[v, ~same].sum() - weights[v, same].sum()
-        best = None
-        for a in range(n):
-            if locked[a] or not side[a]:
-                continue
-            for b in range(n):
-                if locked[b] or side[b]:
-                    continue
-                gain = ext[a] + ext[b] - 2.0 * weights[a, b]
-                if best is None or gain > best[0]:
-                    best = (gain, a, b)
-        if best is None:
-            break
-        gain, a, b = best
+        # Gains of swapping a (side True) with b; argmax takes the first best pair in row-major order.
+        gain = ext[:, None] + ext[None, :] - 2.0 * weights
+        gain[~side | locked] = -np.inf
+        gain[:, side | locked] = -np.inf
+        a, b = divmod(int(np.argmax(gain)), n)
         side[a], side[b] = side[b], side[a]
         locked[a] = locked[b] = True
         swaps.append((a, b))
-        gains.append(gain)
-    if not gains:
-        return side, 0.0
+        gains.append(gain[a, b])
     prefix = np.cumsum(gains)
     k = int(np.argmax(prefix))
-    best_gain = float(prefix[k])
     # Sub-epsilon "gains" are rounding noise on exactly-zero swap cycles and
-    # would spin the pass loop forever.
-    if best_gain <= 1e-12:
-        for a, b in reversed(swaps):
-            side[a], side[b] = side[b], side[a]
-        return side, 0.0
-    for a, b in reversed(swaps[k + 1 :]):
-        side[a], side[b] = side[b], side[a]
-    return side, best_gain
+    # would spin the pass loop forever, so such a pass keeps no swap.
+    keep = k + 1 if prefix[k] > 1e-12 else 0
+    side[[v for pair in swaps[keep:] for v in pair]] ^= True  # undo the swaps after the best prefix
+    return side, float(prefix[k]) if keep else 0.0
 
 
 def kl_bisect(corr: np.ndarray, seed: int) -> tuple[list[int], list[int]]:

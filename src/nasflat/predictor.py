@@ -573,25 +573,23 @@ def init_target_hw_embedding(
     sources = list(source_device_ids)
     target_row = state.device_row(target)
 
-    shared, _ = target_samples.measured(target)
-    for src in sources:
-        shared, _ = target_samples.measured(src, shared)
-    if len(shared) < 2:
-        raise InsufficientOverlap(
-            f"only {len(shared)} archs shared between target and all sources (need >= 2)"
-        )
-    _, t_vec = target_samples.measured(target, shared)
+    rows = np.array([target_samples.row(d) for d in [target, *sources]])
+    shared = ~np.isnan(rows).any(axis=0)
+    n_shared = int(np.count_nonzero(shared))
+    if n_shared < 2:
+        raise InsufficientOverlap(f"only {n_shared} archs shared between target and all sources (need >= 2)")
+    t_vec = rows[0, shared]
     best_rho, best_src = -np.inf, None
-    for src in sources:
+    for src, row in zip(sources, rows[1:]):
         try:
-            rho = spearman(t_vec, target_samples.measured(src, shared)[1])
+            rho = spearman(t_vec, row[shared])
         except ConstantInput:
             continue
         if rho > best_rho:
             best_rho, best_src = rho, src
     if best_src is None:
         raise ConstantInput(f"no source device has a defined correlation with target {target!r} "
-                            f"over {len(shared)} shared archs (constant latencies)")
+                            f"over {n_shared} shared archs (constant latencies)")
     hw = state.params["hw_embed"]
     hw.data[target_row] = hw.data[state.device_row(best_src)]
     return best_src

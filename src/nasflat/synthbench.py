@@ -121,11 +121,8 @@ def measure(
     archs: Sequence[Architecture], devices: Sequence[SyntheticDevice], space: SearchSpace
 ) -> LatencyTable:
     """Latency table covering every (arch, device) pair."""
-    table = LatencyTable()
-    for device in devices:
-        for arch, value in zip(archs, latencies(archs, device, space).tolist()):
-            table.add(arch.arch_id, device.device_id, value)
-    return table
+    ids = [a.arch_id for a in archs]
+    return LatencyTable({d.device_id: dict(zip(ids, latencies(archs, d, space))) for d in devices})
 
 
 def distinct_random_architectures(space: SearchSpace, n: int, seed: int) -> list[Architecture]:

@@ -99,10 +99,8 @@ def test_synth_bytes_equal_the_files_written_from_the_oracles(tmp_path, space_id
         json.dumps({"space": space_id, "adj": adj, "ops": list(a.ops)}, separators=(",", ":")) + "\n"
         for a in archs
     ))
-    table = LatencyTable()
-    for device in sb.mixed_family(space, 3, 7, sigma=0.03):
-        for arch in archs:
-            table.add(arch.arch_id, device.device_id, latency_oracle(arch, device, space))
+    table = LatencyTable({device.device_id: {a.arch_id: latency_oracle(a, device, space) for a in archs}
+                          for device in sb.mixed_family(space, 3, 7, sigma=0.03)})
     table.save_csv(want / "latency.csv")
     asp.save_encoding_table(asp.proxy_table(archs, space), want / "zcp.csv")
     for name in ("archs.jsonl", "latency.csv", "zcp.csv"):
@@ -174,7 +172,6 @@ def test_synth_more_archs_than_the_space_holds_is_data_error(tmp_path):
 
 def test_partition_separates_planted_pairs(tmp_path):
     nb = asp.nb201_space()
-    table = LatencyTable()
     devices = []
     for p in range(2):
         parent = sb.gen_device(300 + p * 10, nb, device_id=f"p{p}a", sigma=0.01)
@@ -270,6 +267,103 @@ def test_partition_with_a_constant_device_names_the_file_devices_and_archs(works
     assert err == (f"error: {latency}: devices {devices[0]!r} and {devices[-1]!r} over 80 shared "
                    "archs: rank correlation undefined for constant input\n")
     assert not (tmp_path / "split.json").exists()
+
+
+@pytest.mark.parametrize("row, why", [(",d00,1.5", "empty arch_id"), ("a0,,1.5", "empty device_id")])
+def test_latency_csv_with_an_empty_id_is_a_data_error_at_its_line(workspace, tmp_path, capsys, row, why):
+    _, data, _, _, _ = workspace
+    lines = (data / "latency.csv").read_text().splitlines(keepends=True)
+    latency = tmp_path / "latency.csv"
+    latency.write_text("".join(lines[:3]) + row + "\n" + "".join(lines[3:]))
+    capsys.readouterr()
+    code = run(["partition", "--latency", str(latency), "--m", "3", "--n", "2",
+                "--out", str(tmp_path / "split.json")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err == f"error: {latency}:4: {why}\n"
+    assert not (tmp_path / "split.json").exists()
+
+
+def test_split_with_an_empty_device_id_is_a_data_error_at_its_pointer(workspace, tmp_path, capsys):
+    _, data, split, config, _ = workspace
+    doc = json.loads(split.read_text())
+    doc["target"].append("")
+    bad = tmp_path / "split.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run(["pretrain", "--config", str(config), "--latency", str(data / "latency.csv"),
+                "--archs", str(data / "archs.jsonl"), "--split", str(bad), "--out", str(tmp_path / "c.json")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err == f"error: {bad}: /target/{len(doc['target']) - 1}: empty device id\n"
+    assert not (tmp_path / "c.json").exists()
+
+
+# --- a mutated latency CSV exits 0 or 3 naming it -------------------------------------
+
+_CSV_FIELD = st.sampled_from(["", " ", "nan", "inf", "-inf", "0", "-1.5", "1e-400", "1e400", "1_0",
+                              "0x1p0", "x", "d00", "a00", "a,b", "\u00e9", "\u2028"])
+_CSV_BYTE = st.sampled_from(b"0123456789.,-+e_ad\t\r\n\x00\xe9")
+# Positions start past the 31-byte header and line 0, so that small draws hit the rows;
+# larger ones wrap around to anywhere.
+_CSV_MUTATION = st.one_of(
+    st.tuples(st.just("set"), st.integers(31, 2**20), _CSV_BYTE),
+    st.tuples(st.just("insert"), st.integers(31, 2**20), st.lists(_CSV_BYTE, min_size=1, max_size=3).map(bytes)),
+    st.tuples(st.just("delete"), st.integers(31, 2**20), st.integers(1, 12)),
+    st.tuples(st.just("field"), st.integers(1, 2**20), st.integers(0, 2), _CSV_FIELD),
+    st.tuples(st.just("repeat"), st.integers(1, 2**20)),  # a line written twice
+)
+
+
+def _mutated_csv(doc: bytes, kind: str, at: int, *args) -> bytes:
+    """`doc` with one byte-level or field-level fault of `kind` at `at` (taken modulo
+    the bytes or the lines it indexes)."""
+    if kind in ("set", "insert", "delete"):
+        at %= len(doc) or 1
+        if kind == "set":
+            return doc[:at] + bytes(args) + doc[at + 1:]
+        return doc[:at] + args[0] + doc[at:] if kind == "insert" else doc[:at] + doc[at + args[0]:]
+    lines = doc.split(b"\n")
+    at %= len(lines)
+    if kind == "repeat":
+        lines.insert(at, lines[at])
+    else:
+        fields = lines[at].split(b",")
+        fields[args[0] % len(fields)] = args[1].encode()
+        lines[at] = b",".join(fields)
+    return b"\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def small_latency_csv(tmp_path_factory):
+    root = tmp_path_factory.mktemp("mutated_csv")
+    rng = np.random.default_rng(0)
+    table = LatencyTable({f"d{i:02d}": {f"a{j:02d}": float(np.exp(rng.normal())) for j in range(6)}
+                          for i in range(4)})
+    table.save_csv(root / "latency.csv")
+    return root, (root / "latency.csv").read_bytes()
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(mutations=st.lists(_CSV_MUTATION, min_size=1, max_size=3))
+@example(mutations=[("field", 3, 1, "")])  # an empty device_id
+@example(mutations=[("field", 3, 0, "")])  # an empty arch_id
+@example(mutations=[("repeat", 5)])  # a duplicate measurement
+def test_mutated_latency_csv_exits_0_or_3_naming_it(small_latency_csv, mutations):
+    """partition on a small latency CSV with up to three byte- or field-level faults
+    returns 0 or 3, never 4, and exit 3 names the file."""
+    root, doc = small_latency_csv
+    for mutation in mutations:
+        doc = _mutated_csv(doc, *mutation)
+    path = root / "mutated.csv"
+    path.write_bytes(doc)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(["partition", "--latency", str(path), "--m", "1", "--n", "1",
+                    "--out", str(root / "split.json")])
+    assert code in (0, 3), (mutations, err.getvalue())
+    if code == 3:
+        assert err.getvalue().startswith(f"error: {path}"), (mutations, err.getvalue())
 
 
 def test_partition_output_revalidates(workspace):
@@ -805,9 +899,7 @@ def test_archs_from_another_space_are_data_error(transfers, tmp_path, capsys):
     meta = sorted(transfers.glob("transfer_*.json.meta.json"))[0]
     ckpt = transfers / meta.name[: -len(".meta.json")]
     device = json.loads(meta.read_text())["extra"]["target_device"]
-    table = LatencyTable()
-    for i, arch in enumerate(archs):
-        table.add(arch.arch_id, device, 1.0 + i)
+    table = LatencyTable({device: {arch.arch_id: 1.0 + i for i, arch in enumerate(archs)}})
     table.save_csv(tmp_path / "latency.csv")
     for argv in (
         ["search", "--archs", str(archs_path), "--checkpoint", str(ckpt),

@@ -1,4 +1,4 @@
-"""Spearman oracle, correlation graph, KL bisection, and pruning tests."""
+"""Spearman oracle, latency table, correlation matrix, KL bisection, and pruning tests."""
 
 from __future__ import annotations
 
@@ -9,15 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    DictLatencyTable,
     balanced_bipartitions,
     cut_weight,
     fractional_ranks_by_scan,
+    pairwise_correlation_matrix,
+    pairwise_partition,
     prune_oracle,
+    scan_kl_bisect,
     spearman_oracle,
 )
 
 from nasflat import devicesets as ds
 from nasflat.errors import (
+    BadField,
     ConstantInput,
     InsufficientOverlap,
     LengthMismatch,
@@ -97,11 +102,8 @@ def test_spearman_monotone_transform_invariance():
 # --- latency table ---------------------------------------------------------------
 
 def test_latency_table_roundtrip(tmp_path):
-    table = ds.LatencyTable()
-    table.add("a3", "dev0", 0.1 + 0.2)  # a value whose shortest repr has 17 digits
-    table.add("a1", "dev0", 2.5)
-    table.add("a2", "dev0", 1.25)
-    table.add("a1", "dev1", 7.0)
+    # 0.1 + 0.2 is a value whose shortest repr has 17 digits
+    table = ds.LatencyTable({"dev0": {"a3": 0.1 + 0.2, "a1": 2.5, "a2": 1.25}, "dev1": {"a1": 7.0}})
     path = tmp_path / "lat.csv"
     table.save_csv(path)
     loaded = ds.LatencyTable.load_csv(path)
@@ -126,19 +128,19 @@ def test_latency_table_roundtrip(tmp_path):
             assert [v.hex() for v in ms.tolist()] == [csv[a, device].hex() for a in want]
 
 
-def test_latency_table_rejects_duplicates_and_nonpositive():
-    table = ds.LatencyTable()
-    table.add("a", "d", 1.0)
-    with pytest.raises(ValueError):
-        table.add("a", "d", 2.0)
-    with pytest.raises(ValueError):
-        table.add("b", "d", 0.0)
+def test_latency_table_rejects_duplicates_and_nonpositive(tmp_path):
+    with pytest.raises(ValueError, match=r"^latency must be finite and positive, got 0.0 for b/d$"):
+        ds.LatencyTable({"d": {"a": 1.0, "b": 0.0}})
+    path = tmp_path / "lat.csv"
+    path.write_text("arch_id,device_id,latency_ms\na,d,1.0\nb,e,2.0\na,d,2.0\n")
+    with pytest.raises(ParseError, match=r"lat\.csv:4: duplicate measurement for \(a, d\)$"):
+        ds.LatencyTable.load_csv(path)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_latency_table_rejects_non_finite(tmp_path, bad):
     with pytest.raises(ValueError, match="finite"):
-        ds.LatencyTable().add("a", "d", bad)
+        ds.LatencyTable({"d": {"a": bad}})
     path = tmp_path / "lat.csv"
     path.write_text(f"arch_id,device_id,latency_ms\na,d,1.5\nb,d,{bad}\n")
     with pytest.raises(ParseError, match=r"lat\.csv:3:"):
@@ -155,11 +157,8 @@ def test_latency_table_bad_header(tmp_path):
 # --- correlation matrix -------------------------------------------------------
 
 def _table_from_matrix(values, devices):
-    table = ds.LatencyTable()
-    for i, row in enumerate(values):
-        for d, v in zip(devices, row):
-            table.add(f"arch{i}", d, float(v))
-    return table
+    return ds.LatencyTable({d: {f"arch{i}": float(v) for i, v in enumerate(col)}
+                            for d, col in zip(devices, np.asarray(values).T)})
 
 
 def test_correlation_matrix_clone_and_reverse():
@@ -191,10 +190,7 @@ def test_correlation_matrix_planted_values():
 
 
 def test_correlation_matrix_insufficient_overlap():
-    table = ds.LatencyTable()
-    table.add("a", "d0", 1.0)
-    table.add("a", "d1", 2.0)
-    table.add("b", "d0", 3.0)
+    table = ds.LatencyTable({"d0": {"a": 1.0, "b": 3.0}, "d1": {"a": 2.0}})
     with pytest.raises(InsufficientOverlap):
         ds.correlation_matrix(table, ["d0", "d1"])
 
@@ -296,16 +292,13 @@ def test_full_partition_beats_random_splits_on_paired_family():
     rng = np.random.default_rng(21)
     n_pairs = 5
     n_arch = 120
-    table = ds.LatencyTable()
-    devices = []
+    rows = {}
     for p in range(n_pairs):
         base = rng.normal(size=n_arch)
         for member in range(2):
-            dev = f"p{p}m{member}"
-            devices.append(dev)
             noisy = base + 0.15 * rng.normal(size=n_arch)
-            for i, v in enumerate(noisy):
-                table.add(f"arch{i}", dev, float(np.exp(v)))
+            rows[f"p{p}m{member}"] = {f"arch{i}": float(np.exp(v)) for i, v in enumerate(noisy)}
+    table, devices = ds.LatencyTable(rows), list(rows)
     split = ds.partition(table, 3, 2, seed=1)
 
     corr = ds.correlation_matrix(table, devices)
@@ -320,3 +313,129 @@ def test_full_partition_beats_random_splits_on_paired_family():
         perm = list(split_rng.permutation(devices))
         randoms.append(mean_cross(perm[:3], perm[3:5]))
     assert mean_cross(split.source, split.target) <= np.mean(randoms)
+
+
+@pytest.mark.parametrize("doc, pointer", [
+    ('{"source": [""], "target": ["b"], "objective": 0.0}', "/source/0"),
+    ('{"source": ["a"], "target": ["b", ""], "objective": 0.0}', "/target/1"),
+])
+def test_split_refuses_an_empty_device_id(doc, pointer):
+    with pytest.raises(BadField, match=f"^{pointer}: empty device id$"):
+        ds.DeviceSplit.from_json(doc)
+
+
+# --- the matrix table against the dict-of-dicts reference ----------------------------
+
+def _outcome(fn, *args):
+    """fn(*args) as ("ok", value), an array as the float.hex of its entries and a
+    split as its pools and objective bits, or the type name and message of what it
+    raised."""
+    try:
+        value = fn(*args)
+    except Exception as e:  # noqa: BLE001 - the reference may raise anything
+        return type(e).__name__, str(e)
+    if isinstance(value, np.ndarray):
+        value = [v.hex() for v in value.ravel().tolist()]
+    elif isinstance(value, ds.DeviceSplit):
+        value = value.source, value.target, value.objective.hex()
+    return "ok", value
+
+
+def _random_tables(count, seed):
+    """`count` (matrix table, dict table, device ids, arch ids) built from the same
+    entries, added in a random order: 2-12 devices, 2-60 archs, a third of the
+    tables complete and the rest missing up to 60% of their entries, half with
+    tie-heavy latencies, and every fourth with one constant device."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        k, n = int(rng.integers(2, 13)), int(rng.integers(2, 61))
+        if t % 2:
+            values = rng.integers(1, 6, size=(k, n)) * 0.5
+        else:
+            values = np.exp(rng.normal(size=(k, n)))
+        if t % 4 == 3:
+            values[int(rng.integers(k))] = 1.5
+        present = rng.random((k, n)) >= (0.0 if t % 3 == 0 else rng.uniform(0.0, 0.6))
+        devices = [f"d{i:02d}" for i in rng.permutation(k)]
+        archs = [f"a{j:02d}" for j in rng.permutation(n)]
+        entries = [(archs[j], devices[i], float(values[i, j])) for i, j in zip(*np.nonzero(present))]
+        old, rows = DictLatencyTable(), {}
+        for e in rng.permutation(len(entries)):
+            arch, device, ms = entries[e]
+            old.add(arch, device, ms)
+            rows.setdefault(device, {})[arch] = ms
+        yield ds.LatencyTable(rows), old, devices, archs
+
+
+def _same_table(new, old):
+    assert new.devices() == old.devices()
+    assert len(new) == len(old)
+    for device in old.devices():
+        ids, ms = new.measured(device)
+        want_ids, want_ms = old.measured(device)
+        assert ids == want_ids and ms.tobytes() == want_ms.tobytes()
+
+
+def test_matrix_table_matches_the_dict_table(tmp_path):
+    """measured, subset, devices, len and save_csv bytes agree on 300 random tables,
+    with unknown ids and an unknown device."""
+    rng = np.random.default_rng(1)
+    for t, (new, old, devices, archs) in enumerate(_random_tables(300, seed=0)):
+        _same_table(new, old)
+        for device in devices + ["unknown"]:
+            picked = [archs[j] for j in rng.integers(len(archs), size=5)] + ["unknown", archs[0]]
+            for arch_ids in (None, picked, [], ["unknown"]):
+                ids, ms = new.measured(device, arch_ids)
+                want_ids, want_ms = old.measured(device, arch_ids)
+                assert ids == want_ids and ms.dtype == want_ms.dtype and ms.tobytes() == want_ms.tobytes()
+        keep_devices = list(rng.choice(devices + ["unknown"], size=int(rng.integers(0, 4))))
+        keep_archs = list(rng.choice(archs + ["unknown"], size=int(rng.integers(0, 8))))
+        for device_ids, arch_ids in [(None, None), (keep_devices, None), (None, keep_archs),
+                                     (keep_devices, keep_archs)]:
+            _same_table(new.subset(device_ids, arch_ids), old.subset(device_ids, arch_ids))
+        new.save_csv(tmp_path / "new.csv")
+        old.save_csv(tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes(), t
+
+
+def test_correlation_matrix_and_partition_match_the_pairwise_reference():
+    """correlation_matrix matches float.hex for float.hex, or raises the same error,
+    and partition gives the same pools, objective bits and messages, on 300 random
+    tables with missing entries, ties and constant devices."""
+    rng = np.random.default_rng(2)
+    outcomes = {}
+    for new, old, devices, _ in _random_tables(300, seed=0):
+        for order in (sorted(devices), sorted(devices) + ["unknown"]):
+            assert _outcome(ds.correlation_matrix, new, order) == _outcome(pairwise_correlation_matrix, old, order)
+        m, n, seed = int(rng.integers(1, len(devices))), int(rng.integers(1, len(devices))), int(rng.integers(99))
+        got = _outcome(ds.partition, new, m, n, seed)
+        assert got == _outcome(pairwise_partition, old, m, n, seed)
+        outcomes[got[0]] = outcomes.get(got[0], 0) + 1
+    # every partition that got past the correlations bisected its matrix
+    assert outcomes == {"ok": 101, "SideTooSmall": 110, "ConstantInput": 71, "InsufficientOverlap": 18}
+
+
+def test_kl_bisect_matches_the_nested_scan_on_tied_gains():
+    """800 correlation matrices of quarter steps, whose swap gains tie often: the
+    argmax pair search bisects as the nested (a, b) scan did. With the partitions
+    of the test above, which bisect 211 more matrices, that is 1,011 cases."""
+    rng = np.random.default_rng(3)
+    for _ in range(800):
+        n = int(rng.integers(2, 9))
+        corr = rng.integers(-4, 5, size=(n, n)) / 4.0
+        corr = (corr + corr.T) / 2.0
+        seed = int(rng.integers(1000))
+        assert ds.kl_bisect(corr, seed) == scan_kl_bisect(corr, seed)
+
+
+def test_a_complete_table_ranks_each_device_once(monkeypatch):
+    calls = []
+    rank = ds._fractional_ranks
+    monkeypatch.setattr(ds, "_fractional_ranks", lambda x: calls.append(len(x)) or rank(x))
+    rng = np.random.default_rng(4)
+    table = _table_from_matrix(np.exp(rng.normal(size=(40, 9))), [f"d{i}" for i in range(9)])
+    ds.correlation_matrix(table, table.devices())
+    assert calls == [40] * 9
+    calls.clear()
+    ds.partition(table, 4, 4, seed=0)
+    assert calls == [40] * 9

@@ -116,9 +116,10 @@ def _with_endings(path: Path, ending: bytes) -> None:
                             max_size=6),
        ending=_ENDINGS)
 def test_latency_csv_round_trips_bit_for_bit(tmp_path, rows, ending):
-    table = LatencyTable()
+    by_device = {}
     for (arch, device), ms in rows.items():
-        table.add(arch, device, ms)
+        by_device.setdefault(device, {})[arch] = ms
+    table = LatencyTable(by_device)
     path = tmp_path / "latency.csv"
     table.save_csv(path)
     _with_endings(path, ending)

@@ -165,10 +165,8 @@ def test_pretrain_trains_on_the_measured_archs_it_is_given(nb201, small_world):
 def test_training_trajectory_scale_invariant(nb201, small_world):
     """Rescaling one device's latencies must not change a single bit."""
     table, archs, sources, _ = small_world
-    scaled = LatencyTable()
-    for dev in table.devices():
-        for arch_id, v in zip(*table.measured(dev)):
-            scaled.add(arch_id, dev, v * (737.0 if dev == "s1" else 1.0))
+    scaled = LatencyTable({dev: dict(zip(ids, ms * (737.0 if dev == "s1" else 1.0)))
+                           for dev in table.devices() for ids, ms in [table.measured(dev)]})
     cfg = pl.TrainConfig(epochs=3, source_samples=60)
     a = _fresh_state(nb201, sources, seed=5)
     b = _fresh_state(nb201, sources, seed=5)
@@ -416,11 +414,8 @@ def test_evaluate_oracle_and_negated(nb201, small_world):
     ids = sorted(archs)[:50]
     scores = dict(zip(ids, pred.predict_batch(st, [archs[a] for a in ids], "s0").tolist()))
     offset = 1.0 - min(scores.values())
-    perfect = LatencyTable()
-    inverted = LatencyTable()
-    for a, s in scores.items():
-        perfect.add(a, "s0", s + offset)
-        inverted.add(a, "s0", (max(scores.values()) - s) + 1.0)
+    perfect = LatencyTable({"s0": {a: s + offset for a, s in scores.items()}})
+    inverted = LatencyTable({"s0": {a: (max(scores.values()) - s) + 1.0 for a, s in scores.items()}})
     assert pl.evaluate(st, "s0", perfect, archs).spearman == pytest.approx(1.0, abs=1e-9)
     assert pl.evaluate(st, "s0", inverted, archs).spearman == pytest.approx(-1.0, abs=1e-9)
 
@@ -446,9 +441,7 @@ def test_untrained_predictor_near_zero_rho(nb201, small_world):
     rhos = []
     for seed in range(12):
         st = _fresh_state(nb201, sources, seed=100 + seed)
-        random_truth = LatencyTable()
-        for a in sorted(archs):
-            random_truth.add(a, "s0", float(rng.uniform(1, 10)))
+        random_truth = LatencyTable({"s0": {a: float(rng.uniform(1, 10)) for a in sorted(archs)}})
         rhos.append(pl.evaluate(st, "s0", random_truth, archs).spearman)
     assert np.mean(np.abs(rhos)) < 0.3
 

@@ -12,7 +12,6 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
-import generator_worlds
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -394,20 +393,20 @@ def test_predict_batch_with_encodings_bitwise_equals_dense_oracle(fbnet, kind):
 
 @pytest.mark.parametrize("kind", ["dgf", "gat", "ensemble"])
 def test_full_gradient_check_all_kinds(nb201, kind):
-    """On archs as numpy's Generator drew them (see generator_worlds)."""
+    """On the keyed archs of seeds 0-4, 5-9 and 10-14."""
     config = pred.PredictorConfig(gnn_kind=kind, supplementary_dim=2)
     st = pred.init_predictor(config, [nb201], ["d0", "d1"], seed=11)
-    archs = [generator_worlds.architecture(nb201, s) for s in range(5)]
-    ops_rows = np.array([a.ops for a in archs], dtype=np.intp)
     supp = np.random.default_rng(0).normal(size=(5, 2))
     weights = np.random.default_rng(1).normal(size=(5, 1))
+    for draw in range(3):
+        ops_rows = np.array([asp.random_architecture(nb201, 5 * draw + i).ops for i in range(5)], dtype=np.intp)
 
-    def model_eval():
-        out = pred._forward(st, ops_rows, 0, supp)
-        return ad.sum_all(ad.mul(out, weights))
+        def model_eval():
+            out = pred._forward(st, ops_rows, 0, supp)
+            return ad.sum_all(ad.mul(out, weights))
 
-    report = finite_diff_check(model_eval, st.params, n_samples=60, seed=2)
-    assert report.max_rel_err < 1e-4, report.worst_param
+        report = finite_diff_check(model_eval, st.params, n_samples=60, seed=2)
+        assert report.max_rel_err < 1e-4, (draw, report.worst_param)
 
 
 _SHAPE_CONFIGS = [
@@ -572,13 +571,8 @@ def test_layers_project_only_the_rows_the_readout_reads(nb201, fbnet, monkeypatc
 # --- hardware embedding init ----------------------------------------------------
 
 def _samples_table(target_vals, source_cols):
-    table = LatencyTable()
-    for i, v in enumerate(target_vals):
-        table.add(f"arch{i}", "target", float(v))
-    for dev, col in source_cols.items():
-        for i, v in enumerate(col):
-            table.add(f"arch{i}", dev, float(v))
-    return table
+    return LatencyTable({dev: {f"arch{i}": float(v) for i, v in enumerate(col)}
+                         for dev, col in {"target": target_vals, **source_cols}.items()})
 
 
 def test_hw_init_picks_exact_copy(state):
@@ -620,11 +614,7 @@ def test_hw_init_scale_invariant(state):
 
 def test_hw_init_insufficient_overlap(state):
     pred.register_device(state, "target")
-    table = LatencyTable()
-    table.add("a0", "target", 1.0)
-    table.add("a0", "d0", 1.0)
-    table.add("a0", "d1", 1.0)
-    table.add("a0", "d2", 1.0)
+    table = LatencyTable({d: {"a0": 1.0} for d in ("target", "d0", "d1", "d2")})
     with pytest.raises(InsufficientOverlap):
         pred.init_target_hw_embedding(state, table, "target", ["d0", "d1", "d2"])
 

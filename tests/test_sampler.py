@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import generator_worlds
 import numpy as np
 import pytest
 
 from nasflat import archspace as asp
 from nasflat import sampler as smp
+from nasflat import synthbench as sb
 from nasflat.devicesets import LatencyTable
 from nasflat.errors import (
     DegenerateEncoding,
@@ -62,10 +62,8 @@ def _mean_pairwise_cosine(ids, encoding):
 
 def test_all_samplers_basic_contract(pool, nb201):
     encoding = _proxy_encoding(pool, nb201)
-    reference = LatencyTable()
     rng = np.random.default_rng(0)
-    for a in pool:
-        reference.add(a.arch_id, "ref0", float(rng.uniform(1, 10)))
+    reference = LatencyTable({"ref0": {a.arch_id: float(rng.uniform(1, 10)) for a in pool}})
     for method in smp.METHODS:
         out = smp.run_sampler(
             method, pool, 7, seed=5, space=nb201,
@@ -123,19 +121,23 @@ def test_params_single_and_identity(pool, nb201):
 
 
 def test_params_spread_beats_random(nb201):
-    """On `pool` as numpy's Generator drew it (see generator_worlds)."""
-    pool = _distinct_pool(lambda seed: generator_worlds.architecture(nb201, seed))
-    proxies = {a.arch_id: asp.graph_proxies(a, nb201)[9] for a in pool}
+    """Over 5-arch samples of each of 20 keyed pools of 40 archs, the `params`
+    sampler's mean parameter-count spread is at least `random`'s on 17 or more
+    pools. Over pools 0-199 it held on 192 (96%), and on 17 to 20 of each run of 20."""
 
-    def spread(ids):
-        vals = [proxies[i] for i in ids]
-        return max(vals) - min(vals)
+    def params_beats_random(pool):
+        proxies = {a.arch_id: asp.graph_proxies(a, nb201)[9] for a in pool}
 
-    params_spreads, random_spreads = [], []
-    for seed in range(50):
-        params_spreads.append(spread(smp.sample_params(pool, 5, nb201, seed)))
-        random_spreads.append(spread(smp.sample_random(pool, 5, seed)))
-    assert np.mean(params_spreads) >= np.mean(random_spreads)
+        def spread(ids):
+            vals = [proxies[i] for i in ids]
+            return max(vals) - min(vals)
+
+        params = np.mean([spread(smp.sample_params(pool, 5, nb201, seed)) for seed in range(50)])
+        random = np.mean([spread(smp.sample_random(pool, 5, seed)) for seed in range(50)])
+        return params >= random
+
+    wins = [params_beats_random(sb.distinct_random_architectures(nb201, 40, seed=k)) for k in range(20)]
+    assert sum(wins) >= 17, wins
 
 
 def test_cosine_orthogonal_selects_all(pool):
@@ -231,10 +233,7 @@ def test_kmeans_cost_rotation_invariant(pool):
 
 
 def _reference_table(pool, fn):
-    table = LatencyTable()
-    for i, a in enumerate(pool):
-        table.add(a.arch_id, "ref0", fn(i))
-    return table
+    return LatencyTable({"ref0": {a.arch_id: fn(i) for i, a in enumerate(pool)}})
 
 
 def test_latency_oracle_spans_quantiles(pool):
